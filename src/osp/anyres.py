@@ -9,6 +9,7 @@ the original resolution. After a pattern map is applied the mask stays
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,8 +106,17 @@ def write_mask(path: str | Path, pg: PaddedGrid) -> None:
 
 
 def read_mask(path: str | Path) -> tuple[GridShape, np.ndarray]:
+    """Read a mask file, checking the header's grid against the file size
+    before reading the flags; a short payload or trailing bytes raise
+    ValueError."""
     with open(path, "rb") as f:
-        t, h, w, k = struct.unpack("<IIII", f.read(16))
-        g = GridShape(t, h, w, k)
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(16)
+        if len(header) < 16:
+            raise ValueError(f"mask file of {size} bytes is shorter than its 16-byte header")
+        g = GridShape(*struct.unpack("<IIII", header))
+        if size - 16 != g.seq_len:
+            raise ValueError(f"mask header declares a {g.t}x{g.h}x{g.w} grid ({g.seq_len} flags), "
+                             f"the file holds {size - 16} flag bytes")
         mask = np.frombuffer(f.read(g.seq_len), dtype=np.uint8).astype(bool)
     return g, mask

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anyres import PaddedGrid, subsequence_mask
+from .anyres import PaddedGrid
 from .gridseq import GridShape, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, pattern_map
 
@@ -106,23 +106,11 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     if x.seq != grid.seq_len:
         raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
     q, k, v = project_qkv(x)
-    valid = pg.mask_or_none() if pg is not None else None
-
-    if pattern is SparsePattern.ORIGINAL:
-        out = dense_attention(q, k, v, key_valid=valid)
-        result = out.data
-        if valid is not None:
-            result = result.copy()
-            result[:, ~valid, :] = 0.0
-        return SequenceTensor(result)
-
     fwd = pattern_map(grid, pattern, batch=x.batch)
     qp, kp, vp = fwd.apply(q), fwd.apply(k), fwd.apply(v)
-    sub_valid = None
-    if valid is not None:
-        per_item = subsequence_mask(pg, pattern)
-        # enlarged batch nests (pattern id, batch item), pattern id outermost
-        sub_valid = np.repeat(per_item, x.batch, axis=0)
+    valid = pg.mask_or_none() if pg is not None else None
+    # the sub-mask follows the tokens through the same gather as q, k, v
+    sub_valid = None if valid is None else valid[fwd.src % fwd.in_seq]
     out = dense_attention(qp, kp, vp, key_valid=sub_valid)
     result = out.data
     if sub_valid is not None:
@@ -161,8 +149,6 @@ def flop_report(g: GridShape, pattern: SparsePattern, chan: int = 1) -> FlopRepo
     runs k^2 subsequences of length seq / k^2 each."""
     seq = g.seq_len
     full = 2 * seq * seq * chan
-    if pattern is SparsePattern.ORIGINAL:
-        return FlopReport(full, full)
     n_sub = pattern_map(g, pattern, batch=1).out_batch
     sub_len = seq // n_sub
     return FlopReport(full, n_sub * 2 * sub_len * sub_len * chan)

@@ -17,13 +17,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checks
 from .anyres import pad_grid, write_mask
 from .gridseq import GridShape, read_ospt, write_ospt
 from .hif8 import DEFAULT_SPEC, decode, dequantize, encode, quantize_tensor
-from .mixflow import marginal_report, mixed_rollout, standard_ou, uniform_schedule
 from .skiparse import SparsePattern, assignment_of
 from .ssp import comm_comparison
 
@@ -84,38 +81,28 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+def _emit(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _failures(payload: dict, prefix: str = "") -> list[str]:
-    names: list[str] = []
-    if isinstance(payload, dict):
-        for name, value in payload.get("checks", {}).items():
-            if value is False:
-                names.append(prefix + name)
-        for key, value in payload.items():
-            if key != "checks" and isinstance(value, (dict, list)):
-                names.extend(_failures_from(value, f"{prefix}{key}."))
+def _failures(node, prefix: str = "") -> list[str]:
+    """Dotted paths of every check that is False, depth first."""
+    if isinstance(node, list):
+        return [name for i, item in enumerate(node) for name in _failures(item, f"{prefix}{i}.")]
+    if not isinstance(node, dict):
+        return []
+    names = [prefix + name for name, ok in node.get("checks", {}).items() if ok is False]
+    for key, value in node.items():
+        if key != "checks":
+            names.extend(_failures(value, f"{prefix}{key}."))
     return names
 
 
-def _failures_from(node, prefix: str) -> list[str]:
-    if isinstance(node, dict):
-        return _failures(node, prefix)
-    if isinstance(node, list):
-        names = []
-        for i, item in enumerate(node):
-            names.extend(_failures_from(item, f"{prefix}{i}."))
-        return names
-    return []
-
-
-def _finish(args, payload: dict) -> int:
-    _emit(args, _dump_json(payload))
+def _finish(out: str | None, payload: dict) -> int:
+    _emit(out, _dump_json(payload))
     if payload.get("pass", True):
         return 0
     names = _failures(payload) or ["pass"]
@@ -138,11 +125,11 @@ def _cmd_rearrange_check(args) -> int:
         pattern.value: assignment_of(pad_grid(g).padded, pattern).to_rows()
         for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)
     }
-    return _finish(args, payload)
+    return _finish(args.out, payload)
 
 
 def _cmd_reach(args) -> int:
-    return _finish(args, checks.reach_check(_grid_arg(args)))
+    return _finish(args.out, checks.reach_check(_grid_arg(args)))
 
 
 def _cmd_mask_dump(args) -> int:
@@ -166,7 +153,7 @@ def _cmd_mask_dump(args) -> int:
 def _cmd_attn_verify(args) -> int:
     g = _grid_arg(args)
     pattern = _PATTERNS[args.pattern]
-    return _finish(args, checks.attention_check(g, pattern, chan=args.chan, seed=args.seed))
+    return _finish(args.out, checks.attention_check(g, pattern, chan=args.chan, seed=args.seed))
 
 
 def _cmd_comm_sim(args) -> int:
@@ -195,9 +182,10 @@ def _cmd_comm_sim(args) -> int:
     if args.format == "csv":
         rows = [[r["group_size"], r["ssp_global"], r["naive_global"], r["naive_over_ssp"]]
                 for r in comparison["growth_table"]]
-        _emit(args, _csv_text(["group_size", "ssp_global", "naive_global", "naive_over_ssp"], rows))
+        header = ["group_size", "ssp_global", "naive_global", "naive_over_ssp"]
+        _emit(args.out, _csv_text(header, rows))
         return 0 if payload["pass"] else 1
-    return _finish(args, payload)
+    return _finish(args.out, payload)
 
 
 def _cmd_hif8_enum(args) -> int:
@@ -213,7 +201,7 @@ def _cmd_hif8_enum(args) -> int:
             "" if f["fraction"] is None else f["fraction"],
             repr(f["value"]),
         ])
-    _emit(args, _csv_text(header, rows))
+    _emit(args.out, _csv_text(header, rows))
     return 0
 
 
@@ -227,7 +215,7 @@ def _cmd_hif8_encode(args) -> int:
         "abs_err": abs(decode(code) - args.value),
         "pass": True,
     }
-    return _finish(args, payload)
+    return _finish(args.out, payload)
 
 
 def _cmd_hif8_quantize(args) -> int:
@@ -248,37 +236,19 @@ def _cmd_hif8_quantize(args) -> int:
 def _cmd_sampler(args) -> int:
     if args.sde_steps > args.steps:
         raise UsageError(f"--sde-steps {args.sde_steps} exceeds --steps {args.steps}")
-    proc = standard_ou(2)
-    sched = uniform_schedule(args.steps, set(range(args.sde_steps)))
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    x0 = rng.standard_normal((args.ensemble, proc.dim)) * np.sqrt(proc.var_at(float(sched.times[0])))
-    result = mixed_rollout(x0, sched, proc, rng)
-    report = marginal_report(result, proc, sched)
+    payload = checks.sampler_check(args.steps, args.sde_steps, args.ensemble, args.seed)
     if args.out:
         rows = [[repr(s["t"]), repr(s["mean"]), repr(s["var"]),
                  repr(s["analytic_mean"]), repr(s["analytic_var"])]
-                for s in report["steps"]]
+                for s in payload["marginals"]["steps"]]
         Path(args.out).write_text(
             _csv_text(["t", "mean", "var", "analytic_mean", "analytic_var"], rows))
-    verdict = {
-        "steps": args.steps,
-        "sde_steps": args.sde_steps,
-        "ensemble": args.ensemble,
-        "seed": args.seed,
-        "noise_draws": result.noise_draws,
-        "marginals": report,
-        "pass": report["pass"],
-    }
-    sys.stdout.write(_dump_json(verdict))
-    if not verdict["pass"]:
-        print("FAIL: marginals_within_4_se", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(None, payload)
 
 
 def _cmd_report_all(args) -> int:
     payload = build_full_report(args.seed)
-    return _finish(args, payload)
+    return _finish(args.out, payload)
 
 
 def build_full_report(seed: int) -> dict:
@@ -325,13 +295,27 @@ def build_full_report(seed: int) -> dict:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Config values become string defaults of every
+    subcommand, so argparse converts and validates them like flag values
+    and an explicit flag always wins."""
     parser = argparse.ArgumentParser(
         prog="osp",
         description="verification subcommands for the sparse rearrange, "
                     "parallelism, quantization and sampling mechanisms",
     )
     parser.add_argument("--config", help="flat key = value config file; flags override it")
+    defaults = config or {}
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, grid=True, seed=True, out=True):
@@ -345,50 +329,50 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rearrange-check", help="pattern map round-trips and coherence")
     add_common(p)
-    p.set_defaults(func=_cmd_rearrange_check)
+    p.set_defaults(func=_cmd_rearrange_check, **defaults)
 
     p = sub.add_parser("reach", help="two-hop reachability by exhaustive enumeration")
     add_common(p, seed=False)
-    p.set_defaults(func=_cmd_reach)
+    p.set_defaults(func=_cmd_reach, **defaults)
 
     p = sub.add_parser("mask-dump", help="padding mask summary and binary dump")
     add_common(p, seed=False)
-    p.set_defaults(func=_cmd_mask_dump)
+    p.set_defaults(func=_cmd_mask_dump, **defaults)
 
     p = sub.add_parser("attn-verify", help="sparse attention vs masked dense oracle")
     add_common(p)
     p.add_argument("--pattern", choices=sorted(_PATTERNS), default="tsa")
-    p.add_argument("--chan", type=int, default=8)
-    p.set_defaults(func=_cmd_attn_verify)
+    p.add_argument("--chan", type=_positive_int, default=8)
+    p.set_defaults(func=_cmd_attn_verify, **defaults)
 
     p = sub.add_parser("comm-sim", help="collective counts and volumes per block")
     add_common(p)
-    p.add_argument("--group-size", type=int, default=4)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--chan", type=int, default=4)
+    p.add_argument("--group-size", type=_positive_int, default=4)
+    p.add_argument("--blocks", type=_positive_int, default=1)
+    p.add_argument("--chan", type=_positive_int, default=4)
     p.add_argument("--elem-bytes", type=int, default=2,
                    help="element width used for the bytes column")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_comm_sim)
+    p.set_defaults(func=_cmd_comm_sim, **defaults)
 
     p = sub.add_parser("hif8", help="8-bit codec utilities")
     hif8_sub = p.add_subparsers(dest="hif8_command", required=True)
 
     pe = hif8_sub.add_parser("enum", help="dump the full code/value table as CSV")
     pe.add_argument("--out")
-    pe.set_defaults(func=_cmd_hif8_enum)
+    pe.set_defaults(func=_cmd_hif8_enum, **defaults)
 
     pc = hif8_sub.add_parser("encode", help="encode one value")
     pc.add_argument("--value", type=float, required=True)
     pc.add_argument("--out")
-    pc.set_defaults(func=_cmd_hif8_encode)
+    pc.set_defaults(func=_cmd_hif8_encode, **defaults)
 
     pq = hif8_sub.add_parser("quantize", help="quantize an OSPT tensor file")
     pq.add_argument("--mode", choices=("forward", "backward"), required=True)
     pq.add_argument("--input", required=True)
     pq.add_argument("--output", required=True)
     pq.add_argument("--sidecar", help="sidecar JSON path (default: <output>.json)")
-    pq.set_defaults(func=_cmd_hif8_quantize)
+    pq.set_defaults(func=_cmd_hif8_quantize, **defaults)
 
     p = sub.add_parser("sampler", help="mixed SDE/ODE rollout marginal check")
     p.add_argument("--steps", type=int, default=25)
@@ -396,47 +380,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="per-step CSV path")
-    p.set_defaults(func=_cmd_sampler)
+    p.set_defaults(func=_cmd_sampler, **defaults)
 
     p = sub.add_parser("report-all", help="run every verification, one JSON report")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_report_all)
+    p.set_defaults(func=_cmd_report_all, **defaults)
 
     return parser
 
 
-_CONFIG_CONVERTERS = {
-    "k": int, "seed": int, "group_size": int, "blocks": int, "chan": int,
-    "elem_bytes": int, "steps": int, "sde_steps": int, "ensemble": int,
-    "value": float,
-}
-
-
-def _apply_config(args: argparse.Namespace, parser_defaults: dict, config: dict[str, str]) -> None:
-    for key, raw in config.items():
-        if not hasattr(args, key):
-            raise UsageError(f"config key {key!r} does not match any option")
-        current = getattr(args, key)
-        if current != parser_defaults.get(key, current):
-            continue  # an explicit flag wins over the file
-        converter = _CONFIG_CONVERTERS.get(key, str)
-        try:
-            setattr(args, key, converter(raw))
-        except ValueError:
-            raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
+_NOT_OPTIONS = {"config", "command", "hif8_command", "func"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.config:
-            defaults = {a.dest: a.default for a in parser._actions}
-            for group in parser._subparsers._group_actions:
-                for sp in group.choices.values():
-                    defaults.update({a.dest: a.default for a in sp._actions})
-            _apply_config(args, defaults, _load_config(args.config))
+            config = _load_config(args.config)
+            for key in config:
+                if key not in vars(args) or key in _NOT_OPTIONS:
+                    raise UsageError(f"config key {key!r} does not match any option")
+            args = _build_parser(config).parse_args(argv)
         if "OSP_SEED" in os.environ and hasattr(args, "seed"):
             args.seed = int(os.environ["OSP_SEED"])
         return args.func(args)

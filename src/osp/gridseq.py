@@ -14,6 +14,7 @@ algorithm) so golden files can be regenerated exactly from a seed.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -243,14 +244,22 @@ def write_ospt(path: str | Path, x: SequenceTensor) -> None:
 
 
 def read_ospt(path: str | Path) -> SequenceTensor:
+    """Read an OSPT file. The header's declared payload size is checked
+    against the file size before anything is allocated; a short payload
+    or trailing bytes raise ValueError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != OSPT_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {OSPT_MAGIC!r}")
-        version = f.read(1)
-        if version != bytes([OSPT_VERSION]):
-            raise ValueError(f"unsupported OSPT version {version!r}")
-        batch, seq, chan = struct.unpack("<III", f.read(12))
-        payload = f.read(8 * batch * seq * chan)
-        data = np.frombuffer(payload, dtype="<f8").reshape(batch, seq, chan)
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(17)
+        if header[:4] != OSPT_MAGIC:
+            raise ValueError(f"bad magic {header[:4]!r}, expected {OSPT_MAGIC!r}")
+        if header[4:5] != bytes([OSPT_VERSION]):
+            raise ValueError(f"unsupported OSPT version {header[4:5]!r}")
+        if len(header) < 17:
+            raise ValueError(f"OSPT file of {size} bytes is shorter than its 17-byte header")
+        batch, seq, chan = struct.unpack("<III", header[5:])
+        payload = 8 * batch * seq * chan
+        if size - 17 != payload:
+            raise ValueError(f"OSPT header declares {batch}x{seq}x{chan} float64 values "
+                             f"({payload} bytes), the file holds {size - 17} payload bytes")
+        data = np.frombuffer(f.read(payload), dtype="<f8").reshape(batch, seq, chan)
     return SequenceTensor(data.astype(np.float64))

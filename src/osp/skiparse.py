@@ -13,10 +13,12 @@ Alternating the two patterns lets any two tokens interact within at most
 two attention operations; `reachability_hops` verifies that claim by
 exhaustive pair enumeration.
 
-All maps are built with the shared axis-factorization engine in
-`gridseq.rearrange_map`, with the enlarged batch always nested
-(pattern-row, pattern-col, batch), pattern-row outermost, so that layouts
-agree across implementations.
+Every map comes from one table, `_LAYOUTS`, which writes the original,
+token-wise and group-wise layouts as orderings of the same named factors
+of a frame, and one builder, `layout_map(g, src, dst)`, on the shared
+axis-factorization engine `gridseq.rearrange_map` (einops notation). The
+enlarged batch is always nested (pattern-row, pattern-col, batch),
+pattern-row outermost, so that layouts agree across implementations.
 """
 
 from __future__ import annotations
@@ -50,115 +52,68 @@ class LayerKind(Enum):
     GSA = "gsa"
 
 
-def _require_tsa(g: GridShape) -> None:
-    if g.h % g.k or g.w % g.k:
-        raise PatternError(
-            f"token-wise pattern needs h and w divisible by k={g.k}, got {g.h}x{g.w}"
-        )
+# Every layout orders one set of named factors. A frame row r splits as
+# (r // k^2, (r // k) % k, r % k) = (row group, p1, p2), the row group fused
+# with t into txh; a column c splits the same way into (wg, q1, q2). Each
+# entry is (batch nesting, seq nesting), outermost first: token-wise batches
+# the finest stride (p2, q2), group-wise the next one (p1, q1).
+_LAYOUTS = {
+    SparsePattern.ORIGINAL: (("b",), ("txh", "p1", "p2", "wg", "q1", "q2")),
+    SparsePattern.TOKEN_WISE: (("p2", "q2", "b"), ("txh", "p1", "wg", "q1")),
+    SparsePattern.GROUP_WISE: (("p1", "q1", "b"), ("txh", "p2", "wg", "q2")),
+}
 
 
-def _require_gsa(g: GridShape) -> None:
-    k2 = g.k * g.k
-    if g.h % k2 or g.w % k2:
-        raise PatternError(
-            f"group-wise pattern needs h and w divisible by k^2={k2}, got {g.h}x{g.w}"
-        )
+def layout_map(g: GridShape, src: SparsePattern, dst: SparsePattern, batch: int = 1) -> IndexMap:
+    """Layout src -> layout dst for `batch` items on grid g.
+
+    A stride that k (or k^2) does not divide into h and w gets size 1, so
+    the layouts that batch it raise PatternError: token-wise needs h and w
+    divisible by k, group-wise by k^2.
+    """
+    k = g.k
+    fine = k if g.h % k == 0 and g.w % k == 0 else 1
+    mid = k if g.h % (k * k) == 0 and g.w % (k * k) == 0 else 1
+    sizes = {"b": batch, "txh": g.t * g.h // (fine * mid), "p1": mid, "p2": fine,
+             "wg": g.w // (fine * mid), "q1": mid, "q2": fine}
+    for pattern in (src, dst):
+        strides = _LAYOUTS[pattern][0][:-1]
+        if any(sizes[a] != k for a in strides):
+            unit = "k^2" if "p1" in strides else "k"
+            raise PatternError(f"{pattern.value} pattern needs h and w divisible by {unit} "
+                               f"at k={k}, got {g.h}x{g.w}")
+    (in_batch, in_seq), (out_batch, out_seq) = _LAYOUTS[src], _LAYOUTS[dst]
+    return rearrange_map([(a, sizes[a]) for a in in_batch], [(a, sizes[a]) for a in in_seq],
+                         out_batch, out_seq)
 
 
 def orig_to_tsa(g: GridShape, batch: int = 1) -> IndexMap:
-    """Original layout -> token-wise layout (batch grows k*k, seq shrinks k*k)."""
-    _require_tsa(g)
-    k = g.k
-    return rearrange_map(
-        [("b", batch)],
-        [("t", g.t), ("h", g.h // k), ("p", k), ("w", g.w // k), ("q", k)],
-        ["p", "q", "b"],
-        ["t", "h", "w"],
-    )
+    return layout_map(g, SparsePattern.ORIGINAL, SparsePattern.TOKEN_WISE, batch)
 
 
 def tsa_to_orig(g: GridShape, batch: int = 1) -> IndexMap:
-    _require_tsa(g)
-    k = g.k
-    return rearrange_map(
-        [("p", k), ("q", k), ("b", batch)],
-        [("t", g.t), ("h", g.h // k), ("w", g.w // k)],
-        ["b"],
-        ["t", "h", "p", "w", "q"],
-    )
+    return layout_map(g, SparsePattern.TOKEN_WISE, SparsePattern.ORIGINAL, batch)
 
 
 def orig_to_gsa(g: GridShape, batch: int = 1) -> IndexMap:
-    """Original layout -> group-wise layout. Needs h, w divisible by k^2 so
-    the fused (t, h // k^2) axis splits cleanly per frame."""
-    _require_gsa(g)
-    k = g.k
-    k2 = k * k
-    return rearrange_map(
-        [("b", batch)],
-        [("txh", g.t * g.h // k2), ("p1", k), ("p2", k), ("wg", g.w // k2), ("q1", k), ("q2", k)],
-        ["p1", "q1", "b"],
-        ["txh", "p2", "wg", "q2"],
-    )
+    return layout_map(g, SparsePattern.ORIGINAL, SparsePattern.GROUP_WISE, batch)
 
 
 def gsa_to_orig(g: GridShape, batch: int = 1) -> IndexMap:
-    _require_gsa(g)
-    k = g.k
-    k2 = k * k
-    return rearrange_map(
-        [("p1", k), ("q1", k), ("b", batch)],
-        [("txh", g.t * g.h // k2), ("p2", k), ("wg", g.w // k2), ("q2", k)],
-        ["b"],
-        ["txh", "p1", "p2", "wg", "q1", "q2"],
-    )
+    return layout_map(g, SparsePattern.GROUP_WISE, SparsePattern.ORIGINAL, batch)
 
 
 def tsa_to_gsa(g: GridShape, batch: int = 1) -> IndexMap:
-    """Direct token-wise -> group-wise conversion; equals
-    orig_to_gsa composed with the inverse of orig_to_tsa."""
-    _require_gsa(g)
-    k = g.k
-    k2 = k * k
-    return rearrange_map(
-        [("p2", k), ("q2", k), ("b", batch)],
-        [("txh", g.t * g.h // k2), ("p1", k), ("wg", g.w // k2), ("q1", k)],
-        ["p1", "q1", "b"],
-        ["txh", "p2", "wg", "q2"],
-    )
+    return layout_map(g, SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE, batch)
 
 
 def gsa_to_tsa(g: GridShape, batch: int = 1) -> IndexMap:
-    _require_gsa(g)
-    k = g.k
-    k2 = k * k
-    return rearrange_map(
-        [("p1", k), ("q1", k), ("b", batch)],
-        [("txh", g.t * g.h // k2), ("p2", k), ("wg", g.w // k2), ("q2", k)],
-        ["p2", "q2", "b"],
-        ["txh", "p1", "wg", "q1"],
-    )
+    return layout_map(g, SparsePattern.GROUP_WISE, SparsePattern.TOKEN_WISE, batch)
 
 
 def pattern_map(g: GridShape, pattern: SparsePattern, batch: int = 1) -> IndexMap:
     """Original layout -> the given pattern layout."""
-    if pattern is SparsePattern.ORIGINAL:
-        return IndexMap.identity(batch, g.seq_len)
-    if pattern is SparsePattern.TOKEN_WISE:
-        return orig_to_tsa(g, batch)
-    if pattern is SparsePattern.GROUP_WISE:
-        return orig_to_gsa(g, batch)
-    raise PatternError(f"unknown pattern {pattern!r}")
-
-
-def inverse_pattern_map(g: GridShape, pattern: SparsePattern, batch: int = 1) -> IndexMap:
-    if pattern is SparsePattern.ORIGINAL:
-        return IndexMap.identity(batch, g.seq_len)
-    if pattern is SparsePattern.TOKEN_WISE:
-        return tsa_to_orig(g, batch)
-    if pattern is SparsePattern.GROUP_WISE:
-        return gsa_to_orig(g, batch)
-    raise PatternError(f"unknown pattern {pattern!r}")
+    return layout_map(g, SparsePattern.ORIGINAL, pattern, batch)
 
 
 @dataclass(frozen=True)
@@ -202,7 +157,6 @@ def reachability_hops(g: GridShape) -> int | float:
     a subsequence with u in one pattern and with v in the other. Returns
     math.inf if any pair is unreachable in two hops.
     """
-    _require_gsa(g)
     tsa = assignment_of(g, SparsePattern.TOKEN_WISE).subseq
     gsa = assignment_of(g, SparsePattern.GROUP_WISE).subseq
     k2 = g.k * g.k

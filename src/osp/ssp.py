@@ -9,15 +9,16 @@ collective:
      rearrange on the reduced (t, h/k, w/k) grid, which groups elements
      by their target subsequence;
   2. one all-to-all delivers chunk j of rank r to slot r of rank j;
-  3. a local axis permutation reorders received chunks;
-  4. the reverse local rearrange merges them into the switched layout.
+  3. one local gather swaps the (source subsequence, target slot) nesting
+     of the received chunks and merges them with the reverse rearrange
+     into the switched layout; both are named-axis maps composed into one.
 
-The same four steps convert token-wise to group-wise and back. Collectives
+The same three steps convert token-wise to group-wise and back. Collectives
 are synchronous buffer exchanges with no transport model; the ledger
 counts exact scalar elements moved per rank per collective. Baselines:
 Ulysses-style attention needs four all-to-alls per block (query, key,
 value, output); a naive switch needs an all-gather moving N * (N-1) * S
-elements globally versus (N-1) * S for the all-to-all transpose.
+elements globally versus (N-1) * S for the all-to-all.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridseq import GridShape, SequenceTensor
-from .skiparse import orig_to_tsa, tsa_to_orig
+from .gridseq import GridShape, SequenceTensor, rearrange_map
+from .skiparse import orig_to_tsa
 
 
 class ShardingError(ValueError):
@@ -114,7 +115,7 @@ def gather_shards(group: ProcessGroup) -> SequenceTensor:
 
 
 def all_to_all(send: list[np.ndarray], log: CommLog, label: str = "") -> list[np.ndarray]:
-    """Transpose collective: received[r] is the concatenation over j of
+    """All-to-all collective: received[r] is the concatenation over j of
     rank j's r-th chunk. Each send buffer must split into N equal chunks
     along its leading axis. Logs one event; the payload metric is the
     whole per-rank buffer (self-chunk included)."""
@@ -160,23 +161,19 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
         )
 
     split = orig_to_tsa(reduced, batch=g_per_rank * b)
-    merge = tsa_to_orig(reduced, batch=g_per_rank * b)
+    # received chunks nest (source rank, target slot, source subsequence,
+    # batch item); the merge wants the source subsequences outermost
+    swap = rearrange_map([("n", n), ("dst", g_per_rank), ("src", g_per_rank), ("b", b)],
+                         [("s", split.out_seq)], ["n", "src", "dst", "b"], ["s"])
+    merge = split.invert().compose(swap)
 
     # 1. local rearrangement: group local elements by target subsequence
     send = [split.apply(s.tensor).data for s in group.shards]
     # 2. one all-to-all delivers each target block to its owner rank
     received = all_to_all(send, group.log, label="pattern-switch")
-    chan = group.shards[0].tensor.chan
-    base = send[0].shape[1]
-    out_shards = []
-    for r, buf in enumerate(received):
-        # 3. local permutation: swap (source block, local offset) nesting
-        z = buf.reshape(n, g_per_rank, g_per_rank, b, base, chan)
-        z = np.ascontiguousarray(z.transpose(0, 2, 1, 3, 4, 5))
-        z = z.reshape(k2 * g_per_rank * b, base, chan)
-        # 4. reverse local rearrangement into the switched layout
-        merged = merge.apply(SequenceTensor(z, kind=group.shards[r].tensor.kind))
-        out_shards.append(RankShard(r, merged))
+    # 3. one local gather into the switched layout
+    out_shards = [RankShard(r, merge.apply(SequenceTensor(buf, kind=group.shards[r].tensor.kind)))
+                  for r, buf in enumerate(received)]
     return ProcessGroup(tuple(out_shards), group.log)
 
 
@@ -209,7 +206,7 @@ def comm_comparison(group_size: int, per_rank_elements: int, blocks: int = 1,
                     growth_sizes: tuple[int, ...] = (2, 4, 8)) -> dict:
     """Side-by-side accounting: per block the sparse switch logs 1
     collective moving S per rank versus 4 moving S each for Ulysses, a
-    75% volume reduction. Globally one transpose moves (N-1) * S versus
+    75% volume reduction. Globally one all-to-all moves (N-1) * S versus
     N * (N-1) * S for the naive switch, a factor of N."""
     n, s = group_size, per_rank_elements
     ssp_total = blocks * s

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,16 @@ def test_mask_serialization_roundtrip(tmp_path):
     grid, mask = read_mask(path)
     assert grid == pg.padded
     assert np.array_equal(mask, pg.mask)
+
+
+@pytest.mark.parametrize("payload", [
+    struct.pack("<IIII", 2 ** 31 - 1, 8, 8, 2),
+    struct.pack("<IIII", 1, 8, 8, 2) + bytes(63),
+    struct.pack("<IIII", 1, 8, 8, 2) + bytes(65),
+    struct.pack("<IIII", 1, 8, 8, 2)[:12],
+], ids=["huge-header", "short-payload", "trailing-byte", "short-header"])
+def test_read_mask_checks_header_against_file_size(payload, tmp_path):
+    path = tmp_path / "mask.bin"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError):
+        read_mask(path)

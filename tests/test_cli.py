@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -147,12 +148,63 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     code, payload = _run_json(capsys, ["--config", str(cfg), "reach", "--k", "3",
                                        "--grid", "1,18,18"])
     assert payload["grid"] == [1, 18, 18]
+    # a flag equal to its parser default still beats the file
+    cfg.write_text("seed = 3\n")
+    code, payload = _run_json(capsys, ["--config", str(cfg), "sampler", "--steps", "2",
+                                       "--sde-steps", "0", "--ensemble", "16", "--seed", "7"])
+    assert code == 0
+    assert payload["seed"] == 7
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["--config", str(cfg), "reach"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["comm-sim", "--group-size", "0"],
+    ["comm-sim", "--group-size", "-2"],
+    ["comm-sim", "--blocks", "0"],
+    ["comm-sim", "--chan", "0"],
+    ["attn-verify", "--chan", "0"],
+    ["attn-verify", "--chan", "two"],
+], ids=" ".join)
+def test_count_flags_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "positive integer" in err
+
+
+def test_config_count_value_validated_like_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group_size = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "comm-sim"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def _ospt_header(batch, seq, chan):
+    return b"OSPT" + bytes([1]) + struct.pack("<III", batch, seq, chan)
+
+
+@pytest.mark.parametrize("raw", [
+    _ospt_header(2 ** 31 - 1, 1, 1),
+    _ospt_header(1, 4, 2) + bytes(8 * 7),
+    _ospt_header(1, 4, 2) + bytes(8 * 8 + 1),
+    _ospt_header(1, 4, 2)[:10],
+], ids=["huge-header", "short-payload", "trailing-byte", "short-header"])
+def test_quantize_rejects_inconsistent_ospt(raw, tmp_path, capsys):
+    src = tmp_path / "x.ospt"
+    src.write_bytes(raw)
+    code = main(["hif8", "quantize", "--mode", "forward",
+                 "--input", str(src), "--output", str(tmp_path / "xq.ospt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "xq.ospt").exists()
 
 
 def test_assertion_failure_exits_1_and_names_invariant(capsys, monkeypatch):

@@ -17,8 +17,15 @@ GRIDS = [
     GridShape(1, 9, 9, 3),
 ]
 
+# k divides h and w but k^2 does not: token-wise only
+TSA_ONLY_GRIDS = [
+    GridShape(1, 6, 6, 2),
+    GridShape(2, 8, 6, 2),
+    GridShape(1, 6, 9, 3),
+]
 
-@pytest.mark.parametrize("g", GRIDS, ids=str)
+
+@pytest.mark.parametrize("g", GRIDS + TSA_ONLY_GRIDS, ids=str)
 def test_tsa_assignment_matches_modular_oracle(g):
     a = assignment_of(g, SparsePattern.TOKEN_WISE)
     for i, coord in enumerate(iter_coords(g)):
@@ -124,8 +131,9 @@ def test_declared_inverses_equal_computed_inverses():
 def test_divisibility_errors():
     with pytest.raises(PatternError):
         orig_to_tsa(GridShape(1, 5, 6, 2))
-    with pytest.raises(PatternError):
-        orig_to_gsa(GridShape(1, 6, 6, 2))  # divisible by k but not k^2
+    for g in TSA_ONLY_GRIDS:  # divisible by k but not k^2
+        with pytest.raises(PatternError):
+            orig_to_gsa(g)
     with pytest.raises(PatternError):
         tsa_to_gsa(GridShape(1, 6, 6, 2))
     # token-wise alone only needs divisibility by k
