@@ -8,8 +8,8 @@ from .skiparse import (LayerKind, PatternAssignment, SparsePattern, assignment_o
                        orig_to_tsa, pattern_map, reachability_hops, tsa_to_gsa,
                        tsa_to_orig)
 from .anyres import PaddedGrid, pad_grid, pad_tensor, strip_padding, subsequence_mask
-from .attention import (FlopReport, dense_attention, flop_report, masked_dense_attention,
-                        skiparse_attention, skiparse_reference)
+from .attention import (FlopReport, dense_attention, flop_report, skiparse_attention,
+                        skiparse_reference)
 from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, comm_comparison,
                   gather_shards, naive_switch_comm, shard_pattern_layout,
                   ssp_pattern_switch, ulysses_block_comm)

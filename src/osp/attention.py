@@ -1,10 +1,10 @@
-"""Reference attention in 64-bit precision, plus the per-subsequence sparse
-execution path and its masked dense oracle.
+"""One dense attention kernel in 64-bit precision, plus the per-subsequence
+sparse execution path and its masked dense oracle.
 
-The sparse path consumes only a 1-D validity mask over the flattened
-sequence; the 2-D mask route exists purely as an oracle to check the
-sparse path against. Query/key/value come from three fixed seeded random
-projections of the same input, which is all an equivalence check needs.
+The sparse path masks only pad keys inside each subsequence; the full 2-D
+pattern mask exists purely as an oracle to check the sparse path against.
+Query/key/value come from three fixed seeded random projections of the
+same input, which is all an equivalence check needs.
 """
 
 from __future__ import annotations
@@ -45,40 +45,23 @@ def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
-                    key_valid: np.ndarray | None = None) -> SequenceTensor:
+                    allowed: np.ndarray | None = None) -> SequenceTensor:
     """Scaled dot-product attention per batch item.
 
-    key_valid, when given, is a (batch, seq) or (seq,) flag array; invalid
-    keys are excluded from the softmax. Rows whose keys are all invalid
-    output zero vectors.
+    allowed, when given, is a boolean (query, key) permission that
+    broadcasts to (batch, query, key); disallowed keys are excluded from the
+    softmax. Queries with no allowed key output zero vectors.
     """
     if q.data.shape != k.data.shape or q.data.shape != v.data.shape:
         raise ShapeError("q, k, v must share (batch, seq, chan)")
     scores = np.einsum("bic,bjc->bij", q.data, k.data) / np.sqrt(q.chan)
-    allowed = None
-    if key_valid is not None:
-        key_valid = np.asarray(key_valid, dtype=bool)
-        if key_valid.ndim == 1:
-            key_valid = np.broadcast_to(key_valid, (q.batch, q.seq))
-        if key_valid.shape != (q.batch, q.seq):
-            raise ShapeError(f"key_valid shape {key_valid.shape} != ({q.batch}, {q.seq})")
-        allowed = key_valid[:, None, :]
+    if allowed is not None:
+        try:
+            allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), scores.shape)
+        except ValueError:
+            raise ShapeError(f"mask shape {np.shape(allowed)} does not broadcast to "
+                             f"{scores.shape}") from None
     weights = _softmax_rows(scores, allowed)
-    return SequenceTensor(np.einsum("bij,bjc->bic", weights, v.data))
-
-
-def masked_dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
-                           allow: np.ndarray) -> SequenceTensor:
-    """Dense attention under an explicit 2-D (query, key) permission matrix.
-
-    Oracle route only; the production sparse path never builds a 2-D mask.
-    Queries with no allowed key output zeros.
-    """
-    allow = np.asarray(allow, dtype=bool)
-    if allow.ndim == 2:
-        allow = np.broadcast_to(allow, (q.batch, q.seq, q.seq))
-    scores = np.einsum("bic,bjc->bij", q.data, k.data) / np.sqrt(q.chan)
-    weights = _softmax_rows(scores, allow)
     return SequenceTensor(np.einsum("bij,bjc->bic", weights, v.data))
 
 
@@ -109,14 +92,13 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     fwd = pattern_map(grid, pattern, batch=x.batch)
     qp, kp, vp = fwd.apply(q), fwd.apply(k), fwd.apply(v)
     valid = pg.mask_or_none() if pg is not None else None
+    if valid is None:
+        return fwd.invert().apply(dense_attention(qp, kp, vp))
     # the sub-mask follows the tokens through the same gather as q, k, v
-    sub_valid = None if valid is None else valid[fwd.src % fwd.in_seq]
-    out = dense_attention(qp, kp, vp, key_valid=sub_valid)
-    result = out.data
-    if sub_valid is not None:
-        result = result.copy()
-        result[~sub_valid] = 0.0
-    return fwd.invert().apply(SequenceTensor(result))
+    sub_valid = valid[fwd.src % fwd.in_seq]
+    out = dense_attention(qp, kp, vp, sub_valid[:, None, :]).data.copy()
+    out[~sub_valid] = 0.0
+    return fwd.invert().apply(SequenceTensor(out))
 
 
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
@@ -128,7 +110,7 @@ def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
         raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
     q, k, v = project_qkv(x)
     allow = pattern_allow_matrix(g, pattern, pg)
-    return masked_dense_attention(q, k, v, allow)
+    return dense_attention(q, k, v, allow)
 
 
 @dataclass(frozen=True)

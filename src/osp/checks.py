@@ -1,7 +1,9 @@
-"""Self-contained verification routines shared by the CLI subcommands and
-the report-all aggregate. Each returns a JSON-ready dict with a "pass" key
-and names the invariants it exercises so failures can be reported as
-single-line diagnostics."""
+"""The check registry: every verification routine behind the CLI
+subcommands, the standard grids, and the report-all section table.
+
+Each routine returns a JSON-ready dict whose "checks" names the invariants
+it exercises and whose "pass" is decided in one place, `_verdict`, so a
+failure can always be reported by name."""
 
 from __future__ import annotations
 
@@ -16,9 +18,24 @@ from .mixflow import marginal_report, mixed_rollout, standard_ou, uniform_schedu
 from .skiparse import (LayerKind, SparsePattern, assignment_of, build_layer_schedule,
                        gsa_to_orig, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
                        reachability_hops, tsa_to_gsa, tsa_to_orig)
-from .ssp import CommLog, gather_shards, shard_pattern_layout, ssp_pattern_switch
+from .ssp import (CommLog, comm_comparison, gather_shards, shard_pattern_layout,
+                  ssp_pattern_switch)
 
 ATTN_TOLERANCE = 1e-10
+
+ACCEPTANCE_GRIDS = (
+    GridShape(1, 4, 4, 2),
+    GridShape(2, 4, 4, 2),
+    GridShape(1, 8, 8, 2),
+    GridShape(2, 8, 8, 2),
+    GridShape(1, 9, 9, 3),
+)
+
+
+def _verdict(checks: dict[str, bool], **fields) -> dict:
+    """A routine's result: its fields, its named checks, and pass iff every
+    check holds."""
+    return {**fields, "checks": checks, "pass": all(checks.values())}
 
 
 def rearrange_checks(g: GridShape, seed: int = 0, chan: int = 3) -> dict:
@@ -60,25 +77,15 @@ def rearrange_checks(g: GridShape, seed: int = 0, chan: int = 3) -> dict:
         "gsa_to_tsa_after_orig_to_gsa_equals_orig_to_tsa": bool(coherence_bwd),
         "equal_subsequence_lengths": bool(equal_lengths),
     }
-    return {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "num_subsequences": tsa_assign.num_subsequences,
-        "subseq_len": tsa_assign.subseq_len,
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
+    return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k,
+                    num_subsequences=tsa_assign.num_subsequences,
+                    subseq_len=tsa_assign.subseq_len)
 
 
 def reach_check(g: GridShape) -> dict:
     hops = reachability_hops(g)
-    return {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "max_hops": hops if hops == float("inf") else int(hops),
-        "checks": {"max_hops_at_most_two": hops <= 2},
-        "pass": hops <= 2,
-    }
+    return _verdict({"max_hops_at_most_two": hops <= 2}, grid=[g.t, g.h, g.w], k=g.k,
+                    max_hops=hops if hops == float("inf") else int(hops))
 
 
 def local_equivalence_check(g: GridShape, seed: int = 1, chan: int = 3) -> dict:
@@ -119,12 +126,8 @@ def local_equivalence_check(g: GridShape, seed: int = 1, chan: int = 3) -> dict:
                         for p2 in range(k) for q2 in range(k)
                     ]
                 ok = ok and bool(np.array_equal(y_big.data[:, pos, :], y_small.data))
-    return {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "checks": {"global_equals_per_subfigure_rearrange": bool(ok)},
-        "pass": bool(ok),
-    }
+    return _verdict({"global_equals_per_subfigure_rearrange": bool(ok)},
+                    grid=[g.t, g.h, g.w], k=g.k)
 
 
 def attention_check(g: GridShape, pattern: SparsePattern, chan: int = 8, seed: int = 2,
@@ -144,16 +147,9 @@ def attention_check(g: GridShape, pattern: SparsePattern, chan: int = 8, seed: i
         run_grid = pg.padded
     max_err = float(np.max(np.abs(out.data - ref.data)))
     fl = flop_report(run_grid, pattern, chan)
-    return {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "pattern": pattern.value,
-        "padded": not pg.trivial,
-        "max_abs_err": max_err,
-        "flop_ratio": fl.ratio,
-        "checks": {"skiparse_matches_masked_dense_oracle": max_err <= tolerance},
-        "pass": max_err <= tolerance,
-    }
+    return _verdict({"skiparse_matches_masked_dense_oracle": max_err <= tolerance},
+                    grid=[g.t, g.h, g.w], k=g.k, pattern=pattern.value,
+                    padded=not pg.trivial, max_abs_err=max_err, flop_ratio=fl.ratio)
 
 
 def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int = 3,
@@ -204,16 +200,9 @@ def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int 
         "pad_content_independent": bool(invariance_ok),
         "position_stable_across_shapes": bool(stability_ok),
     }
-    return {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "padded_grid": [pg.padded.t, pg.padded.h, pg.padded.w],
-        "real_tokens": real,
-        "pad_tokens": int((~pg.mask).sum()),
-        "max_abs_err": errs,
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
+    return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k,
+                    padded_grid=[pg.padded.t, pg.padded.h, pg.padded.w],
+                    real_tokens=real, pad_tokens=int((~pg.mask).sum()), max_abs_err=errs)
 
 
 def ssp_check(g: GridShape, group_size: int, chan: int = 4, seed: int = 4) -> dict:
@@ -248,16 +237,22 @@ def ssp_check(g: GridShape, group_size: int, chan: int = 4, seed: int = 4) -> di
         "zero_all_gathers": log.count("all_gather") == 0,
         "equal_shard_sizes": len(sizes) == 1,
     }
-    return {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "group_size": group_size,
-        "per_rank_elements": group.local_elements,
-        "all_to_all_events": log.count("all_to_all"),
-        "all_gather_events": log.count("all_gather"),
-        "checks": checks,
-        "pass": all(checks.values()),
+    return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k, group_size=group_size,
+                    per_rank_elements=group.local_elements,
+                    all_to_all_events=log.count("all_to_all"),
+                    all_gather_events=log.count("all_gather"))
+
+
+def communication_check(group_size: int, per_rank: int, blocks: int) -> dict:
+    """Collective accounting of the sparse switch against Ulysses: one
+    all-to-all per block against four, so a quarter of the volume."""
+    comm = comm_comparison(group_size, per_rank, blocks=blocks)
+    checks = {
+        "one_all_to_all_per_block": comm["ssp_events"] == blocks,
+        "four_ulysses_all_to_alls_per_block": comm["ulysses_events"] == 4 * blocks,
+        "volume_ratio_one_quarter": comm["volume_ratio"] == 0.25,
     }
+    return _verdict(checks, **comm)
 
 
 def flops_check() -> dict:
@@ -279,12 +274,9 @@ def flops_check() -> dict:
             "one_over_k": 1.0 / g.k,
             "one_over_k_squared": expected,
         })
-    return {
-        "note": "the 2-D pattern measures 1/k^2 per application; 1/k reads k as "
-                "the per-axis skip interval, both shown side by side",
-        "rows": rows,
-        "pass": ok,
-    }
+    return _verdict({"measured_ratio_is_one_over_k_squared": ok}, rows=rows,
+                    note="the 2-D pattern measures 1/k^2 per application; 1/k reads k as "
+                         "the per-axis skip interval, both shown side by side")
 
 
 def hif8_format_check(sweep_points: int = 1_000_000) -> dict:
@@ -331,17 +323,11 @@ def hif8_format_check(sweep_points: int = 1_000_000) -> dict:
         "binade_bound_holds": binade_ok,
         "remapped_interval_bounded_by_half": remap_ok,
     }
-    return {
-        "distinct_values": int(len(np.unique(vals))),
-        "exponent_min": nonzero_exps[0],
-        "exponent_max": nonzero_exps[-1],
-        "exponent_count": len(nonzero_exps),
-        "max_value": spec.max_value,
-        "sweep_points": sweep_points,
-        "max_rel_over_bound": float(np.max(rel[~remapped] / bound[~remapped])),
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
+    return _verdict(checks, distinct_values=int(len(np.unique(vals))),
+                    exponent_min=nonzero_exps[0], exponent_max=nonzero_exps[-1],
+                    exponent_count=len(nonzero_exps), max_value=spec.max_value,
+                    sweep_points=sweep_points,
+                    max_rel_over_bound=float(np.max(rel[~remapped] / bound[~remapped])))
 
 
 def quantizer_check(tolerance: float = 1e-12) -> dict:
@@ -370,7 +356,7 @@ def quantizer_check(tolerance: float = 1e-12) -> dict:
         "all_zero_degenerate_case": zeros_ok,
         "current_scaling_fresh": bool(fresh),
     }
-    return {"rows": rows, "checks": checks, "pass": all(checks.values())}
+    return _verdict(checks, rows=rows)
 
 
 def sampler_check(steps: int = 25, sde_steps: int = 10, ensemble: int = 10_000,
@@ -395,16 +381,8 @@ def sampler_check(steps: int = 25, sde_steps: int = 10, ensemble: int = 10_000,
         "noise_draws_exact": result.noise_draws == sde_steps * dim * ensemble,
         "empty_sde_set_is_pure_ode": bool(bitwise_ok),
     }
-    return {
-        "steps": steps,
-        "sde_steps": sde_steps,
-        "ensemble": ensemble,
-        "seed": seed,
-        "noise_draws": result.noise_draws,
-        "marginals": report,
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
+    return _verdict(checks, steps=steps, sde_steps=sde_steps, ensemble=ensemble, seed=seed,
+                    noise_draws=result.noise_draws, marginals=report)
 
 
 def schedule_check() -> dict:
@@ -416,10 +394,8 @@ def schedule_check() -> dict:
           and build_layer_schedule(4, 4) == [LayerKind.FULL] * 4
           and build_layer_schedule(6, 2) == [LayerKind.FULL, LayerKind.TSA, LayerKind.GSA,
                                              LayerKind.TSA, LayerKind.GSA, LayerKind.FULL])
-    return {
-        "layers_40_8": [l.value for l in s40],
-        "pass": bool(ok),
-    }
+    return _verdict({"full_ends_around_alternating_tsa_gsa": bool(ok)},
+                    layers_40_8=[l.value for l in s40])
 
 
 def probe_check(g: GridShape = GridShape(1, 8, 8, 2), chan: int = 8, seed: int = 5) -> dict:
@@ -431,9 +407,38 @@ def probe_check(g: GridShape = GridShape(1, 8, 8, 2), chan: int = 8, seed: int =
                          SparsePattern.GROUP_WISE)}
     inputs = [r["input"] for r in reports.values()]
     input_invariant = all(r == inputs[0] for r in inputs)
-    return {
-        "grid": [g.t, g.h, g.w],
-        "reports": reports,
-        "checks": {"input_error_pattern_independent": bool(input_invariant)},
-        "pass": bool(input_invariant),
+    return _verdict({"input_error_pattern_independent": bool(input_invariant)},
+                    grid=[g.t, g.h, g.w], reports=reports)
+
+
+def _cases(key: str, results: list[dict]) -> dict:
+    """A section of several runs of one routine: pass iff every run passes."""
+    return {key: results, "pass": all(r["pass"] for r in results)}
+
+
+def build_full_report(seed: int) -> dict:
+    """Every verification on the standard grids, as one deterministic JSON
+    document. Byte-identical across runs for a fixed seed."""
+    g882, g993 = GridShape(1, 8, 8, 2), GridShape(1, 9, 9, 3)
+    patterns = (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)
+    sections = {
+        "rearrange": _cases("grids", [rearrange_checks(g, seed=seed) for g in ACCEPTANCE_GRIDS]),
+        "reachability": _cases("grids", [reach_check(g) for g in ACCEPTANCE_GRIDS]),
+        "local_equivalence": _cases("grids", [local_equivalence_check(g, seed=seed + 1)
+                                              for g in (g882, g993)]),
+        "attention": _cases("cases", [attention_check(g, p, seed=seed + 2)
+                                      for g in (GridShape(1, 4, 4, 2), g882, g993)
+                                      for p in patterns]),
+        "anyres": anyres_check(seed=seed + 3),
+        "ssp": _cases("cases", [ssp_check(g, n, seed=seed + 4) for g, n in
+                                ((GridShape(1, 4, 4, 2), 4), (g882, 2), (g882, 4))]),
+        "communication": communication_check(4, 1024, blocks=1),
+        "flops": flops_check(),
+        "hif8_format": hif8_format_check(),
+        "quantizer": quantizer_check(),
+        "quantized_attention_probe": probe_check(seed=seed + 5),
+        "sampler": sampler_check(seed=seed),
+        "layer_schedule": schedule_check(),
     }
+    return {"seed": seed, "sections": sections,
+            "pass": all(s["pass"] for s in sections.values())}

@@ -1,5 +1,6 @@
 """Command-line entry point: every verification as a subcommand with
-machine-readable output.
+machine-readable output. Verdicts come from `osp.checks`; this module only
+parses arguments, formats output and maps verdicts to exit codes.
 
 Exit codes: 0 all embedded assertions pass, 1 an assertion failed (the
 failing invariant is named on stderr), 2 usage or configuration error.
@@ -22,23 +23,8 @@ from .anyres import pad_grid, write_mask
 from .gridseq import GridShape, read_ospt, write_ospt
 from .hif8 import DEFAULT_SPEC, decode, dequantize, encode, quantize_tensor
 from .skiparse import SparsePattern, assignment_of
-from .ssp import comm_comparison
 
 DEFAULT_SEED = 7
-
-ACCEPTANCE_GRIDS = (
-    GridShape(1, 4, 4, 2),
-    GridShape(2, 4, 4, 2),
-    GridShape(1, 8, 8, 2),
-    GridShape(2, 8, 8, 2),
-    GridShape(1, 9, 9, 3),
-)
-
-_PATTERNS = {
-    "original": SparsePattern.ORIGINAL,
-    "tsa": SparsePattern.TOKEN_WISE,
-    "gsa": SparsePattern.GROUP_WISE,
-}
 
 
 class UsageError(ValueError):
@@ -101,13 +87,18 @@ def _failures(node, prefix: str = "") -> list[str]:
     return names
 
 
-def _finish(out: str | None, payload: dict) -> int:
-    _emit(out, _dump_json(payload))
+def _exit_code(payload: dict) -> int:
+    """0 on pass; otherwise 1, with every failed check named on stderr."""
     if payload.get("pass", True):
         return 0
     names = _failures(payload) or ["pass"]
     print(f"FAIL: {', '.join(names)}", file=sys.stderr)
     return 1
+
+
+def _finish(out: str | None, payload: dict) -> int:
+    _emit(out, _dump_json(payload))
+    return _exit_code(payload)
 
 
 def _grid_arg(args) -> GridShape:
@@ -151,9 +142,8 @@ def _cmd_mask_dump(args) -> int:
 
 
 def _cmd_attn_verify(args) -> int:
-    g = _grid_arg(args)
-    pattern = _PATTERNS[args.pattern]
-    return _finish(args.out, checks.attention_check(g, pattern, chan=args.chan, seed=args.seed))
+    return _finish(args.out, checks.attention_check(_grid_arg(args), SparsePattern(args.pattern),
+                                                    chan=args.chan, seed=args.seed))
 
 
 def _cmd_comm_sim(args) -> int:
@@ -164,7 +154,7 @@ def _cmd_comm_sim(args) -> int:
     if k2 % args.group_size == 0 and g.h % k2 == 0 and g.w % k2 == 0:
         live = checks.ssp_check(g, args.group_size, chan=args.chan, seed=args.seed)
         per_rank = live["per_rank_elements"]
-    comparison = comm_comparison(args.group_size, per_rank, blocks=args.blocks)
+    comparison = checks.communication_check(args.group_size, per_rank, args.blocks)
     comparison["per_rank_bytes"] = per_rank * args.elem_bytes
     comparison["element_bytes"] = args.elem_bytes
     payload = {
@@ -174,17 +164,16 @@ def _cmd_comm_sim(args) -> int:
         "ssp_events": comparison["ssp_events"],
         "ulysses_events": comparison["ulysses_events"],
         "volume_ratio": comparison["volume_ratio"],
-        "pass": comparison["volume_ratio"] == 0.25,
+        "pass": comparison["pass"] and (live is None or live["pass"]),
     }
     if live is not None:
         payload["protocol"] = live
-        payload["pass"] = payload["pass"] and live["pass"]
     if args.format == "csv":
         rows = [[r["group_size"], r["ssp_global"], r["naive_global"], r["naive_over_ssp"]]
                 for r in comparison["growth_table"]]
         header = ["group_size", "ssp_global", "naive_global", "naive_over_ssp"]
         _emit(args.out, _csv_text(header, rows))
-        return 0 if payload["pass"] else 1
+        return _exit_code(payload)
     return _finish(args.out, payload)
 
 
@@ -234,8 +223,8 @@ def _cmd_hif8_quantize(args) -> int:
 
 
 def _cmd_sampler(args) -> int:
-    if args.sde_steps > args.steps:
-        raise UsageError(f"--sde-steps {args.sde_steps} exceeds --steps {args.steps}")
+    if not 0 <= args.sde_steps <= args.steps:
+        raise UsageError(f"--sde-steps {args.sde_steps} is outside 0..--steps {args.steps}")
     payload = checks.sampler_check(args.steps, args.sde_steps, args.ensemble, args.seed)
     if args.out:
         rows = [[repr(s["t"]), repr(s["mean"]), repr(s["var"]),
@@ -247,52 +236,7 @@ def _cmd_sampler(args) -> int:
 
 
 def _cmd_report_all(args) -> int:
-    payload = build_full_report(args.seed)
-    return _finish(args.out, payload)
-
-
-def build_full_report(seed: int) -> dict:
-    """Every verification on the standard grids, as one deterministic JSON
-    document. Byte-identical across runs for a fixed seed."""
-    rearrange = [checks.rearrange_checks(g, seed=seed) for g in ACCEPTANCE_GRIDS]
-    reach = [checks.reach_check(g) for g in ACCEPTANCE_GRIDS]
-    local_eq = [checks.local_equivalence_check(g, seed=seed + 1)
-                for g in (GridShape(1, 8, 8, 2), GridShape(1, 9, 9, 3))]
-    attn = [checks.attention_check(g, p, seed=seed + 2)
-            for g in (GridShape(1, 4, 4, 2), GridShape(1, 8, 8, 2), GridShape(1, 9, 9, 3))
-            for p in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)]
-    anyres = checks.anyres_check(seed=seed + 3)
-    ssp = [checks.ssp_check(g, n, seed=seed + 4) for g, n in
-           ((GridShape(1, 4, 4, 2), 4), (GridShape(1, 8, 8, 2), 2), (GridShape(1, 8, 8, 2), 4))]
-    comm = comm_comparison(4, 1024, blocks=1)
-    flops = checks.flops_check()
-    hif8_fmt = checks.hif8_format_check()
-    quant = checks.quantizer_check()
-    probe = checks.probe_check(seed=seed + 5)
-    sampler = checks.sampler_check(seed=seed)
-    schedule = checks.schedule_check()
-
-    sections = {
-        "rearrange": {"grids": rearrange, "pass": all(r["pass"] for r in rearrange)},
-        "reachability": {"grids": reach, "pass": all(r["pass"] for r in reach)},
-        "local_equivalence": {"grids": local_eq, "pass": all(r["pass"] for r in local_eq)},
-        "attention": {"cases": attn, "pass": all(r["pass"] for r in attn)},
-        "anyres": anyres,
-        "ssp": {"cases": ssp, "pass": all(r["pass"] for r in ssp)},
-        "communication": {**comm, "pass": comm["volume_ratio"] == 0.25
-                          and comm["ssp_events"] == 1 and comm["ulysses_events"] == 4},
-        "flops": flops,
-        "hif8_format": hif8_fmt,
-        "quantizer": quant,
-        "quantized_attention_probe": probe,
-        "sampler": sampler,
-        "layer_schedule": schedule,
-    }
-    return {
-        "seed": seed,
-        "sections": sections,
-        "pass": all(s["pass"] for s in sections.values()),
-    }
+    return _finish(args.out, checks.build_full_report(args.seed))
 
 
 def _positive_int(text: str) -> int:
@@ -303,6 +247,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _add_choice(p: argparse.ArgumentParser, flag: str, words: tuple[str, ...], **kwargs) -> None:
+    """An option limited to a fixed set of words. argparse checks `choices`
+    only on the command line but applies `type` to string defaults too, so
+    the check lives in `type` and config-file values meet the same rule."""
+    def word(text: str) -> str:
+        if text not in words:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(words)}, got {text!r}")
+        return text
+    p.add_argument(flag, type=word, choices=words, **kwargs)
 
 
 def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
@@ -341,7 +296,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
 
     p = sub.add_parser("attn-verify", help="sparse attention vs masked dense oracle")
     add_common(p)
-    p.add_argument("--pattern", choices=sorted(_PATTERNS), default="tsa")
+    _add_choice(p, "--pattern", tuple(s.value for s in SparsePattern), default="tsa")
     p.add_argument("--chan", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_attn_verify, **defaults)
 
@@ -352,7 +307,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p.add_argument("--chan", type=_positive_int, default=4)
     p.add_argument("--elem-bytes", type=int, default=2,
                    help="element width used for the bytes column")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_choice(p, "--format", ("json", "csv"), default="json")
     p.set_defaults(func=_cmd_comm_sim, **defaults)
 
     p = sub.add_parser("hif8", help="8-bit codec utilities")
@@ -368,7 +323,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     pc.set_defaults(func=_cmd_hif8_encode, **defaults)
 
     pq = hif8_sub.add_parser("quantize", help="quantize an OSPT tensor file")
-    pq.add_argument("--mode", choices=("forward", "backward"), required=True)
+    _add_choice(pq, "--mode", ("forward", "backward"), required=True)
     pq.add_argument("--input", required=True)
     pq.add_argument("--output", required=True)
     pq.add_argument("--sidecar", help="sidecar JSON path (default: <output>.json)")
@@ -377,7 +332,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p = sub.add_parser("sampler", help="mixed SDE/ODE rollout marginal check")
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--sde-steps", type=int, default=10)
-    p.add_argument("--ensemble", type=int, default=10_000)
+    p.add_argument("--ensemble", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="per-step CSV path")
     p.set_defaults(func=_cmd_sampler, **defaults)

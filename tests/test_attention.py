@@ -3,8 +3,8 @@ import pytest
 
 from oracles import gsa_subseq, naive_attention, pattern_allow, tsa_subseq
 from osp.anyres import pad_grid, pad_tensor
-from osp.attention import (dense_attention, flop_report, masked_dense_attention,
-                           project_qkv, skiparse_attention, skiparse_reference)
+from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
+                           skiparse_reference)
 from osp.gridseq import GridShape, SequenceTensor, ShapeError, random_tensor
 from osp.skiparse import SparsePattern
 
@@ -42,13 +42,13 @@ def test_softmax_rows_sum_to_one_over_unmasked_keys():
     q, k, _ = _rand_qkv(1, 6, 4, seed=4)
     ones = SequenceTensor(np.ones((1, 6, 4)))
     valid = np.array([True, True, False, True, False, True])
-    out = dense_attention(q, k, ones, key_valid=valid)
+    out = dense_attention(q, k, ones, valid)
     assert np.allclose(out.data, 1.0, atol=1e-12)
 
 
 def test_all_keys_masked_outputs_zeros():
     q, k, v = _rand_qkv(1, 3, 2, seed=5)
-    out = dense_attention(q, k, v, key_valid=np.zeros(3, dtype=bool))
+    out = dense_attention(q, k, v, np.zeros(3, dtype=bool))
     assert (out.data == 0.0).all()
 
 
@@ -56,7 +56,7 @@ def test_masked_dense_zeroes_blocked_queries():
     q, k, v = _rand_qkv(1, 4, 2, seed=6)
     allow = np.ones((4, 4), dtype=bool)
     allow[2, :] = False
-    out = masked_dense_attention(q, k, v, allow)
+    out = dense_attention(q, k, v, allow)
     assert (out.data[0, 2] == 0.0).all()
     assert not (out.data[0, 0] == 0.0).all()
 
@@ -65,6 +65,13 @@ def test_shape_mismatch_raises():
     q, k, _ = _rand_qkv(1, 4, 2, seed=7)
     with pytest.raises(ShapeError):
         dense_attention(q, k, random_tensor(1, 5, 2, seed=9))
+
+
+@pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4)])
+def test_mask_that_does_not_broadcast_raises(mask_shape):
+    q, k, v = _rand_qkv(1, 4, 2, seed=7)
+    with pytest.raises(ShapeError):
+        dense_attention(q, k, v, np.ones(mask_shape, dtype=bool))
 
 
 def test_original_pattern_equals_dense():

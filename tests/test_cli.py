@@ -2,13 +2,18 @@ import csv
 import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osp import checks
 from osp.cli import main
 from osp.gridseq import random_tensor, read_ospt, write_ospt
+from osp.skiparse import LayerKind
 
 
 def _run_json(capsys, argv):
@@ -33,6 +38,11 @@ def test_comm_sim_counts(capsys):
     assert payload["ulysses_events"] == 12
     assert payload["volume_ratio"] == 0.25
     assert payload["protocol"]["pass"] is True
+    assert payload["comparison"]["checks"] == {
+        "one_all_to_all_per_block": True,
+        "four_ulysses_all_to_alls_per_block": True,
+        "volume_ratio_one_quarter": True,
+    }
 
 
 def test_comm_sim_csv_format(capsys):
@@ -227,3 +237,120 @@ def test_report_all_sections_pass(tmp_path):
         "ssp", "communication", "flops", "hif8_format", "quantizer", "sampler",
         "layer_schedule",
     }
+
+
+def test_failing_report_section_names_its_invariant(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(checks, "build_layer_schedule", lambda n, f: [LayerKind.TSA] * n)
+    code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sections.layer_schedule.full_ends_around_alternating_tsa_gsa" in err
+    assert "FAIL: pass" not in err
+
+
+def test_failing_comm_sim_csv_names_its_invariant(monkeypatch, capsys):
+    real = checks.communication_check
+
+    def lopsided(*args):
+        result = real(*args)
+        result["checks"]["volume_ratio_one_quarter"] = False
+        return {**result, "pass": False}
+
+    monkeypatch.setattr(checks, "communication_check", lopsided)
+    assert main(["comm-sim", "--format", "csv"]) == 1
+    assert "comparison.volume_ratio_one_quarter" in capsys.readouterr().err
+
+
+def _run_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("config,argv", [
+    ("pattern = foo", ["attn-verify"]),
+    ("format = xml", ["comm-sim"]),
+    ("ensemble = 0", ["sampler"]),
+    ("", ["sampler", "--ensemble", "0"]),
+    ("sde_steps = -1", ["sampler", "--ensemble", "4"]),
+], ids=["pattern", "format", "ensemble-config", "ensemble-flag", "sde-steps-negative"])
+def test_off_list_and_zero_values_are_usage_errors(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    assert _run_code(["--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+# Drawn option values for the exit-code contract. Sizes stay small (grid
+# dims <= 12, k <= 3, ensemble and steps <= 12) so each run is quick;
+# off-list words, zero and negative numbers are always among the draws.
+_JUNK = st.sampled_from(["", "x", "1.5", "-", "1,2"])
+_EDGE = st.sampled_from(["0", "-1", "1"])
+_SMALL = st.one_of(_EDGE, st.integers(-3, 12).map(str), _JUNK)
+_SEED = st.one_of(_EDGE, st.integers(-2, 3).map(str), _JUNK)
+_GRID = st.one_of(
+    st.tuples(st.integers(-1, 2), st.integers(-1, 12), st.integers(-1, 12))
+    .map(lambda dims: ",".join(map(str, dims))),
+    st.sampled_from(["", "1,4", "1,4,4,4", "a,b,c", "1, 4, x"]))
+_K = st.one_of(_EDGE, st.integers(-1, 3).map(str), _JUNK)
+
+
+def _words(*words):
+    return st.one_of(st.sampled_from(words), st.sampled_from(["", "foo", "TSA", "0"]))
+
+
+_GRID_OPTIONS = {"grid": _GRID, "k": _K}
+_COMMANDS = {
+    ("rearrange-check",): {**_GRID_OPTIONS, "seed": _SEED},
+    ("reach",): _GRID_OPTIONS,
+    ("mask-dump",): {**_GRID_OPTIONS, "out": st.sampled_from(["mask.bin", ""])},
+    ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL,
+                       "pattern": _words("original", "tsa", "gsa")},
+    ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL, "group_size": _SMALL,
+                    "blocks": _SMALL, "elem_bytes": _SMALL, "format": _words("json", "csv")},
+    ("hif8", "enum"): {},
+    ("hif8", "encode"): {"value": st.one_of(
+        st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e-300", "x", ""]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr))},
+    ("hif8", "quantize"): {"mode": _words("forward", "backward"),
+                           "input": st.sampled_from(["x.ospt", "zero.ospt", "short.ospt",
+                                                     "empty.ospt", "missing.ospt"]),
+                           "output": st.sampled_from(["y.ospt", "no-dir/y.ospt"])},
+    ("sampler",): {"steps": _SMALL, "sde_steps": _SMALL, "ensemble": _SMALL, "seed": _SEED},
+    ("report-all",): {"seed": _SEED},
+}
+
+
+def _write_inputs(root: Path) -> None:
+    write_ospt(root / "x.ospt", random_tensor(1, 6, 2, seed=1))
+    write_ospt(root / "zero.ospt", random_tensor(0, 0, 0, seed=1))
+    (root / "short.ospt").write_bytes((root / "x.ospt").read_bytes()[:-3])
+    (root / "empty.ospt").write_bytes(b"")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS), ids=" ".join)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract_holds_for_drawn_options(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_inputs(root)
+        flags, config = [], []
+        for name, values in _COMMANDS[command].items():
+            if not data.draw(st.booleans(), label=f"set {name}"):
+                continue
+            value = data.draw(values, label=name)
+            if name in ("out", "input", "output") and value:
+                value = str(root / value)
+            if data.draw(st.booleans(), label=f"{name} in config"):
+                config.append(f"{name} = {value}")
+            else:
+                flags.append(f"--{name.replace('_', '-')}={value}")
+        argv = [*command, *flags]
+        if config:
+            (root / "run.cfg").write_text("\n".join(config) + "\n")
+            argv = ["--config", str(root / "run.cfg"), *argv]
+        code = _run_code(argv)
+    assert code in (0, 1, 2), argv
