@@ -13,8 +13,8 @@ from .attention import (FlopReport, dense_attention, flop_report, skiparse_atten
 from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, comm_comparison,
                   gather_shards, naive_switch_comm, shard_pattern_layout,
                   ssp_pattern_switch, ulysses_block_comm)
-from .hif8 import (DEFAULT_SPEC, Hif8Spec, QuantizedTensor, decode, dequantize, encode,
-                   enumerate_values, quantize_tensor, quantized_attention_probe)
+from .hif8 import (QuantizedTensor, decode, dequantize, encode, enumerate_values,
+                   quantize_tensor, quantized_attention_probe)
 from .mixflow import (OuProcess, RolloutResult, SamplerSchedule, marginal_report,
                       mixed_rollout, ode_step, sde_step, standard_ou, uniform_schedule)
 

@@ -76,18 +76,18 @@ def pad_tensor(x: SequenceTensor, pg: PaddedGrid, pad_value: float = 0.0,
     """
     if x.seq != pg.original.seq_len:
         raise ShapeError(f"expected seq {pg.original.seq_len}, got {x.seq}")
-    out = np.full((x.batch, pg.padded.seq_len, x.chan), pad_value, dtype=np.float64)
+    out = np.full((x.batch, pg.padded.seq_len, x.chan), pad_value, dtype=x.data.dtype)
     if pad_fill is not None:
         out[:, ~pg.mask, :] = pad_fill
     out[:, pg.embedding, :] = x.data
-    return SequenceTensor(out, kind=x.kind)
+    return SequenceTensor(out)
 
 
 def strip_padding(x: SequenceTensor, pg: PaddedGrid) -> SequenceTensor:
     """Keep real tokens only, in original order (inverse of pad_tensor)."""
     if x.seq != pg.padded.seq_len:
         raise ShapeError(f"expected padded seq {pg.padded.seq_len}, got {x.seq}")
-    return x.with_data(x.data[:, pg.embedding, :])
+    return SequenceTensor(x.data[:, pg.embedding, :])
 
 
 def subsequence_mask(pg: PaddedGrid, pattern: SparsePattern) -> np.ndarray:

@@ -29,7 +29,7 @@ def qkv_projections(chan: int, seed: int = PROJECTION_SEED) -> tuple[np.ndarray,
 
 def project_qkv(x: SequenceTensor, seed: int = PROJECTION_SEED) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
     wq, wk, wv = qkv_projections(x.chan, seed)
-    return (x.with_data(x.data @ wq), x.with_data(x.data @ wk), x.with_data(x.data @ wv))
+    return (SequenceTensor(x.data @ wq), SequenceTensor(x.data @ wk), SequenceTensor(x.data @ wv))
 
 
 def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:

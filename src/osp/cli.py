@@ -21,7 +21,7 @@ from pathlib import Path
 from . import checks
 from .anyres import pad_grid, write_mask
 from .gridseq import GridShape, read_ospt, write_ospt
-from .hif8 import DEFAULT_SPEC, decode, dequantize, encode, quantize_tensor
+from .hif8 import code_fields, decode, dequantize, encode, quantize_tensor
 from .skiparse import SparsePattern, assignment_of
 
 DEFAULT_SEED = 7
@@ -181,7 +181,7 @@ def _cmd_hif8_enum(args) -> int:
     header = ["code_hex", "sign", "exponent", "mantissa_width", "fraction", "value"]
     rows = []
     for code in range(256):
-        f = DEFAULT_SPEC.code_fields(code)
+        f = code_fields(code)
         rows.append([
             f"0x{code:02X}",
             f["sign"],
@@ -305,7 +305,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p.add_argument("--group-size", type=_positive_int, default=4)
     p.add_argument("--blocks", type=_positive_int, default=1)
     p.add_argument("--chan", type=_positive_int, default=4)
-    p.add_argument("--elem-bytes", type=int, default=2,
+    p.add_argument("--elem-bytes", type=_positive_int, default=2,
                    help="element width used for the bytes column")
     _add_choice(p, "--format", ("json", "csv"), default="json")
     p.set_defaults(func=_cmd_comm_sim, **defaults)
@@ -360,11 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         if "OSP_SEED" in os.environ and hasattr(args, "seed"):
             args.seed = int(os.environ["OSP_SEED"])
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -3,7 +3,7 @@
 Every sparse-pattern rearrangement in this package is realized as an
 IndexMap: a table mapping each output (batch, seq) address to the input
 address it reads from. Building the table separately from applying it
-keeps a single gather engine for both 64-bit real tensors and 8-bit code
+keeps a single gather engine for both float64 tensors and uint8 HiF8 code
 tensors, and makes every rearrangement checkable for bijectivity.
 
 A (t, h, w) grid flattens row-major: t outermost, then h, then w.
@@ -21,11 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-
-REAL = "real"  # 64-bit reals
-HIF8 = "hif8"  # 8-bit codes, one byte per scalar
-
-_KIND_DTYPES = {REAL: np.float64, HIF8: np.uint8}
 
 OSPT_MAGIC = b"OSPT"
 OSPT_VERSION = 1
@@ -79,19 +74,18 @@ class GridShape:
 
 @dataclass(frozen=True)
 class SequenceTensor:
-    """A (batch, seq, chan) array of scalars with an explicit scalar kind.
+    """A (batch, seq, chan) array of scalars: uint8 data stays uint8 (HiF8
+    codes), any other data is stored as float64.
 
     Rearranges permute (batch, seq) addresses only; channel vectors move
     as wholes and are never modified. Data is frozen after construction.
     """
 
     data: np.ndarray
-    kind: str = REAL
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_DTYPES:
-            raise ValueError(f"unknown scalar kind {self.kind!r}")
-        arr = np.ascontiguousarray(self.data, dtype=_KIND_DTYPES[self.kind])
+        arr = np.asarray(self.data)
+        arr = np.ascontiguousarray(arr, dtype=np.uint8 if arr.dtype == np.uint8 else np.float64)
         if arr.ndim != 3:
             raise ShapeError(f"SequenceTensor data must be (batch, seq, chan), got shape {self.data.shape}")
         arr.flags.writeable = False
@@ -109,12 +103,9 @@ class SequenceTensor:
     def chan(self) -> int:
         return self.data.shape[2]
 
-    def with_data(self, data: np.ndarray) -> "SequenceTensor":
-        return SequenceTensor(data, kind=self.kind)
-
     @staticmethod
-    def zeros(batch: int, seq: int, chan: int, kind: str = REAL) -> "SequenceTensor":
-        return SequenceTensor(np.zeros((batch, seq, chan), dtype=_KIND_DTYPES[kind]), kind=kind)
+    def zeros(batch: int, seq: int, chan: int) -> "SequenceTensor":
+        return SequenceTensor(np.zeros((batch, seq, chan)))
 
 
 def random_tensor(batch: int, seq: int, chan: int, seed: int) -> SequenceTensor:
@@ -167,7 +158,7 @@ class IndexMap:
             )
         flat = x.data.reshape(self.total, x.chan)
         out = flat[self.src.reshape(-1)].reshape(self.out_batch, self.out_seq, x.chan)
-        return SequenceTensor(out, kind=x.kind)
+        return SequenceTensor(out)
 
     def compose(self, inner: "IndexMap") -> "IndexMap":
         """Map equal to applying `inner` first, then this map."""
@@ -233,9 +224,9 @@ def rearrange_map(
 def write_ospt(path: str | Path, x: SequenceTensor) -> None:
     """Write the binary tensor format: magic "OSPT", version byte, then
     batch/seq/chan as u32 little-endian, then float64 little-endian data
-    in storage order. Only real-kind tensors are stored."""
-    if x.kind != REAL:
-        raise ValueError("OSPT files store real-kind tensors")
+    in storage order. Only float64 tensors are stored."""
+    if x.data.dtype != np.float64:
+        raise ValueError(f"OSPT files store float64 tensors, got {x.data.dtype}")
     with open(path, "wb") as f:
         f.write(OSPT_MAGIC)
         f.write(bytes([OSPT_VERSION]))

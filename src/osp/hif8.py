@@ -1,7 +1,7 @@
 """Bit-exact software codec for HiF8, an 8-bit float with tapered precision,
 plus the per-tensor current-scaling quantizer.
 
-Format summary (default taper table):
+Format summary (the fixed HiFloat8 taper table, `MANTISSA_WIDTH`):
 
     exponent range   [-22, 15], 38 exponents, contiguous
     mantissa width   m(e) = 3 for e in [-3, 3]
@@ -17,12 +17,10 @@ space holds one zero plus 255 nonzero values, 256 distinct values total
 count, so one asymmetry is unavoidable). Codes are assigned in ascending
 numeric order, making the code byte the rank of its value: decoding is a
 table lookup and encoding is a binary search with round-to-nearest,
-ties-to-even over the value list, saturating at the extremes.
-
-The taper table is a constructor input so an alternative width schedule
-between the 3-bit center and the 1-bit extremes can be dropped in; the
-constructor enforces the published constraints (range, center width,
-outward monotonicity, full 256-code utilization).
+ties-to-even over the value list, saturating at the extremes. The table
+and the value list `VALUES` are module constants; `checks.hif8_format_check`
+verifies the published constraints on them (range, center width, outward
+monotonicity, 256 distinct values).
 
 Quantization uses current scaling at per-tensor granularity: every call
 recomputes amax = max |x| and scale = target / (amax + eps), where the
@@ -38,9 +36,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .gridseq import SequenceTensor, HIF8, REAL
 from .anyres import PaddedGrid
-from .gridseq import GridShape
+from .gridseq import GridShape, SequenceTensor
 from .skiparse import SparsePattern
 
 EXP_MIN = -22
@@ -54,126 +51,57 @@ DEFAULT_EPS = 1e-12
 _MODE_MAX = {"forward": FORWARD_MAX, "backward": BACKWARD_MAX}
 
 
-class SpecError(ValueError):
-    """The taper table violates a format constraint."""
-
-
 class EncodeError(ValueError):
     """Input cannot be encoded (non-finite)."""
 
 
-def _default_widths() -> dict[int, int]:
-    widths = {}
-    for e in range(EXP_MIN, EXP_MAX + 1):
-        if CENTER_LO <= e <= CENTER_HI:
-            widths[e] = 3
-        elif e in (-5, -4, 4, 5, 6):
-            widths[e] = 2
-        else:
-            widths[e] = 1
-    return widths
+MANTISSA_WIDTH: Mapping[int, int] = MappingProxyType({
+    e: 3 if CENTER_LO <= e <= CENTER_HI else 2 if e in (-5, -4, 4, 5, 6) else 1
+    for e in range(EXP_MIN, EXP_MAX + 1)
+})
+
+# (exponent, fraction) of each positive magnitude, ascending
+_FIELDS = [(e, f) for e, m in MANTISSA_WIDTH.items() for f in range(1 << m)]
+_MAGNITUDES = np.array([(1.0 + f / (1 << MANTISSA_WIDTH[e])) * 2.0 ** e for e, f in _FIELDS])
+
+ZERO_CODE = 127  # the slot of the smallest-magnitude negative value
+VALUES = np.concatenate([-_MAGNITUDES[::-1], _MAGNITUDES])  # ascending; index equals code
+VALUES[ZERO_CODE] = 0.0
+VALUES.flags.writeable = False
+MAX_VALUE = float(VALUES[-1])
 
 
-@dataclass(frozen=True)
-class Hif8Spec:
-    """Exponent-to-mantissa-width table and the derived 256-value code set."""
-
-    mantissa_width: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        widths = dict(self.mantissa_width)
-        exps = sorted(widths)
-        if exps != list(range(EXP_MIN, EXP_MAX + 1)):
-            raise SpecError(f"exponents must cover [{EXP_MIN}, {EXP_MAX}] with no gaps")
-        if any(m not in (1, 2, 3) for m in widths.values()):
-            raise SpecError("mantissa widths must be 1, 2 or 3")
-        if any(widths[e] != 3 for e in range(CENTER_LO, CENTER_HI + 1)):
-            raise SpecError(f"central range [{CENTER_LO}, {CENTER_HI}] must have 3-bit mantissas")
-        for e in range(CENTER_HI, EXP_MAX):
-            if widths[e + 1] > widths[e]:
-                raise SpecError("widths must be non-increasing above the center")
-        for e in range(CENTER_LO, EXP_MIN, -1):
-            if widths[e - 1] > widths[e]:
-                raise SpecError("widths must be non-increasing below the center")
-        if widths[EXP_MIN] != 1 or widths[EXP_MAX] != 1:
-            raise SpecError("both extremes must taper to a 1-bit mantissa")
-        if sum(1 << m for m in widths.values()) != 128:
-            raise SpecError("widths must yield exactly 128 magnitudes per sign")
-        object.__setattr__(self, "mantissa_width", MappingProxyType(widths))
-
-        mags, exps_meta, frac_meta = [], [], []
-        for e in range(EXP_MIN, EXP_MAX + 1):
-            m = widths[e]
-            for f in range(1 << m):
-                mags.append((1.0 + f / (1 << m)) * 2.0 ** e)
-                exps_meta.append(e)
-                frac_meta.append(f)
-        mags = np.array(mags)
-        values = np.concatenate([-mags[::-1], mags])
-        signs = np.concatenate([-np.ones(128, dtype=np.int8), np.ones(128, dtype=np.int8)])
-        exps_arr = np.array(exps_meta, dtype=np.int64)
-        frac_arr = np.array(frac_meta, dtype=np.int64)
-        exponents = np.concatenate([exps_arr[::-1], exps_arr])
-        fractions = np.concatenate([frac_arr[::-1], frac_arr])
-        zero_code = 127  # the slot of the smallest-magnitude negative value
-        values[zero_code] = 0.0
-        signs[zero_code] = 0
-        for arr in (values, signs, exponents, fractions):
-            arr.flags.writeable = False
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_signs", signs)
-        object.__setattr__(self, "_exponents", exponents)
-        object.__setattr__(self, "_fractions", fractions)
-
-    @property
-    def values(self) -> np.ndarray:
-        """All 256 decoded values, ascending; index equals code."""
-        return self._values
-
-    @property
-    def zero_code(self) -> int:
-        return 127
-
-    @property
-    def max_value(self) -> float:
-        return float(self._values[-1])
-
-    def width_of(self, exponent: int) -> int:
-        return self.mantissa_width[exponent]
-
-    def code_fields(self, code: int) -> dict:
-        """Sign / exponent / mantissa metadata for one code (the zero code
-        reports sign 0 and no exponent)."""
-        if not 0 <= code <= 255:
-            raise ValueError(f"code {code} out of range")
-        if code == self.zero_code:
-            return {"code": code, "sign": 0, "exponent": None, "mantissa_width": None,
-                    "fraction": None, "value": 0.0}
-        e = int(self._exponents[code])
-        return {
-            "code": code,
-            "sign": int(self._signs[code]),
-            "exponent": e,
-            "mantissa_width": self.mantissa_width[e],
-            "fraction": int(self._fractions[code]),
-            "value": float(self._values[code]),
-        }
+def code_fields(code: int) -> dict:
+    """Sign / exponent / mantissa metadata for one code (the zero code
+    reports sign 0 and no exponent)."""
+    if not 0 <= code <= 255:
+        raise ValueError(f"code {code} out of range")
+    if code == ZERO_CODE:
+        return {"code": code, "sign": 0, "exponent": None, "mantissa_width": None,
+                "fraction": None, "value": 0.0}
+    sign = 1 if code > ZERO_CODE else -1
+    e, f = _FIELDS[code - 128 if sign > 0 else 127 - code]
+    return {
+        "code": code,
+        "sign": sign,
+        "exponent": e,
+        "mantissa_width": MANTISSA_WIDTH[e],
+        "fraction": f,
+        "value": float(VALUES[code]),
+    }
 
 
-DEFAULT_SPEC = Hif8Spec(_default_widths())
-
-
-def enumerate_values(spec: Hif8Spec = DEFAULT_SPEC) -> list[tuple[int, float]]:
+def enumerate_values() -> list[tuple[int, float]]:
     """All (code, value) pairs; 256 entries, strictly increasing values."""
-    return [(c, float(v)) for c, v in enumerate(spec.values)]
+    return [(c, float(v)) for c, v in enumerate(VALUES)]
 
 
-def encode_array(x: np.ndarray, spec: Hif8Spec = DEFAULT_SPEC) -> np.ndarray:
+def encode_array(x: np.ndarray) -> np.ndarray:
     """Vectorized nearest-value encoding with ties-to-even and saturation."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise EncodeError("cannot encode non-finite values")
-    vals = spec.values
+    vals = VALUES
     hi = np.searchsorted(vals, x, side="left").astype(np.int64)
     lo = np.clip(hi - 1, 0, 255)
     hi = np.clip(hi, 0, 255)
@@ -187,41 +115,39 @@ def encode_array(x: np.ndarray, spec: Hif8Spec = DEFAULT_SPEC) -> np.ndarray:
     return codes.astype(np.uint8)
 
 
-def decode_array(codes: np.ndarray, spec: Hif8Spec = DEFAULT_SPEC) -> np.ndarray:
+def decode_array(codes: np.ndarray) -> np.ndarray:
     """Total over all 256 bit patterns."""
     codes = np.asarray(codes)
-    return spec.values[codes.astype(np.int64)]
+    return VALUES[codes.astype(np.int64)]
 
 
-def encode(x: float, spec: Hif8Spec = DEFAULT_SPEC) -> int:
-    return int(encode_array(np.array([x]), spec)[0])
+def encode(x: float) -> int:
+    return int(encode_array(np.array([x]))[0])
 
 
-def decode(code: int, spec: Hif8Spec = DEFAULT_SPEC) -> float:
+def decode(code: int) -> float:
     if not 0 <= int(code) <= 255:
         raise ValueError(f"code {code} out of range")
-    return float(spec.values[int(code)])
+    return float(VALUES[int(code)])
 
 
 @dataclass(frozen=True)
 class QuantizedTensor:
     """Encoded tensor plus the single per-tensor scale that produced it."""
 
-    codes: SequenceTensor  # kind "hif8"
+    codes: SequenceTensor  # uint8 codes
     scale: float
     mode: str
     amax: float
-    spec: Hif8Spec = DEFAULT_SPEC
 
     def __post_init__(self) -> None:
-        if self.codes.kind != HIF8:
-            raise ValueError("codes must be a hif8-kind tensor")
+        if self.codes.data.dtype != np.uint8:
+            raise ValueError(f"codes must be a uint8 tensor, got {self.codes.data.dtype}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
 
-def quantize_tensor(x: SequenceTensor, mode: str, spec: Hif8Spec = DEFAULT_SPEC,
-                    eps: float = DEFAULT_EPS) -> QuantizedTensor:
+def quantize_tensor(x: SequenceTensor, mode: str, eps: float = DEFAULT_EPS) -> QuantizedTensor:
     """Current scaling at per-tensor granularity.
 
     amax is recomputed from the live tensor on every call; scale is
@@ -232,23 +158,21 @@ def quantize_tensor(x: SequenceTensor, mode: str, spec: Hif8Spec = DEFAULT_SPEC,
     """
     if mode not in _MODE_MAX:
         raise ValueError(f"mode must be one of {sorted(_MODE_MAX)}, got {mode!r}")
-    if x.kind != REAL:
-        raise ValueError("quantize_tensor expects a real-kind tensor")
+    if x.data.dtype != np.float64:
+        raise ValueError(f"quantize_tensor expects a float64 tensor, got {x.data.dtype}")
     amax = float(np.max(np.abs(x.data))) if x.data.size else 0.0
     scale = _MODE_MAX[mode] / (amax + eps)
     scaled = x.data * scale
-    assert np.max(np.abs(scaled), initial=0.0) <= spec.max_value, "current scaling cannot overflow"
-    codes = encode_array(scaled, spec)
-    return QuantizedTensor(SequenceTensor(codes, kind=HIF8), scale, mode, amax, spec)
+    assert np.max(np.abs(scaled), initial=0.0) <= MAX_VALUE, "current scaling cannot overflow"
+    return QuantizedTensor(SequenceTensor(encode_array(scaled)), scale, mode, amax)
 
 
 def dequantize(q: QuantizedTensor) -> SequenceTensor:
-    return SequenceTensor(decode_array(q.codes.data, q.spec) / q.scale)
+    return SequenceTensor(decode_array(q.codes.data) / q.scale)
 
 
-def roundtrip(x: SequenceTensor, mode: str, spec: Hif8Spec = DEFAULT_SPEC,
-              eps: float = DEFAULT_EPS) -> SequenceTensor:
-    return dequantize(quantize_tensor(x, mode, spec, eps))
+def roundtrip(x: SequenceTensor, mode: str, eps: float = DEFAULT_EPS) -> SequenceTensor:
+    return dequantize(quantize_tensor(x, mode, eps))
 
 
 def _error_stats(reference: np.ndarray, approx: np.ndarray) -> dict:
@@ -265,8 +189,7 @@ def _error_stats(reference: np.ndarray, approx: np.ndarray) -> dict:
 
 
 def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
-                              mode: str = "forward", pg: PaddedGrid | None = None,
-                              spec: Hif8Spec = DEFAULT_SPEC) -> dict:
+                              mode: str = "forward", pg: PaddedGrid | None = None) -> dict:
     """Forward-error probe: run the sparse attention path on the
     quantization round-trip of x and on x itself, and report input-side
     and output-side error statistics.
@@ -276,7 +199,7 @@ def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePa
     """
     from .attention import skiparse_attention
 
-    xq = roundtrip(x, mode, spec)
+    xq = roundtrip(x, mode)
     reference = skiparse_attention(x, g, pattern, pg)
     probed = skiparse_attention(xq, g, pattern, pg)
     return {

@@ -156,6 +156,9 @@ def reachability_hops(g: GridShape) -> int | float:
     a subsequence in either pattern, 2 hops apart when some token m shares
     a subsequence with u in one pattern and with v in the other. Returns
     math.inf if any pair is unreachable in two hops.
+
+    A token's hops depend only on its (TSA id, GSA id) pair, so the work is
+    on the k^2-by-k^2 matrix of occupied pairs, never on token pairs.
     """
     tsa = assignment_of(g, SparsePattern.TOKEN_WISE).subseq
     gsa = assignment_of(g, SparsePattern.GROUP_WISE).subseq
@@ -164,12 +167,14 @@ def reachability_hops(g: GridShape) -> int | float:
     occupied = np.zeros((k2, k2), dtype=bool)
     occupied[tsa, gsa] = True
 
-    one_hop = (tsa[:, None] == tsa[None, :]) | (gsa[:, None] == gsa[None, :])
-    # u -tsa- m -gsa- v needs (tsa[u], gsa[v]) occupied; the other order swaps u, v
-    two_hop = occupied[tsa[:, None], gsa[None, :]] | occupied[tsa[None, :], gsa[:, None]]
-    if not (one_hop | two_hop).all():
-        return math.inf
-    return 1 if one_hop.all() else 2
+    # every pair shares a subsequence iff all occupied pairs share one id
+    if occupied.any(axis=1).sum() == 1 or occupied.any(axis=0).sum() == 1:
+        return 1
+    # u = (a, b) reaches v = (c, d) in two hops through a token at (a, d) or
+    # (c, b). It fails iff some b has (a, b) occupied and (c, b) not, and
+    # some d has (c, d) occupied and (a, d) not: leaves[a, c] counts the b.
+    leaves = occupied.astype(np.int64) @ (~occupied).T.astype(np.int64)
+    return math.inf if ((leaves > 0) & (leaves.T > 0)).any() else 2
 
 
 def build_layer_schedule(num_layers: int, n_full: int) -> list[LayerKind]:

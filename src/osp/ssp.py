@@ -101,7 +101,7 @@ def shard_pattern_layout(x_pattern: SequenceTensor, group_size: int,
         )
     per = x_pattern.batch // group_size
     shards = tuple(
-        RankShard(r, x_pattern.with_data(x_pattern.data[r * per:(r + 1) * per]))
+        RankShard(r, SequenceTensor(x_pattern.data[r * per:(r + 1) * per]))
         for r in range(group_size)
     )
     return ProcessGroup(shards, log if log is not None else CommLog())
@@ -111,7 +111,7 @@ def gather_shards(group: ProcessGroup) -> SequenceTensor:
     """Concatenate all shards along the batch axis. Verification helper
     only; it is not a protocol step and logs nothing."""
     data = np.concatenate([s.tensor.data for s in group.shards], axis=0)
-    return SequenceTensor(data, kind=group.shards[0].tensor.kind)
+    return SequenceTensor(data)
 
 
 def all_to_all(send: list[np.ndarray], log: CommLog, label: str = "") -> list[np.ndarray]:
@@ -172,7 +172,7 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     # 2. one all-to-all delivers each target block to its owner rank
     received = all_to_all(send, group.log, label="pattern-switch")
     # 3. one local gather into the switched layout
-    out_shards = [RankShard(r, merge.apply(SequenceTensor(buf, kind=group.shards[r].tensor.kind)))
+    out_shards = [RankShard(r, merge.apply(SequenceTensor(buf)))
                   for r, buf in enumerate(received)]
     return ProcessGroup(tuple(out_shards), group.log)
 

@@ -13,7 +13,8 @@ from osp.anyres import pad_grid, pad_tensor
 from osp.attention import flop_report, project_qkv, skiparse_attention
 from osp.cli import main
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
-from osp.hif8 import DEFAULT_SPEC, decode_array, encode_array, quantize_tensor
+from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, VALUES, code_fields, decode_array, encode_array,
+                      quantize_tensor)
 from osp.mixflow import (marginal_report, mixed_rollout, ode_step, standard_ou,
                          uniform_schedule)
 from osp.skiparse import (SparsePattern, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
@@ -144,20 +145,20 @@ def test_criterion_6_communication_accounting():
 
 def test_criterion_7_hif8_format():
     with criterion(7, "256 distinct values, 38 exponents, taper, binade bound", 10.0):
-        table = hif8_value_table({e: DEFAULT_SPEC.mantissa_width[e] for e in range(-22, 16)})
-        values = DEFAULT_SPEC.values
+        table = hif8_value_table({e: MANTISSA_WIDTH[e] for e in range(-22, 16)})
+        values = VALUES
         assert values.tolist() == table
         assert len(set(table)) == 256
-        exps = sorted({f["exponent"] for f in map(DEFAULT_SPEC.code_fields, range(256))
+        exps = sorted({f["exponent"] for f in map(code_fields, range(256))
                        if f["exponent"] is not None})
         assert exps == list(range(-22, 16)) and len(exps) == 38
-        widths = DEFAULT_SPEC.mantissa_width
+        widths = MANTISSA_WIDTH
         assert all(widths[e] == 3 for e in range(-3, 4))
         assert widths[-22] == 1 and widths[15] == 1
         assert np.array_equal(encode_array(values), np.arange(256))
 
         half = 500_000
-        mags = np.geomspace(2.0 ** -22, DEFAULT_SPEC.max_value, half)
+        mags = np.geomspace(2.0 ** -22, MAX_VALUE, half)
         xs = np.concatenate([mags, -mags])
         rel = np.abs(decode_array(encode_array(xs)) - xs) / np.abs(xs)
         e_of = np.clip(np.floor(np.log2(np.abs(xs))).astype(int), -22, 15)

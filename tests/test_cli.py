@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osp
+from oracles import hif8_value_table
 from osp import checks
 from osp.cli import main
 from osp.gridseq import random_tensor, read_ospt, write_ospt
@@ -27,6 +33,28 @@ def test_reach_subcommand(capsys):
     assert code == 0
     assert payload["max_hops"] == 2
     assert payload["pass"] is True
+
+
+def test_reach_on_a_large_grid(capsys):
+    code, payload = _run_json(capsys, ["reach", "--grid", "1,400,400"])
+    assert code == 0
+    assert payload["max_hops"] == 2
+
+
+def test_out_of_memory_is_an_input_error():
+    # the child's own address-space limit makes the 9.3 GiB mask fail fast
+    limit = 1536 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "osp.cli", "mask-dump", "--grid", "1,100000,100000"],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_comm_sim_counts(capsys):
@@ -60,6 +88,17 @@ def test_hif8_enum_rows(capsys):
     assert len(rows) == 257
     exps = {r[2] for r in rows[1:] if r[2] != ""}
     assert len(exps) == 38
+    widths = {e: 3 if -3 <= e <= 3 else 2 if e in (-5, -4, 4, 5, 6) else 1
+              for e in range(-22, 16)}
+    assert [float(r[5]) for r in rows[1:]] == hif8_value_table(widths)
+    for code, (code_hex, sign, exp, width, frac, value) in enumerate(rows[1:]):
+        assert code_hex == f"0x{code:02X}"
+        if float(value) == 0.0:
+            assert (sign, exp, width, frac) == ("0", "", "", "")
+            continue
+        e, m, f = int(exp), int(width), int(frac)
+        assert m == widths[e] and 0 <= f < 2 ** m
+        assert float(value) == int(sign) * (1 + f / 2 ** m) * 2.0 ** e
 
 
 def test_hif8_encode(capsys):
@@ -177,6 +216,8 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ["comm-sim", "--group-size", "-2"],
     ["comm-sim", "--blocks", "0"],
     ["comm-sim", "--chan", "0"],
+    ["comm-sim", "--elem-bytes", "0"],
+    ["comm-sim", "--elem-bytes", "-3"],
     ["attn-verify", "--chan", "0"],
     ["attn-verify", "--chan", "two"],
 ], ids=" ".join)

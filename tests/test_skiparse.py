@@ -151,7 +151,8 @@ def test_equal_subsequence_lengths(g):
         assert len(pairs) == g.seq_len
 
 
-@pytest.mark.parametrize("g", [GridShape(1, 4, 4, 2), GridShape(1, 9, 9, 3)], ids=str)
+@pytest.mark.parametrize("g", [GridShape(1, 4, 4, 2), GridShape(1, 9, 9, 3), GridShape(2, 4, 4, 2),
+                               GridShape(1, 4, 8, 2), GridShape(1, 8, 8, 2)], ids=str)
 def test_reachability_matches_brute_force(g):
     expected = brute_force_max_hops(g)
     assert reachability_hops(g) == expected
