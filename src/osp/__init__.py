@@ -11,8 +11,7 @@ from .anyres import PaddedGrid, pad_grid, pad_tensor, strip_padding, subsequence
 from .attention import (FlopReport, dense_attention, flop_report, skiparse_attention,
                         skiparse_reference)
 from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, comm_comparison,
-                  gather_shards, naive_switch_comm, shard_pattern_layout,
-                  ssp_pattern_switch, ulysses_block_comm)
+                  gather_shards, shard_pattern_layout, ssp_pattern_switch)
 from .hif8 import (QuantizedTensor, decode, dequantize, encode, enumerate_values,
                    quantize_tensor, quantized_attention_probe)
 from .mixflow import (OuProcess, RolloutResult, SamplerSchedule, marginal_report,

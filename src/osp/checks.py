@@ -19,8 +19,7 @@ from .mixflow import marginal_report, mixed_rollout, standard_ou, uniform_schedu
 from .skiparse import (LayerKind, SparsePattern, assignment_of, build_layer_schedule,
                        gsa_to_orig, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
                        reachability_hops, tsa_to_gsa, tsa_to_orig)
-from .ssp import (CommLog, comm_comparison, gather_shards, shard_pattern_layout,
-                  ssp_pattern_switch)
+from .ssp import CommLog, comm_comparison, shard_pattern_layout, ssp_pattern_switch
 
 ATTN_TOLERANCE = 1e-10
 
@@ -206,54 +205,36 @@ def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int 
                     real_tokens=real, pad_tokens=int((~pg.mask).sum()), max_abs_err=errs)
 
 
-def ssp_check(g: GridShape, group_size: int, chan: int = 4, seed: int = 4) -> dict:
-    """Pattern switch against the gather/convert/reshard oracle, both
-    directions, with collective accounting."""
-    x = random_tensor(1, g.seq_len, chan, seed)
-    x_tsa = pattern_map(g, SparsePattern.TOKEN_WISE).apply(x)
+def ssp_check(g: GridShape, group_size: int, chan: int = 4, seed: int = 4,
+              blocks: int = 2) -> dict:
+    """`blocks` pattern switches, alternating TSA->GSA->TSA..., each checked
+    rank by rank against the gather/convert/reshard oracle. The collective
+    counts and volumes are read from the ledger those switches wrote."""
+    x_tsa = pattern_map(g, SparsePattern.TOKEN_WISE).apply(random_tensor(1, g.seq_len, chan, seed))
+    convert = (tsa_to_gsa(g), gsa_to_tsa(g))
     log = CommLog()
     group = shard_pattern_layout(x_tsa, group_size, log)
-    per = x_tsa.batch // group_size
-
-    switched = ssp_pattern_switch(group, g)
-    oracle_gsa = tsa_to_gsa(g).apply(x_tsa)
-    fwd_ok = all(
-        np.array_equal(switched.shards[r].tensor.data, oracle_gsa.data[r * per:(r + 1) * per])
-        for r in range(group_size)
-    )
-    back = ssp_pattern_switch(switched, g)
-    oracle_tsa = gsa_to_tsa(g).apply(oracle_gsa)
-    bwd_ok = all(
-        np.array_equal(back.shards[r].tensor.data, oracle_tsa.data[r * per:(r + 1) * per])
-        for r in range(group_size)
-    )
-    roundtrip_ok = np.array_equal(gather_shards(back).data, x_tsa.data)
-    sizes = {s.tensor.data.size for s in back.shards}
+    shard_elements, per = group.local_elements, x_tsa.batch // group_size
+    oracle, mismatch = x_tsa, None
+    for block in range(blocks):
+        group = ssp_pattern_switch(group, g)
+        oracle = convert[block % 2].apply(oracle)
+        bad = [r for r, shard in enumerate(group.shards)
+               if not np.array_equal(shard.tensor.data, oracle.data[r * per:(r + 1) * per])]
+        if bad and mismatch is None:
+            mismatch = [block, bad[0]]
+    comm = comm_comparison(log, group_size, shard_elements, blocks)
 
     checks = {
-        "tsa_to_gsa_matches_oracle": bool(fwd_ok),
-        "gsa_to_tsa_matches_oracle": bool(bwd_ok),
-        "double_switch_roundtrip": bool(roundtrip_ok),
-        "one_all_to_all_per_switch": log.count("all_to_all") == 2,
-        "zero_all_gathers": log.count("all_gather") == 0,
-        "equal_shard_sizes": len(sizes) == 1,
-    }
-    return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k, group_size=group_size,
-                    per_rank_elements=group.local_elements,
-                    all_to_all_events=log.count("all_to_all"),
-                    all_gather_events=log.count("all_gather"))
-
-
-def communication_check(group_size: int, per_rank: int, blocks: int) -> dict:
-    """Collective accounting of the sparse switch against Ulysses: one
-    all-to-all per block against four, so a quarter of the volume."""
-    comm = comm_comparison(group_size, per_rank, blocks=blocks)
-    checks = {
+        "switches_match_oracle": mismatch is None,
         "one_all_to_all_per_block": comm["ssp_events"] == blocks,
-        "four_ulysses_all_to_alls_per_block": comm["ulysses_events"] == 4 * blocks,
+        "zero_all_gathers": comm["all_gather_events"] == 0,
+        "one_shard_per_event": all(e.payload_per_rank == shard_elements for e in log.events),
         "volume_ratio_one_quarter": comm["volume_ratio"] == 0.25,
     }
-    return _verdict(checks, **comm)
+    return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k, group_size=group_size,
+                    per_rank_elements=shard_elements, first_mismatch=mismatch,
+                    comparison=comm)
 
 
 def flops_check() -> dict:
@@ -432,7 +413,6 @@ def build_full_report(seed: int) -> dict:
         "anyres": anyres_check(seed=seed + 3),
         "ssp": _cases("cases", [ssp_check(g, n, seed=seed + 4) for g, n in
                                 ((GridShape(1, 4, 4, 2), 4), (g882, 2), (g882, 4))]),
-        "communication": communication_check(4, 1024, blocks=1),
         "flops": flops_check(),
         "hif8_format": hif8_format_check(),
         "quantizer": quantizer_check(),

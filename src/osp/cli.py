@@ -113,7 +113,7 @@ def _cmd_rearrange_check(args) -> int:
     g = _grid_arg(args)
     payload = checks.rearrange_checks(g, seed=args.seed)
     payload["assignments"] = {
-        pattern.value: assignment_of(pad_grid(g).padded, pattern).to_rows()
+        pattern.value: assignment_of(g, pattern).to_rows()
         for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)
     }
     return _finish(args.out, payload)
@@ -147,31 +147,13 @@ def _cmd_attn_verify(args) -> int:
 
 
 def _cmd_comm_sim(args) -> int:
-    g = _grid_arg(args)
-    live = None
-    per_rank = (g.seq_len * args.chan) // args.group_size
-    k2 = g.k * g.k
-    if k2 % args.group_size == 0 and g.h % k2 == 0 and g.w % k2 == 0:
-        live = checks.ssp_check(g, args.group_size, chan=args.chan, seed=args.seed)
-        per_rank = live["per_rank_elements"]
-    comparison = checks.communication_check(args.group_size, per_rank, args.blocks)
-    comparison["per_rank_bytes"] = per_rank * args.elem_bytes
-    comparison["element_bytes"] = args.elem_bytes
-    payload = {
-        "grid": [g.t, g.h, g.w],
-        "k": g.k,
-        "comparison": comparison,
-        "ssp_events": comparison["ssp_events"],
-        "ulysses_events": comparison["ulysses_events"],
-        "volume_ratio": comparison["volume_ratio"],
-        "pass": comparison["pass"] and (live is None or live["pass"]),
-    }
-    if live is not None:
-        payload["protocol"] = live
+    payload = checks.ssp_check(_grid_arg(args), args.group_size, chan=args.chan,
+                               seed=args.seed, blocks=args.blocks)
+    payload["per_rank_bytes"] = payload["per_rank_elements"] * args.elem_bytes
+    payload["element_bytes"] = args.elem_bytes
     if args.format == "csv":
-        rows = [[r["group_size"], r["ssp_global"], r["naive_global"], r["naive_over_ssp"]]
-                for r in comparison["growth_table"]]
         header = ["group_size", "ssp_global", "naive_global", "naive_over_ssp"]
+        rows = [[r[c] for c in header] for r in payload["comparison"]["growth_table"]]
         _emit(args.out, _csv_text(header, rows))
         return _exit_code(payload)
     return _finish(args.out, payload)

@@ -14,11 +14,14 @@ collective:
      into the switched layout; both are named-axis maps composed into one.
 
 The same three steps convert token-wise to group-wise and back. Collectives
-are synchronous buffer exchanges with no transport model; the ledger
-counts exact scalar elements moved per rank per collective. Baselines:
-Ulysses-style attention needs four all-to-alls per block (query, key,
-value, output); a naive switch needs an all-gather moving N * (N-1) * S
-elements globally versus (N-1) * S for the all-to-all.
+are synchronous buffer exchanges with no transport model; each executed
+collective writes one event to the `CommLog` ledger with the exact scalar
+elements it moved per rank. `comm_comparison` reads the switch's counts
+and volumes from that ledger and sets them beside two stated baselines at
+the same per-rank volume S: Ulysses-style attention, four all-to-alls per
+block (query, key, value, output), and a naive gather-and-reshard switch,
+an all-gather moving N * (N-1) * S elements globally versus (N-1) * S for
+the all-to-all.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import numpy as np
 
 from .gridseq import GridShape, SequenceTensor, rearrange_map
 from .skiparse import orig_to_tsa
+
+GROWTH_SIZES = (2, 4, 8)  # group sizes of the stated naive-over-sparse growth table
 
 
 class ShardingError(ValueError):
@@ -177,53 +182,32 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     return ProcessGroup(tuple(out_shards), group.log)
 
 
-def ulysses_block_comm(group_size: int, per_rank_elements: int, blocks: int = 1) -> CommLog:
-    """Ulysses-style attention: four all-to-alls per block, one each for
-    query, key, value, and attention output, each moving the per-rank
-    activation volume."""
-    log = CommLog()
-    for block in range(blocks):
-        for name in ("query", "key", "value", "attn_out"):
-            log.record("all_to_all", per_rank_elements, f"block{block}:{name}")
-    return log
-
-
-def naive_switch_comm(group_size: int, per_rank_elements: int) -> tuple[CommLog, dict]:
-    """Gather-rearrange-reshard baseline: one all-gather where every rank
-    receives (N-1) * S elements, for N * (N-1) * S moved globally."""
+def comm_comparison(log: CommLog, group_size: int, per_rank_elements: int,
+                    blocks: int) -> dict:
+    """Side-by-side accounting of `blocks` executed switches. The sparse
+    side is read from `log`, the ledger those switches wrote. The baselines
+    are stated at the same per-rank volume S: Ulysses-style attention needs
+    four all-to-alls per block (query, key, value, output), each moving S,
+    and a gather-and-reshard switch's all-gather moves N * (N-1) * S
+    globally. A working switch logs one all-to-all of S per block, a
+    quarter of the Ulysses volume, and moves (N-1) * S globally, N times
+    less than the naive switch."""
     n, s = group_size, per_rank_elements
-    log = CommLog()
-    log.record("all_gather", (n - 1) * s, "gather-rearrange-reshard")
-    report = {
-        "events": 1,
-        "recv_per_rank": (n - 1) * s,
-        "global_traffic": n * (n - 1) * s,
-    }
-    return log, report
-
-
-def comm_comparison(group_size: int, per_rank_elements: int, blocks: int = 1,
-                    growth_sizes: tuple[int, ...] = (2, 4, 8)) -> dict:
-    """Side-by-side accounting: per block the sparse switch logs 1
-    collective moving S per rank versus 4 moving S each for Ulysses, a
-    75% volume reduction. Globally one all-to-all moves (N-1) * S versus
-    N * (N-1) * S for the naive switch, a factor of N."""
-    n, s = group_size, per_rank_elements
-    ssp_total = blocks * s
+    ssp_total = log.total_payload("all_to_all")
     ulysses_total = 4 * blocks * s
     return {
         "group_size": n,
         "per_rank_elements": s,
         "blocks": blocks,
-        "ssp_events": blocks,
+        "ssp_events": log.count("all_to_all"),
+        "all_gather_events": log.count("all_gather"),
         "ulysses_events": 4 * blocks,
         "ssp_total_per_rank": ssp_total,
         "ulysses_total_per_rank": ulysses_total,
         "volume_ratio": ssp_total / ulysses_total,
         "volume_reduction_percent": 100.0 * (1.0 - ssp_total / ulysses_total),
-        "ssp_global_per_switch": (n - 1) * s,
+        "ssp_global_per_switch": (n - 1) * ssp_total // blocks,
         "naive_global_per_switch": n * (n - 1) * s,
-        "naive_over_ssp": n,
         "growth_table": [
             {
                 "group_size": m,
@@ -231,6 +215,6 @@ def comm_comparison(group_size: int, per_rank_elements: int, blocks: int = 1,
                 "naive_global": m * (m - 1) * s,
                 "naive_over_ssp": m,
             }
-            for m in growth_sizes
+            for m in GROWTH_SIZES
         ],
     }

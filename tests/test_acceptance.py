@@ -19,8 +19,7 @@ from osp.mixflow import (marginal_report, mixed_rollout, ode_step, standard_ou,
                          uniform_schedule)
 from osp.skiparse import (SparsePattern, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
                           reachability_hops, tsa_to_gsa, tsa_to_orig, gsa_to_orig)
-from osp.ssp import CommLog, comm_comparison, naive_switch_comm, shard_pattern_layout, \
-    ssp_pattern_switch, ulysses_block_comm
+from osp.ssp import CommLog, comm_comparison, shard_pattern_layout, ssp_pattern_switch
 
 GRIDS = [
     GridShape(1, 4, 4, 2),
@@ -130,17 +129,23 @@ def test_criterion_5_ssp_protocol():
 
 def test_criterion_6_communication_accounting():
     with criterion(6, "1 vs 4 collectives per block, 75% volume cut, N(N-1)S naive", 1.0):
-        for n, s in ((2, 64), (4, 1000), (8, 4096)):
-            rep = comm_comparison(n, s, blocks=1)
+        for g, n in ((GridShape(1, 4, 4, 2), 2), (GridShape(1, 8, 8, 2), 4),
+                     (GridShape(1, 16, 16, 4), 8)):
+            x = pattern_map(g, SparsePattern.TOKEN_WISE).apply(random_tensor(1, g.seq_len, 4, 6))
+            log = CommLog()
+            group = shard_pattern_layout(x, n, log)
+            ssp_pattern_switch(group, g)
+            s = group.local_elements
+            rep = comm_comparison(log, n, s, blocks=1)
             assert rep["ssp_events"] == 1
+            assert rep["all_gather_events"] == 0
             assert rep["ulysses_events"] == 4
+            assert rep["ssp_total_per_rank"] == s
             assert rep["ulysses_total_per_rank"] == 4 * s
             assert rep["volume_ratio"] == 0.25
-            assert ulysses_block_comm(n, s).total_payload() == 4 * s
-            _, naive = naive_switch_comm(n, s)
-            assert naive["global_traffic"] == n * (n - 1) * s
+            assert rep["naive_global_per_switch"] == n * (n - 1) * s
             assert rep["ssp_global_per_switch"] == (n - 1) * s
-            assert naive["global_traffic"] == n * rep["ssp_global_per_switch"]
+            assert rep["naive_global_per_switch"] == n * rep["ssp_global_per_switch"]
 
 
 def test_criterion_7_hif8_format():

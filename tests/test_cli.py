@@ -62,15 +62,51 @@ def test_comm_sim_counts(capsys):
         "comm-sim", "--group-size", "4", "--grid", "1,8,8", "--k", "2", "--blocks", "3",
     ])
     assert code == 0
-    assert payload["ssp_events"] == 3
-    assert payload["ulysses_events"] == 12
-    assert payload["volume_ratio"] == 0.25
-    assert payload["protocol"]["pass"] is True
-    assert payload["comparison"]["checks"] == {
+    assert payload["comparison"]["ssp_events"] == 3
+    assert payload["comparison"]["ulysses_events"] == 12
+    assert payload["comparison"]["volume_ratio"] == 0.25
+    assert payload["pass"] is True
+    assert payload["checks"] == {
+        "switches_match_oracle": True,
         "one_all_to_all_per_block": True,
-        "four_ulysses_all_to_alls_per_block": True,
+        "zero_all_gathers": True,
+        "one_shard_per_event": True,
         "volume_ratio_one_quarter": True,
     }
+    assert payload["per_rank_bytes"] == payload["per_rank_elements"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group-size", "8"],
+    ["--grid", "1,6,6", "--k", "2"],
+], ids=["group-size-over-k-squared", "h-not-multiple-of-k-squared"])
+def test_comm_sim_impossible_configuration_is_usage_error(argv, capsys):
+    assert main(["comm-sim", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report-all", "--seed", "7"],
+    ["comm-sim"],
+    ["comm-sim", "--format", "csv"],
+], ids=" ".join)
+def test_double_traffic_fails_the_ledger_checks(argv, monkeypatch, capsys, tmp_path):
+    real = osp.ssp.all_to_all
+
+    def all_to_all(send, log, label=""):
+        # the right buffers arrive, but every one is shipped twice
+        received = real(send, osp.ssp.CommLog(), label)
+        log.record("all_to_all", 2 * send[0].size, label)
+        return received
+
+    monkeypatch.setattr(osp.ssp, "all_to_all", all_to_all)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "volume_ratio_one_quarter" in err
+    assert "one_shard_per_event" in err
+    assert "switches_match_oracle" not in err
 
 
 def test_comm_sim_csv_format(capsys):
@@ -275,7 +311,7 @@ def test_report_all_sections_pass(tmp_path):
     assert payload["pass"] is True
     assert set(payload["sections"]) >= {
         "rearrange", "reachability", "local_equivalence", "attention", "anyres",
-        "ssp", "communication", "flops", "hif8_format", "quantizer", "sampler",
+        "ssp", "flops", "hif8_format", "quantizer", "sampler",
         "layer_schedule",
     }
 
@@ -290,16 +326,16 @@ def test_failing_report_section_names_its_invariant(monkeypatch, capsys, tmp_pat
 
 
 def test_failing_comm_sim_csv_names_its_invariant(monkeypatch, capsys):
-    real = checks.communication_check
+    real = checks.ssp_check
 
-    def lopsided(*args):
-        result = real(*args)
+    def lopsided(*args, **kwargs):
+        result = real(*args, **kwargs)
         result["checks"]["volume_ratio_one_quarter"] = False
         return {**result, "pass": False}
 
-    monkeypatch.setattr(checks, "communication_check", lopsided)
+    monkeypatch.setattr(checks, "ssp_check", lopsided)
     assert main(["comm-sim", "--format", "csv"]) == 1
-    assert "comparison.volume_ratio_one_quarter" in capsys.readouterr().err
+    assert "FAIL: volume_ratio_one_quarter" in capsys.readouterr().err
 
 
 def _run_code(argv) -> int:

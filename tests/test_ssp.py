@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import transpose_chunks
+from osp import checks
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.skiparse import SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
-from osp.ssp import (CollectiveError, CommLog, ProcessGroup, RankShard, ShardingError,
-                     all_to_all, comm_comparison, gather_shards, naive_switch_comm,
-                     shard_pattern_layout, ssp_pattern_switch, ulysses_block_comm)
+from osp.ssp import (CollectiveError, CommLog, ProcessGroup, ProtocolError, RankShard,
+                     ShardingError, all_to_all, comm_comparison, gather_shards,
+                     shard_pattern_layout, ssp_pattern_switch)
 
 
 def _tsa_layout(g, chan=4, seed=0, batch=1):
@@ -178,39 +179,61 @@ def test_head_split_composability():
         assert np.array_equal(merged, whole.shards[r].tensor.data)
 
 
-def test_ulysses_block_comm_examples():
-    log = ulysses_block_comm(8, 1000)
-    assert log.count("all_to_all") == 4
-    assert log.total_payload() == 4000
-    assert ulysses_block_comm(2, 0).total_payload() == 0
-    assert ulysses_block_comm(8, 4096).total_payload() == 16384
-
-
-def test_naive_switch_comm_examples():
-    _, rep = naive_switch_comm(1, 100)
-    assert rep["global_traffic"] == 0
-    _, rep = naive_switch_comm(4, 100)
-    assert rep["global_traffic"] == 1200
-    assert rep["recv_per_rank"] == 300
-    _, rep = naive_switch_comm(8, 100)
-    assert rep["global_traffic"] == 5600
+def _run_switches(g, group_size, blocks, chan=4):
+    """Run `blocks` alternating switches; return the ledger and the shard size."""
+    group = shard_pattern_layout(_tsa_layout(g, chan=chan, seed=10), group_size)
+    for _ in range(blocks):
+        group = ssp_pattern_switch(group, g)
+    return group.log, group.local_elements
 
 
 def test_comm_comparison_counts_and_ratio():
-    rep = comm_comparison(4, 1000, blocks=3)
+    g = GridShape(1, 8, 8, 2)
+    log, s = _run_switches(g, 4, blocks=3)
+    rep = comm_comparison(log, 4, s, blocks=3)
     assert rep["ssp_events"] == 3
+    assert rep["all_gather_events"] == 0
     assert rep["ulysses_events"] == 12
+    assert rep["ssp_total_per_rank"] == 3 * s
     assert rep["volume_ratio"] == 0.25
     assert rep["volume_reduction_percent"] == 75.0
-    assert rep["ssp_global_per_switch"] == 3000
-    assert rep["naive_global_per_switch"] == 12000
+    assert rep["ssp_global_per_switch"] == 3 * s
+    assert rep["naive_global_per_switch"] == 12 * s
 
 
 def test_naive_over_ssp_grows_linearly():
-    rows = comm_comparison(4, 100)["growth_table"]
-    assert [r["group_size"] for r in rows] == [2, 4, 8]
-    for r in rows:
-        assert r["naive_global"] == r["group_size"] * r["ssp_global"]
+    for g, group_size in ((GridShape(1, 4, 4, 2), 2), (GridShape(1, 8, 8, 2), 4),
+                          (GridShape(1, 16, 16, 4), 8)):
+        log, s = _run_switches(g, group_size, blocks=1)
+        rep = comm_comparison(log, group_size, s, blocks=1)
+        assert rep["naive_global_per_switch"] == group_size * rep["ssp_global_per_switch"]
+        rows = rep["growth_table"]
+        assert [r["group_size"] for r in rows] == [2, 4, 8]
+        for r in rows:
+            assert r["naive_global"] == r["group_size"] * r["ssp_global"]
+
+
+def test_comm_comparison_reads_the_ledger_not_the_formula():
+    log = CommLog()
+    log.record("all_to_all", 200)
+    rep = comm_comparison(log, 4, 100, blocks=1)
+    assert rep["ssp_total_per_rank"] == 200
+    assert rep["volume_ratio"] == 0.5
+    assert rep["ssp_global_per_switch"] == 600
+
+
+def test_switch_on_original_layout_rows_is_a_protocol_error():
+    g = GridShape(1, 8, 8, 2)
+    group = shard_pattern_layout(random_tensor(1, g.seq_len, 4, 11), 1)
+    with pytest.raises(ProtocolError, match="local batch 1 not divisible by G=4"):
+        ssp_pattern_switch(group, g)
+
+
+def test_switch_on_full_length_rows_is_a_protocol_error():
+    g = GridShape(1, 8, 8, 2)
+    group = shard_pattern_layout(random_tensor(4, g.seq_len, 4, 12), 1)
+    with pytest.raises(ProtocolError, match="shard seq 64 != subsequence length 16"):
+        ssp_pattern_switch(group, g)
 
 
 def test_switch_payload_matches_local_elements():
@@ -218,3 +241,23 @@ def test_switch_payload_matches_local_elements():
     group = shard_pattern_layout(_tsa_layout(g, chan=4, seed=9), 4)
     ssp_pattern_switch(group, g)
     assert group.log.events[0].payload_per_rank == group.local_elements
+
+
+def test_ssp_check_names_the_first_mismatching_block_and_rank(monkeypatch):
+    calls = []
+
+    def corrupt_second_switch(group, g):
+        out = ssp_pattern_switch(group, g)
+        calls.append(g)
+        if len(calls) == 2:
+            shards = list(out.shards)
+            shards[1] = RankShard(1, SequenceTensor(-shards[1].tensor.data))
+            out = ProcessGroup(tuple(shards), out.log)
+        return out
+
+    monkeypatch.setattr(checks, "ssp_pattern_switch", corrupt_second_switch)
+    result = checks.ssp_check(GridShape(1, 8, 8, 2), 4)
+    assert result["first_mismatch"] == [1, 1]
+    assert result["checks"]["switches_match_oracle"] is False
+    assert result["checks"]["volume_ratio_one_quarter"] is True
+    assert result["pass"] is False
