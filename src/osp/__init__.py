@@ -12,7 +12,7 @@ from .attention import (FlopReport, dense_attention, flop_report, skiparse_atten
                         skiparse_reference)
 from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, comm_comparison,
                   gather_shards, shard_pattern_layout, ssp_pattern_switch)
-from .hif8 import (QuantizedTensor, decode, dequantize, encode, enumerate_values,
+from .hif8 import (QuantizedTensor, decode, dequantize, encode,
                    quantize_tensor, quantized_attention_probe)
 from .mixflow import (OuProcess, RolloutResult, SamplerSchedule, marginal_report,
                       mixed_rollout, ode_step, sde_step, standard_ou, uniform_schedule)

@@ -135,18 +135,11 @@ def attention_check(g: GridShape, pattern: SparsePattern, chan: int = 8, seed: i
     """Sparse path versus the 2-D-mask dense oracle, padding first when the
     grid is not a multiple of k^2."""
     pg = pad_grid(g)
-    x = random_tensor(1, g.seq_len, chan, seed)
-    if pg.trivial:
-        out = skiparse_attention(x, g, pattern)
-        ref = skiparse_reference(x, g, pattern)
-        run_grid = g
-    else:
-        xp = pad_tensor(x, pg)
-        out = skiparse_attention(xp, g, pattern, pg)
-        ref = skiparse_reference(xp, g, pattern, pg)
-        run_grid = pg.padded
+    xp = pad_tensor(random_tensor(1, g.seq_len, chan, seed), pg)
+    out = skiparse_attention(xp, g, pattern, pg)
+    ref = skiparse_reference(xp, g, pattern, pg)
     max_err = float(np.max(np.abs(out.data - ref.data)))
-    fl = flop_report(run_grid, pattern, chan)
+    fl = flop_report(pg.padded, pattern, chan)
     return _verdict({"skiparse_matches_masked_dense_oracle": max_err <= tolerance},
                     grid=[g.t, g.h, g.w], k=g.k, pattern=pattern.value,
                     padded=not pg.trivial, max_abs_err=max_err, flop_ratio=fl.ratio)
@@ -261,9 +254,13 @@ def flops_check() -> dict:
                          "the per-axis skip interval, both shown side by side")
 
 
-def hif8_format_check(sweep_points: int = 1_000_000) -> dict:
-    """Exhaustive format properties plus the per-binade round-trip bound
-    over a dense log-spaced sweep of both signs.
+def hif8_format_check() -> dict:
+    """Exhaustive format properties, plus rounding and the per-binade
+    round-trip bound on every point that decides them: each value, each
+    midpoint between adjacent values and its two one-ulp neighbours,
+    +/-2^EXP_MIN, and one point beyond each saturation end. Each binade's
+    worst relative error sits on a midpoint, so the bound is met exactly
+    here rather than approached by sampling.
 
     The forced zero remap leaves the interval (-1.5 * 2^-22, -2^-22]
     without its lower neighbour; there the achievable relative error is
@@ -273,7 +270,8 @@ def hif8_format_check(sweep_points: int = 1_000_000) -> dict:
     ascending = bool((np.diff(vals) > 0).all())
     nonzero_exps = sorted({f["exponent"] for f in map(code_fields, range(256))
                            if f["exponent"] is not None})
-    fixpoint = bool((encode_array(vals) == np.arange(256)).all())
+    codes = np.arange(256)
+    fixpoint = bool((encode_array(vals) == codes).all())
 
     widths = MANTISSA_WIDTH
     taper_ok = all(widths[e] == 3 for e in range(-3, 4)) and widths[EXP_MIN] == 1 \
@@ -281,12 +279,20 @@ def hif8_format_check(sweep_points: int = 1_000_000) -> dict:
     mono_ok = all(widths[e + 1] <= widths[e] for e in range(3, EXP_MAX)) and \
         all(widths[e - 1] <= widths[e] for e in range(-3, EXP_MIN, -1))
 
-    half = sweep_points // 2
-    mags = np.geomspace(2.0 ** EXP_MIN, MAX_VALUE, half)
-    xs = np.concatenate([mags, -mags])
-    back = decode_array(encode_array(xs))
-    rel = np.abs(back - xs) / np.abs(xs)
-    exps = np.clip(np.floor(np.log2(np.abs(xs))).astype(np.int64), EXP_MIN, EXP_MAX)
+    mids = (vals[:-1] + vals[1:]) / 2
+    below, above = np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)
+    nearest_ok = bool((encode_array(below) == codes[:-1]).all()
+                      and (encode_array(above) == codes[1:]).all())
+    even_ok = bool((encode_array(mids) == codes[:-1] + codes[:-1] % 2).all())
+    ends = np.array([2.0 ** EXP_MIN, -2.0 ** EXP_MIN, 2 * MAX_VALUE, -2 * MAX_VALUE])
+    xs = np.sort(np.concatenate([vals, mids, below, above, ends]))
+    swept = encode_array(xs)
+    saturating_ok = bool((np.diff(swept.astype(np.int64)) >= 0).all()
+                         and swept[0] == 0 and swept[-1] == 255)
+
+    xs = xs[(np.abs(xs) >= 2.0 ** EXP_MIN) & (np.abs(xs) <= MAX_VALUE)]
+    rel = np.abs(decode_array(encode_array(xs)) - xs) / np.abs(xs)
+    exps = np.frexp(np.abs(xs))[1] - 1
     width_lut = np.array([widths[e] for e in range(EXP_MIN, EXP_MAX + 1)])
     bound = 2.0 ** -(width_lut[exps - EXP_MIN] + 1)
     remapped = (xs < 0) & (np.abs(xs) < 1.5 * 2.0 ** EXP_MIN)
@@ -301,13 +307,16 @@ def hif8_format_check(sweep_points: int = 1_000_000) -> dict:
         "taper_center_and_extremes": bool(taper_ok),
         "taper_monotone_outward": bool(mono_ok),
         "encode_decode_fixpoint": fixpoint,
+        "nearest_on_both_sides_of_every_midpoint": nearest_ok,
+        "ties_to_even_code": even_ok,
+        "encode_monotone_and_saturating": saturating_ok,
         "binade_bound_holds": binade_ok,
         "remapped_interval_bounded_by_half": remap_ok,
     }
     return _verdict(checks, distinct_values=int(len(np.unique(vals))),
                     exponent_min=nonzero_exps[0], exponent_max=nonzero_exps[-1],
                     exponent_count=len(nonzero_exps), max_value=MAX_VALUE,
-                    sweep_points=sweep_points,
+                    boundary_points=int(swept.size),
                     max_rel_over_bound=float(np.max(rel[~remapped] / bound[~remapped])))
 
 

@@ -25,6 +25,9 @@ from .hif8 import code_fields, decode, dequantize, encode, quantize_tensor
 from .skiparse import SparsePattern, assignment_of
 
 DEFAULT_SEED = 7
+# comm-sim runs one real pattern switch per block (1000 blocks take about
+# 0.2 s), so a larger count is a usage error, not a run of hours
+MAX_BLOCKS = 1024
 
 
 class UsageError(ValueError):
@@ -164,14 +167,8 @@ def _cmd_hif8_enum(args) -> int:
     rows = []
     for code in range(256):
         f = code_fields(code)
-        rows.append([
-            f"0x{code:02X}",
-            f["sign"],
-            "" if f["exponent"] is None else f["exponent"],
-            "" if f["mantissa_width"] is None else f["mantissa_width"],
-            "" if f["fraction"] is None else f["fraction"],
-            repr(f["value"]),
-        ])
+        fields = ["" if f[name] is None else f[name] for name in header[2:5]]
+        rows.append([f"0x{code:02X}", f["sign"], *fields, repr(f["value"])])
     _emit(args.out, _csv_text(header, rows))
     return 0
 
@@ -221,13 +218,15 @@ def _cmd_report_all(args) -> int:
     return _finish(args.out, checks.build_full_report(args.seed))
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"expected at most {most}, got {text!r}")
     return value
 
 
@@ -285,7 +284,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p = sub.add_parser("comm-sim", help="collective counts and volumes per block")
     add_common(p)
     p.add_argument("--group-size", type=_positive_int, default=4)
-    p.add_argument("--blocks", type=_positive_int, default=1)
+    p.add_argument("--blocks", type=lambda text: _positive_int(text, MAX_BLOCKS), default=1)
     p.add_argument("--chan", type=_positive_int, default=4)
     p.add_argument("--elem-bytes", type=_positive_int, default=2,
                    help="element width used for the bytes column")

@@ -16,11 +16,13 @@ space holds one zero plus 255 nonzero values, 256 distinct values total
 (a fully sign-symmetric set with a dedicated zero would need an odd code
 count, so one asymmetry is unavoidable). Codes are assigned in ascending
 numeric order, making the code byte the rank of its value: decoding is a
-table lookup and encoding is a binary search with round-to-nearest,
-ties-to-even over the value list, saturating at the extremes. The table
-and the value list `VALUES` are module constants; `checks.hif8_format_check`
+table lookup, and encoding counts the `MIDPOINTS` between adjacent values
+that lie below x (a binary search); an x exactly on a midpoint takes the
+even code of its two neighbours. That count is round-to-nearest,
+ties-to-even, and saturates at both ends with no extra step. The table,
+`VALUES` and `MIDPOINTS` are module constants; `checks.hif8_format_check`
 verifies the published constraints on them (range, center width, outward
-monotonicity, 256 distinct values).
+monotonicity, 256 distinct values) and the rounding at every midpoint.
 
 Quantization uses current scaling at per-tensor granularity: every call
 recomputes amax = max |x| and scale = target / (amax + eps), where the
@@ -36,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .anyres import PaddedGrid
+from .attention import skiparse_attention
 from .gridseq import GridShape, SequenceTensor
 from .skiparse import SparsePattern
 
@@ -69,6 +71,9 @@ VALUES = np.concatenate([-_MAGNITUDES[::-1], _MAGNITUDES])  # ascending; index e
 VALUES[ZERO_CODE] = 0.0
 VALUES.flags.writeable = False
 MAX_VALUE = float(VALUES[-1])
+# the 255 rounding boundaries; exact, because the values are short dyadics
+MIDPOINTS = (VALUES[:-1] + VALUES[1:]) / 2
+MIDPOINTS.flags.writeable = False
 
 
 def code_fields(code: int) -> dict:
@@ -91,28 +96,16 @@ def code_fields(code: int) -> dict:
     }
 
 
-def enumerate_values() -> list[tuple[int, float]]:
-    """All (code, value) pairs; 256 entries, strictly increasing values."""
-    return [(c, float(v)) for c, v in enumerate(VALUES)]
-
-
 def encode_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-value encoding with ties-to-even and saturation."""
+    """Vectorized nearest-value encoding with ties-to-even and saturation:
+    the code is the number of midpoints below x."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise EncodeError("cannot encode non-finite values")
-    vals = VALUES
-    hi = np.searchsorted(vals, x, side="left").astype(np.int64)
-    lo = np.clip(hi - 1, 0, 255)
-    hi = np.clip(hi, 0, 255)
-    d_lo = np.abs(x - vals[lo])
-    d_hi = np.abs(vals[hi] - x)
-    pick_hi = d_hi < d_lo
-    tie = d_hi == d_lo
-    codes = np.where(pick_hi, hi, lo)
-    # ties go to the even code of the two neighbours
-    codes = np.where(tie, np.where(hi % 2 == 0, hi, lo), codes)
-    return codes.astype(np.uint8)
+    codes = np.searchsorted(MIDPOINTS, x, side="left")
+    # an x on midpoint `codes` lies between codes and codes + 1: go to the even one
+    tie = MIDPOINTS[np.minimum(codes, 254)] == x
+    return (codes + (tie & (codes % 2 == 1))).astype(np.uint8)
 
 
 def decode_array(codes: np.ndarray) -> np.ndarray:
@@ -161,6 +154,8 @@ def quantize_tensor(x: SequenceTensor, mode: str, eps: float = DEFAULT_EPS) -> Q
     if x.data.dtype != np.float64:
         raise ValueError(f"quantize_tensor expects a float64 tensor, got {x.data.dtype}")
     amax = float(np.max(np.abs(x.data))) if x.data.size else 0.0
+    if not np.isfinite(amax):
+        raise EncodeError(f"cannot quantize a tensor with non-finite values (amax {amax})")
     scale = _MODE_MAX[mode] / (amax + eps)
     scaled = x.data * scale
     assert np.max(np.abs(scaled), initial=0.0) <= MAX_VALUE, "current scaling cannot overflow"
@@ -171,8 +166,8 @@ def dequantize(q: QuantizedTensor) -> SequenceTensor:
     return SequenceTensor(decode_array(q.codes.data) / q.scale)
 
 
-def roundtrip(x: SequenceTensor, mode: str, eps: float = DEFAULT_EPS) -> SequenceTensor:
-    return dequantize(quantize_tensor(x, mode, eps))
+def roundtrip(x: SequenceTensor, mode: str) -> SequenceTensor:
+    return dequantize(quantize_tensor(x, mode))
 
 
 def _error_stats(reference: np.ndarray, approx: np.ndarray) -> dict:
@@ -188,8 +183,7 @@ def _error_stats(reference: np.ndarray, approx: np.ndarray) -> dict:
     }
 
 
-def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
-                              mode: str = "forward", pg: PaddedGrid | None = None) -> dict:
+def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePattern) -> dict:
     """Forward-error probe: run the sparse attention path on the
     quantization round-trip of x and on x itself, and report input-side
     and output-side error statistics.
@@ -197,13 +191,11 @@ def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePa
     The input-side statistics are independent of the pattern because the
     per-tensor scale is permutation invariant.
     """
-    from .attention import skiparse_attention
-
-    xq = roundtrip(x, mode)
-    reference = skiparse_attention(x, g, pattern, pg)
-    probed = skiparse_attention(xq, g, pattern, pg)
+    xq = roundtrip(x, "forward")
+    reference = skiparse_attention(x, g, pattern)
+    probed = skiparse_attention(xq, g, pattern)
     return {
-        "mode": mode,
+        "mode": "forward",
         "pattern": pattern.value,
         "input": _error_stats(x.data, xq.data),
         "output": _error_stats(reference.data, probed.data),

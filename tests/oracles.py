@@ -112,3 +112,21 @@ def hif8_value_table(widths):
     values = [-v for v in reversed(mags)] + mags
     values[len(mags) - 1] = 0.0
     return values
+
+
+def hif8_nearest_codes(widths, xs):
+    """Encode by the two-neighbour rule over the table `hif8_value_table`
+    builds from `widths`: take the values on either side of x, keep the
+    nearer one, send an exact tie to the even code, and saturate at both
+    ends."""
+    vals = np.array(hif8_value_table(widths))
+    xs = np.asarray(xs, dtype=np.float64)
+    top = len(vals) - 1
+    hi = np.searchsorted(vals, xs, side="left")
+    lo = np.clip(hi - 1, 0, top)
+    hi = np.clip(hi, 0, top)
+    d_lo = np.abs(xs - vals[lo])
+    d_hi = np.abs(vals[hi] - xs)
+    codes = np.where(d_hi < d_lo, hi, lo)
+    codes = np.where(d_hi == d_lo, np.where(hi % 2 == 0, hi, lo), codes)
+    return codes.astype(np.uint8)

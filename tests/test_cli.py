@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import osp
 from oracles import hif8_value_table
 from osp import checks
-from osp.cli import main
-from osp.gridseq import random_tensor, read_ospt, write_ospt
+from osp.cli import MAX_BLOCKS, main
+from osp.gridseq import SequenceTensor, random_tensor, read_ospt, write_ospt
 from osp.skiparse import LayerKind
 
 
@@ -294,6 +295,40 @@ def test_quantize_rejects_inconsistent_ospt(raw, tmp_path, capsys):
     assert not (tmp_path / "xq.ospt").exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_quantize_rejects_non_finite_ospt(bad, tmp_path, capsys):
+    src = tmp_path / "x.ospt"
+    write_ospt(src, SequenceTensor(np.array([[[1.0], [bad]]])))
+    code = main(["hif8", "quantize", "--mode", "backward",
+                 "--input", str(src), "--output", str(tmp_path / "xq.ospt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "xq.ospt").exists()
+
+
+@pytest.mark.parametrize("config,flags,expected", [
+    ("", ["--blocks", str(MAX_BLOCKS + 1)], 2),
+    ("blocks = 100000000", [], 2),
+    ("", ["--blocks", str(MAX_BLOCKS)], 0),
+], ids=["flag-over-cap", "config-over-cap", "at-cap"])
+def test_blocks_are_capped(config, flags, expected, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    switch, calls = checks.ssp_pattern_switch, []
+
+    def counted_switch(*args, **kwargs):
+        calls.append(1)
+        assert expected == 0, "a switch ran for --blocks above the cap"
+        return switch(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "ssp_pattern_switch", counted_switch)
+    assert _run_code(["--config", str(cfg), "comm-sim", *flags]) == expected
+    assert len(calls) == (MAX_BLOCKS if expected == 0 else 0)
+    if expected:
+        assert "error:" in capsys.readouterr().err
+
+
 def test_assertion_failure_exits_1_and_names_invariant(capsys, monkeypatch):
     failing = {"grid": [1, 4, 4], "k": 2, "max_hops": 3,
                "checks": {"max_hops_at_most_two": False}, "pass": False}
@@ -338,6 +373,34 @@ def test_failing_comm_sim_csv_names_its_invariant(monkeypatch, capsys):
     assert "FAIL: volume_ratio_one_quarter" in capsys.readouterr().err
 
 
+# the HiF8 value table built from the tests' own taper widths
+_TABLE = hif8_value_table({e: 3 if -3 <= e <= 3 else 2 if e in (-5, -4, 4, 5, 6) else 1
+                           for e in range(-22, 16)})
+
+
+def _tie_to_odd(encode_array):
+    # 224 is the midpoint of 192 and 256; send it to whichever code is odd
+    odd = next(c for c in (_TABLE.index(192.0), _TABLE.index(256.0)) if c % 2)
+    return lambda x: np.where(np.asarray(x) == 224.0, odd, encode_array(x)).astype(np.uint8)
+
+
+def _round_lower_neighbour_up(encode_array):
+    # the float just below the midpoint of codes 200 and 201 goes to 201
+    below = np.nextafter((_TABLE[200] + _TABLE[201]) / 2, -np.inf)
+    return lambda x: np.where(np.asarray(x) == below, 201, encode_array(x)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("mutant,invariant", [
+    (_tie_to_odd, "ties_to_even_code"),
+    (_round_lower_neighbour_up, "nearest_on_both_sides_of_every_midpoint"),
+], ids=["tie-to-odd", "lower-neighbour-up"])
+def test_misrounding_encoder_fails_report_all(mutant, invariant, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(checks, "encode_array", mutant(checks.encode_array))
+    code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert f"sections.hif8_format.{invariant}" in capsys.readouterr().err
+
+
 def _run_code(argv) -> int:
     try:
         return main(argv)
@@ -372,6 +435,7 @@ _GRID = st.one_of(
     .map(lambda dims: ",".join(map(str, dims))),
     st.sampled_from(["", "1,4", "1,4,4,4", "a,b,c", "1, 4, x"]))
 _K = st.one_of(_EDGE, st.integers(-1, 3).map(str), _JUNK)
+_OVER_CAP = st.integers(MAX_BLOCKS + 1, 10 ** 12).map(str)
 
 
 def _words(*words):
@@ -386,14 +450,16 @@ _COMMANDS = {
     ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL,
                        "pattern": _words("original", "tsa", "gsa")},
     ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL, "group_size": _SMALL,
-                    "blocks": _SMALL, "elem_bytes": _SMALL, "format": _words("json", "csv")},
+                    "blocks": st.one_of(_SMALL, _OVER_CAP), "elem_bytes": _SMALL,
+                    "format": _words("json", "csv")},
     ("hif8", "enum"): {},
     ("hif8", "encode"): {"value": st.one_of(
         st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e-300", "x", ""]),
         st.floats(allow_nan=False, allow_infinity=False).map(repr))},
     ("hif8", "quantize"): {"mode": _words("forward", "backward"),
                            "input": st.sampled_from(["x.ospt", "zero.ospt", "short.ospt",
-                                                     "empty.ospt", "missing.ospt"]),
+                                                     "empty.ospt", "missing.ospt", "nan.ospt",
+                                                     "inf.ospt"]),
                            "output": st.sampled_from(["y.ospt", "no-dir/y.ospt"])},
     ("sampler",): {"steps": _SMALL, "sde_steps": _SMALL, "ensemble": _SMALL, "seed": _SEED},
     ("report-all",): {"seed": _SEED},
@@ -405,6 +471,8 @@ def _write_inputs(root: Path) -> None:
     write_ospt(root / "zero.ospt", random_tensor(0, 0, 0, seed=1))
     (root / "short.ospt").write_bytes((root / "x.ospt").read_bytes()[:-3])
     (root / "empty.ospt").write_bytes(b"")
+    write_ospt(root / "nan.ospt", SequenceTensor(np.array([[[1.0], [np.nan]]])))
+    write_ospt(root / "inf.ospt", SequenceTensor(np.array([[[1.0], [-np.inf]]])))
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS), ids=" ".join)
@@ -414,11 +482,12 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _write_inputs(root)
-        flags, config = [], []
+        flags, config, over_cap = [], [], False
         for name, values in _COMMANDS[command].items():
             if not data.draw(st.booleans(), label=f"set {name}"):
                 continue
             value = data.draw(values, label=name)
+            over_cap |= name == "blocks" and value.isdigit() and int(value) > MAX_BLOCKS
             if name in ("out", "input", "output") and value:
                 value = str(root / value)
             if data.draw(st.booleans(), label=f"{name} in config"):
@@ -429,5 +498,12 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
         if config:
             (root / "run.cfg").write_text("\n".join(config) + "\n")
             argv = ["--config", str(root / "run.cfg"), *argv]
-        code = _run_code(argv)
+        switch = checks.ssp_pattern_switch
+
+        def guarded_switch(*args, **kwargs):
+            assert not over_cap, f"a switch ran for --blocks above {MAX_BLOCKS}: {argv}"
+            return switch(*args, **kwargs)
+
+        with mock.patch.object(checks, "ssp_pattern_switch", guarded_switch):
+            code = _run_code(argv)
     assert code in (0, 1, 2), argv

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hif8_value_table
+from oracles import hif8_nearest_codes, hif8_value_table
+from osp.checks import hif8_format_check
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
-from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, VALUES, ZERO_CODE, EncodeError, code_fields,
-                      decode, decode_array, dequantize, encode, encode_array, enumerate_values,
+from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, MIDPOINTS, VALUES, ZERO_CODE, EncodeError,
+                      code_fields, decode, decode_array, dequantize, encode, encode_array,
                       quantize_tensor, quantized_attention_probe, roundtrip)
 from osp.skiparse import SparsePattern
 
@@ -25,12 +26,11 @@ def _default_widths():
 
 def test_value_set_matches_independent_enumeration():
     expected = hif8_value_table(_default_widths())
-    got = [v for _, v in enumerate_values()]
-    assert got == expected
+    assert VALUES.tolist() == expected
 
 
 def test_enumeration_has_256_distinct_values():
-    values = [v for _, v in enumerate_values()]
+    values = VALUES.tolist()
     assert len(values) == 256
     assert len(set(values)) == 256
     assert values == sorted(values)
@@ -101,6 +101,60 @@ def test_ties_to_even():
     winner = encode(224.0)
     assert winner in (code_192, code_256)
     assert winner % 2 == 0
+
+
+def _boundary_set():
+    """Every value, every midpoint between neighbours and its two one-ulp
+    neighbours, both zeros, the smallest binade edge and points at and past
+    both saturation ends, from the test's own table."""
+    table = np.array(hif8_value_table(_default_widths()))
+    mids = (table[:-1] + table[1:]) / 2
+    top = table[-1]
+    edges = [0.0, -0.0, 2.0 ** -22, -2.0 ** -22, np.nextafter(top, np.inf),
+             np.nextafter(-top, -np.inf), 2 * top, -2 * top, 1e300, -1e300]
+    return np.concatenate([table, mids, np.nextafter(mids, -np.inf),
+                           np.nextafter(mids, np.inf), edges])
+
+
+def test_midpoints_are_exact_and_read_only():
+    table = np.array(hif8_value_table(_default_widths()))
+    assert np.array_equal(MIDPOINTS - table[:-1], table[1:] - MIDPOINTS)
+    assert ((table[:-1] < MIDPOINTS) & (MIDPOINTS < table[1:])).all()
+    with pytest.raises(ValueError):
+        MIDPOINTS[0] = 0.0
+
+
+def test_encode_matches_two_neighbour_oracle_on_boundary_set():
+    xs = _boundary_set()
+    assert xs.size == 1031
+    assert np.array_equal(encode_array(xs), hif8_nearest_codes(_default_widths(), xs))
+
+
+def test_encode_matches_two_neighbour_oracle_on_seeded_values():
+    # 4M values: every binade from 2^-25 to 2^17 (past both saturation
+    # ends), both signs, and both zeros; every other chunk snaps the
+    # significand to 1/64 so values and midpoints are hit exactly
+    rng = np.random.Generator(np.random.PCG64(2026))
+    widths, seen = _default_widths(), set()
+    for chunk in range(4):
+        n = 1_000_000
+        exps = rng.integers(-25, 18, n)
+        sig = rng.uniform(1.0, 2.0, n)
+        if chunk % 2:
+            sig = np.round(sig * 64) / 64
+        xs = rng.choice([-1.0, 1.0], n) * sig * 2.0 ** exps
+        xs[:2] = 0.0, -0.0
+        seen.update(np.unique(exps).tolist())
+        assert np.array_equal(encode_array(xs), hif8_nearest_codes(widths, xs)), chunk
+    assert seen == set(range(-25, 18))
+
+
+def test_format_check_reaches_the_binade_supremum():
+    report = hif8_format_check()
+    assert report["pass"]
+    assert report["max_rel_over_bound"] == 16 / 17
+    assert {"nearest_on_both_sides_of_every_midpoint", "ties_to_even_code",
+            "encode_monotone_and_saturating"} <= set(report["checks"])
 
 
 @settings(deadline=None, max_examples=200)
@@ -174,7 +228,7 @@ def test_invalid_mode_rejected():
 def test_roundtrip_exact_on_representable_grid():
     # with eps = 0 and amax a power-of-two multiple of 15, every x * scale
     # lands exactly on a representable value
-    reps = np.array([v for _, v in enumerate_values() if abs(v) <= 15.0 and v != 0.0])
+    reps = VALUES[(np.abs(VALUES) <= 15.0) & (VALUES != 0.0)]
     assert reps.max() == 15.0
     x = SequenceTensor((reps * 4.0).reshape(1, -1, 1))  # amax = 60 = 15 * 2^2
     q = quantize_tensor(x, "forward", eps=0.0)
