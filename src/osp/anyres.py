@@ -67,16 +67,16 @@ def pad_grid(g: GridShape) -> PaddedGrid:
     return PaddedGrid(g, padded, mask, embedding)
 
 
-def pad_tensor(x: SequenceTensor, pg: PaddedGrid, pad_value: float = 0.0,
+def pad_tensor(x: SequenceTensor, pg: PaddedGrid,
                pad_fill: np.ndarray | None = None) -> SequenceTensor:
     """Embed an original-grid tensor into the padded grid.
 
-    Pad positions take `pad_value` (or rows from `pad_fill`, used by tests
-    to prove that results never depend on pad contents).
+    Pad positions hold zeros (or rows from `pad_fill`, used by tests to
+    prove that results never depend on pad contents).
     """
     if x.seq != pg.original.seq_len:
         raise ShapeError(f"expected seq {pg.original.seq_len}, got {x.seq}")
-    out = np.full((x.batch, pg.padded.seq_len, x.chan), pad_value, dtype=x.data.dtype)
+    out = np.zeros((x.batch, pg.padded.seq_len, x.chan), dtype=x.data.dtype)
     if pad_fill is not None:
         out[:, ~pg.mask, :] = pad_fill
     out[:, pg.embedding, :] = x.data

@@ -20,15 +20,15 @@ from .skiparse import SparsePattern, assignment_of, pattern_map
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 
 
-def qkv_projections(chan: int, seed: int = PROJECTION_SEED) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.Generator(np.random.PCG64(seed))
+def qkv_projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rng = np.random.Generator(np.random.PCG64(PROJECTION_SEED))
     scale = 1.0 / np.sqrt(chan)
     wq, wk, wv = (rng.standard_normal((chan, chan)) * scale for _ in range(3))
     return wq, wk, wv
 
 
-def project_qkv(x: SequenceTensor, seed: int = PROJECTION_SEED) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
-    wq, wk, wv = qkv_projections(x.chan, seed)
+def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
+    wq, wk, wv = qkv_projections(x.chan)
     return (SequenceTensor(x.data @ wq), SequenceTensor(x.data @ wk), SequenceTensor(x.data @ wv))
 
 

@@ -38,10 +38,10 @@ def _verdict(checks: dict[str, bool], **fields) -> dict:
     return {**fields, "checks": checks, "pass": all(checks.values())}
 
 
-def rearrange_checks(g: GridShape, seed: int = 0, chan: int = 3) -> dict:
+def rearrange_checks(g: GridShape, seed: int) -> dict:
     """Round-trip, inverse-consistency and conversion-coherence checks for
     all six pattern maps on one grid, applied to a random tensor."""
-    x = random_tensor(2, g.seq_len, chan, seed)
+    x = random_tensor(2, g.seq_len, 3, seed)
     to_tsa, from_tsa = orig_to_tsa(g, 2), tsa_to_orig(g, 2)
     to_gsa, from_gsa = orig_to_gsa(g, 2), gsa_to_orig(g, 2)
     t2g, g2t = tsa_to_gsa(g, 2), gsa_to_tsa(g, 2)
@@ -88,7 +88,7 @@ def reach_check(g: GridShape) -> dict:
                     max_hops=hops if hops == float("inf") else int(hops))
 
 
-def local_equivalence_check(g: GridShape, seed: int = 1, chan: int = 3) -> dict:
+def local_equivalence_check(g: GridShape, seed: int) -> dict:
     """The global rearrange restricted to any k^2-by-k^2 subfigure must equal
     the rearrange of that subfigure alone, up to the subfigure's offsets
     inside each subsequence. Verified by value comparison on a random
@@ -98,7 +98,7 @@ def local_equivalence_check(g: GridShape, seed: int = 1, chan: int = 3) -> dict:
     if g.t != 1 or g.h % unit or g.w % unit:
         raise ValueError("local equivalence check expects t=1 and h, w multiples of k^2")
     small = GridShape(1, unit, unit, k)
-    x = random_tensor(1, g.seq_len, chan, seed)
+    x = random_tensor(1, g.seq_len, 3, seed)
     wred, wgrp = g.w // k, g.w // unit
     ok = True
     for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE):
@@ -130,8 +130,7 @@ def local_equivalence_check(g: GridShape, seed: int = 1, chan: int = 3) -> dict:
                     grid=[g.t, g.h, g.w], k=g.k)
 
 
-def attention_check(g: GridShape, pattern: SparsePattern, chan: int = 8, seed: int = 2,
-                    tolerance: float = ATTN_TOLERANCE) -> dict:
+def attention_check(g: GridShape, pattern: SparsePattern, seed: int, chan: int = 8) -> dict:
     """Sparse path versus the 2-D-mask dense oracle, padding first when the
     grid is not a multiple of k^2."""
     pg = pad_grid(g)
@@ -140,16 +139,17 @@ def attention_check(g: GridShape, pattern: SparsePattern, chan: int = 8, seed: i
     ref = skiparse_reference(xp, g, pattern, pg)
     max_err = float(np.max(np.abs(out.data - ref.data)))
     fl = flop_report(pg.padded, pattern, chan)
-    return _verdict({"skiparse_matches_masked_dense_oracle": max_err <= tolerance},
+    return _verdict({"skiparse_matches_masked_dense_oracle": max_err <= ATTN_TOLERANCE},
                     grid=[g.t, g.h, g.w], k=g.k, pattern=pattern.value,
                     padded=not pg.trivial, max_abs_err=max_err, flop_ratio=fl.ratio)
 
 
-def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int = 3,
-                 tolerance: float = ATTN_TOLERANCE) -> dict:
-    """Padding, 1-D mask, pad-content independence and position stability."""
+def anyres_check(seed: int) -> dict:
+    """Padding, 1-D mask, pad-content independence and position stability
+    on a 5x6 grid, which pads to 8x8 at k = 2."""
+    g = GridShape(1, 5, 6, 2)
     pg = pad_grid(g)
-    x = random_tensor(1, g.seq_len, chan, seed)
+    x = random_tensor(1, g.seq_len, 6, seed)
     xp = pad_tensor(x, pg)
 
     real = int(pg.mask.sum())
@@ -164,7 +164,7 @@ def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int 
     errs = {}
     invariance_ok = True
     rng = np.random.Generator(np.random.PCG64(seed + 100))
-    junk = rng.standard_normal(((~pg.mask).sum(), chan)) * 1e6
+    junk = rng.standard_normal(((~pg.mask).sum(), x.chan)) * 1e6
     for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE):
         out = skiparse_attention(xp, g, pattern, pg)
         ref = skiparse_reference(xp, g, pattern, pg)
@@ -189,7 +189,7 @@ def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int 
         "real_token_count": real == g.seq_len,
         "mask_counts_preserved": bool(mask_counts_ok),
         "strip_after_pad_identity": bool(strip_ok),
-        "masked_attention_matches_oracle": all(e <= tolerance for e in errs.values()),
+        "masked_attention_matches_oracle": all(e <= ATTN_TOLERANCE for e in errs.values()),
         "pad_content_independent": bool(invariance_ok),
         "position_stable_across_shapes": bool(stability_ok),
     }
@@ -198,7 +198,7 @@ def anyres_check(g: GridShape = GridShape(1, 5, 6, 2), chan: int = 6, seed: int 
                     real_tokens=real, pad_tokens=int((~pg.mask).sum()), max_abs_err=errs)
 
 
-def ssp_check(g: GridShape, group_size: int, chan: int = 4, seed: int = 4,
+def ssp_check(g: GridShape, group_size: int, seed: int, chan: int = 4,
               blocks: int = 2) -> dict:
     """`blocks` pattern switches, alternating TSA->GSA->TSA..., each checked
     rank by rank against the gather/convert/reshard oracle. The collective
@@ -320,7 +320,7 @@ def hif8_format_check() -> dict:
                     max_rel_over_bound=float(np.max(rel[~remapped] / bound[~remapped])))
 
 
-def quantizer_check(tolerance: float = 1e-12) -> dict:
+def quantizer_check() -> dict:
     """Scale formula against independently computed targets, the all-zero
     degenerate case, and current-scaling freshness."""
     rows = []
@@ -331,7 +331,7 @@ def quantizer_check(tolerance: float = 1e-12) -> dict:
             q = quantize_tensor(x, mode)
             expected = target / (amax + DEFAULT_EPS)
             err = abs(q.scale - expected)
-            ok = ok and err <= tolerance
+            ok = ok and err <= 1e-12
             rows.append({"amax": amax, "mode": mode, "scale": q.scale,
                          "expected": expected, "abs_err": err})
 
@@ -349,14 +349,15 @@ def quantizer_check(tolerance: float = 1e-12) -> dict:
     return _verdict(checks, rows=rows)
 
 
-def sampler_check(steps: int = 25, sde_steps: int = 10, ensemble: int = 10_000,
-                  seed: int = 7, dim: int = 2) -> dict:
-    """Mixed rollout marginals against the analytic flow, plus the bitwise
-    equality of the noise-free schedule with the pure deterministic one."""
-    proc = standard_ou(dim)
+def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10,
+                  ensemble: int = 10_000) -> dict:
+    """Mixed rollout marginals of the 2-D standard OU toy against the
+    analytic flow, plus the bitwise equality of the noise-free schedule
+    with the pure deterministic one."""
+    proc = standard_ou(2)
     sched = uniform_schedule(steps, set(range(sde_steps)))
     rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.standard_normal((ensemble, dim)) * np.sqrt(proc.var_at(float(sched.times[0])))
+    x0 = rng.standard_normal((ensemble, proc.dim)) * np.sqrt(proc.var_at(float(sched.times[0])))
     result = mixed_rollout(x0, sched, proc, rng)
     report = marginal_report(result, proc, sched)
 
@@ -368,7 +369,7 @@ def sampler_check(steps: int = 25, sde_steps: int = 10, ensemble: int = 10_000,
 
     checks = {
         "marginals_within_4_se": report["pass"],
-        "noise_draws_exact": result.noise_draws == sde_steps * dim * ensemble,
+        "noise_draws_exact": result.noise_draws == sde_steps * proc.dim * ensemble,
         "empty_sde_set_is_pure_ode": bool(bitwise_ok),
     }
     return _verdict(checks, steps=steps, sde_steps=sde_steps, ensemble=ensemble, seed=seed,
@@ -388,10 +389,12 @@ def schedule_check() -> dict:
                     layers_40_8=[l.value for l in s40])
 
 
-def probe_check(g: GridShape = GridShape(1, 8, 8, 2), chan: int = 8, seed: int = 5) -> dict:
-    """Quantized attention probe; input-side statistics must be identical
-    across patterns because the per-tensor scale ignores token order."""
-    x = random_tensor(1, g.seq_len, chan, seed)
+def probe_check(seed: int) -> dict:
+    """Quantized attention probe on an 8x8 grid at k = 2; input-side
+    statistics must be identical across patterns because the per-tensor
+    scale ignores token order."""
+    g = GridShape(1, 8, 8, 2)
+    x = random_tensor(1, g.seq_len, 8, seed)
     reports = {p.value: quantized_attention_probe(x, g, p)
                for p in (SparsePattern.ORIGINAL, SparsePattern.TOKEN_WISE,
                          SparsePattern.GROUP_WISE)}
@@ -412,21 +415,21 @@ def build_full_report(seed: int) -> dict:
     g882, g993 = GridShape(1, 8, 8, 2), GridShape(1, 9, 9, 3)
     patterns = (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)
     sections = {
-        "rearrange": _cases("grids", [rearrange_checks(g, seed=seed) for g in ACCEPTANCE_GRIDS]),
+        "rearrange": _cases("grids", [rearrange_checks(g, seed) for g in ACCEPTANCE_GRIDS]),
         "reachability": _cases("grids", [reach_check(g) for g in ACCEPTANCE_GRIDS]),
-        "local_equivalence": _cases("grids", [local_equivalence_check(g, seed=seed + 1)
+        "local_equivalence": _cases("grids", [local_equivalence_check(g, seed + 1)
                                               for g in (g882, g993)]),
-        "attention": _cases("cases", [attention_check(g, p, seed=seed + 2)
+        "attention": _cases("cases", [attention_check(g, p, seed + 2)
                                       for g in (GridShape(1, 4, 4, 2), g882, g993)
                                       for p in patterns]),
-        "anyres": anyres_check(seed=seed + 3),
-        "ssp": _cases("cases", [ssp_check(g, n, seed=seed + 4) for g, n in
+        "anyres": anyres_check(seed + 3),
+        "ssp": _cases("cases", [ssp_check(g, n, seed + 4) for g, n in
                                 ((GridShape(1, 4, 4, 2), 4), (g882, 2), (g882, 4))]),
         "flops": flops_check(),
         "hif8_format": hif8_format_check(),
         "quantizer": quantizer_check(),
-        "quantized_attention_probe": probe_check(seed=seed + 5),
-        "sampler": sampler_check(seed=seed),
+        "quantized_attention_probe": probe_check(seed + 5),
+        "sampler": sampler_check(seed),
         "layer_schedule": schedule_check(),
     }
     return {"seed": seed, "sections": sections,

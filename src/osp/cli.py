@@ -114,7 +114,7 @@ def _grid_arg(args) -> GridShape:
 
 def _cmd_rearrange_check(args) -> int:
     g = _grid_arg(args)
-    payload = checks.rearrange_checks(g, seed=args.seed)
+    payload = checks.rearrange_checks(g, args.seed)
     payload["assignments"] = {
         pattern.value: assignment_of(g, pattern).to_rows()
         for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)
@@ -146,12 +146,12 @@ def _cmd_mask_dump(args) -> int:
 
 def _cmd_attn_verify(args) -> int:
     return _finish(args.out, checks.attention_check(_grid_arg(args), SparsePattern(args.pattern),
-                                                    chan=args.chan, seed=args.seed))
+                                                    args.seed, chan=args.chan))
 
 
 def _cmd_comm_sim(args) -> int:
-    payload = checks.ssp_check(_grid_arg(args), args.group_size, chan=args.chan,
-                               seed=args.seed, blocks=args.blocks)
+    payload = checks.ssp_check(_grid_arg(args), args.group_size, args.seed, chan=args.chan,
+                               blocks=args.blocks)
     payload["per_rank_bytes"] = payload["per_rank_elements"] * args.elem_bytes
     payload["element_bytes"] = args.elem_bytes
     if args.format == "csv":
@@ -204,7 +204,7 @@ def _cmd_hif8_quantize(args) -> int:
 def _cmd_sampler(args) -> int:
     if not 0 <= args.sde_steps <= args.steps:
         raise UsageError(f"--sde-steps {args.sde_steps} is outside 0..--steps {args.steps}")
-    payload = checks.sampler_check(args.steps, args.sde_steps, args.ensemble, args.seed)
+    payload = checks.sampler_check(args.seed, args.steps, args.sde_steps, args.ensemble)
     if args.out:
         rows = [[repr(s["t"]), repr(s["mean"]), repr(s["var"]),
                  repr(s["analytic_mean"]), repr(s["analytic_var"])]
@@ -227,6 +227,17 @@ def _positive_int(text: str, most: int | None = None) -> int:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     if most is not None and value > most:
         raise argparse.ArgumentTypeError(f"expected at most {most}, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A seed as the PCG64 generators take it: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -254,35 +265,37 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     defaults = config or {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, grid=True, seed=True, out=True):
-        if grid:
-            p.add_argument("--grid", default="1,8,8", help="T,H,W latent grid")
-            p.add_argument("--k", type=int, default=2, help="sparse ratio (skip interval)")
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if out:
-            p.add_argument("--out", help="write the report here instead of stdout")
+    def add_common(p):
+        p.add_argument("--grid", default="1,8,8", help="T,H,W latent grid")
+        p.add_argument("--k", type=int, default=2, help="sparse ratio (skip interval)")
+        p.add_argument("--out", help="write the report here instead of stdout")
+
+    def add_seed(p):
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("rearrange-check", help="pattern map round-trips and coherence")
     add_common(p)
+    add_seed(p)
     p.set_defaults(func=_cmd_rearrange_check, **defaults)
 
-    p = sub.add_parser("reach", help="two-hop reachability by exhaustive enumeration")
-    add_common(p, seed=False)
+    p = sub.add_parser("reach", help="two-hop reachability on the (TSA id, GSA id) matrix")
+    add_common(p)
     p.set_defaults(func=_cmd_reach, **defaults)
 
     p = sub.add_parser("mask-dump", help="padding mask summary and binary dump")
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(func=_cmd_mask_dump, **defaults)
 
     p = sub.add_parser("attn-verify", help="sparse attention vs masked dense oracle")
     add_common(p)
+    add_seed(p)
     _add_choice(p, "--pattern", tuple(s.value for s in SparsePattern), default="tsa")
     p.add_argument("--chan", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_attn_verify, **defaults)
 
     p = sub.add_parser("comm-sim", help="collective counts and volumes per block")
     add_common(p)
+    add_seed(p)
     p.add_argument("--group-size", type=_positive_int, default=4)
     p.add_argument("--blocks", type=lambda text: _positive_int(text, MAX_BLOCKS), default=1)
     p.add_argument("--chan", type=_positive_int, default=4)
@@ -314,12 +327,12 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--sde-steps", type=int, default=10)
     p.add_argument("--ensemble", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_seed(p)
     p.add_argument("--out", help="per-step CSV path")
     p.set_defaults(func=_cmd_sampler, **defaults)
 
     p = sub.add_parser("report-all", help="run every verification, one JSON report")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_seed(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_report_all, **defaults)
 
@@ -339,7 +352,10 @@ def main(argv: list[str] | None = None) -> int:
                     raise UsageError(f"config key {key!r} does not match any option")
             args = _build_parser(config).parse_args(argv)
         if "OSP_SEED" in os.environ and hasattr(args, "seed"):
-            args.seed = int(os.environ["OSP_SEED"])
+            try:
+                args.seed = _seed(os.environ["OSP_SEED"])
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"OSP_SEED {exc}") from None
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

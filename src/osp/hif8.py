@@ -25,8 +25,9 @@ verifies the published constraints on them (range, center width, outward
 monotonicity, 256 distinct values) and the rounding at every midpoint.
 
 Quantization uses current scaling at per-tensor granularity: every call
-recomputes amax = max |x| and scale = target / (amax + eps), where the
-target is 15.0 in forward mode and 224.0 in backward mode, then stores
+recomputes amax = max |x| and scale = target / (amax + eps), where eps
+is DEFAULT_EPS = 1e-12 and the target is 15.0 in forward mode and 224.0
+in backward mode, then stores
 encode(x * scale) with the single scale.
 """
 
@@ -140,12 +141,13 @@ class QuantizedTensor:
             raise ValueError("scale must be positive")
 
 
-def quantize_tensor(x: SequenceTensor, mode: str, eps: float = DEFAULT_EPS) -> QuantizedTensor:
+def quantize_tensor(x: SequenceTensor, mode: str) -> QuantizedTensor:
     """Current scaling at per-tensor granularity.
 
     amax is recomputed from the live tensor on every call; scale is
-    target / (amax + eps) with target 15.0 (forward) or 224.0 (backward).
-    An all-zero tensor degenerates to scale = target / eps with every code
+    target / (amax + DEFAULT_EPS) with target 15.0 (forward) or 224.0
+    (backward). An all-zero tensor degenerates to scale = target /
+    DEFAULT_EPS with every code
     at exact zero. After scaling, |x * scale| <= target by construction,
     far below the format maximum, so saturation never engages here.
     """
@@ -156,7 +158,7 @@ def quantize_tensor(x: SequenceTensor, mode: str, eps: float = DEFAULT_EPS) -> Q
     amax = float(np.max(np.abs(x.data))) if x.data.size else 0.0
     if not np.isfinite(amax):
         raise EncodeError(f"cannot quantize a tensor with non-finite values (amax {amax})")
-    scale = _MODE_MAX[mode] / (amax + eps)
+    scale = _MODE_MAX[mode] / (amax + DEFAULT_EPS)
     scaled = x.data * scale
     assert np.max(np.abs(scaled), initial=0.0) <= MAX_VALUE, "current scaling cannot overflow"
     return QuantizedTensor(SequenceTensor(encode_array(scaled)), scale, mode, amax)

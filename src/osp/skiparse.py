@@ -10,8 +10,8 @@ subsequences, concatenated along the batch axis:
       q1 = (col // k) mod k (patch-unshuffle style).
 
 Alternating the two patterns lets any two tokens interact within at most
-two attention operations; `reachability_hops` verifies that claim by
-exhaustive pair enumeration.
+two attention operations; `reachability_hops` decides that claim on the
+k^2-by-k^2 matrix of occupied (TSA id, GSA id) pairs.
 
 Every map comes from one table, `_LAYOUTS`, which writes the original,
 token-wise and group-wise layouts as orderings of the same named factors

@@ -52,21 +52,20 @@ class ProtocolError(ValueError):
 class CommEvent:
     kind: str  # "all_to_all" | "all_gather"
     payload_per_rank: int  # scalar elements moved per rank
-    label: str = ""
 
 
 @dataclass
 class CommLog:
     events: list[CommEvent] = field(default_factory=list)
 
-    def record(self, kind: str, payload_per_rank: int, label: str = "") -> None:
-        self.events.append(CommEvent(kind, int(payload_per_rank), label))
+    def record(self, kind: str, payload_per_rank: int) -> None:
+        self.events.append(CommEvent(kind, int(payload_per_rank)))
 
-    def count(self, kind: str | None = None) -> int:
-        return sum(1 for e in self.events if kind is None or e.kind == kind)
+    def count(self, kind: str) -> int:
+        return sum(1 for e in self.events if e.kind == kind)
 
-    def total_payload(self, kind: str | None = None) -> int:
-        return sum(e.payload_per_rank for e in self.events if kind is None or e.kind == kind)
+    def total_payload(self, kind: str) -> int:
+        return sum(e.payload_per_rank for e in self.events if e.kind == kind)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def gather_shards(group: ProcessGroup) -> SequenceTensor:
     return SequenceTensor(data)
 
 
-def all_to_all(send: list[np.ndarray], log: CommLog, label: str = "") -> list[np.ndarray]:
+def all_to_all(send: list[np.ndarray], log: CommLog) -> list[np.ndarray]:
     """All-to-all collective: received[r] is the concatenation over j of
     rank j's r-th chunk. Each send buffer must split into N equal chunks
     along its leading axis. Logs one event; the payload metric is the
@@ -138,7 +137,7 @@ def all_to_all(send: list[np.ndarray], log: CommLog, label: str = "") -> list[np
         np.concatenate([chunked[j][r] for j in range(n)], axis=0)
         for r in range(n)
     ]
-    log.record("all_to_all", sizes.pop(), label)
+    log.record("all_to_all", sizes.pop())
     return received
 
 
@@ -175,7 +174,7 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     # 1. local rearrangement: group local elements by target subsequence
     send = [split.apply(s.tensor).data for s in group.shards]
     # 2. one all-to-all delivers each target block to its owner rank
-    received = all_to_all(send, group.log, label="pattern-switch")
+    received = all_to_all(send, group.log)
     # 3. one local gather into the switched layout
     out_shards = [RankShard(r, merge.apply(SequenceTensor(buf)))
                   for r, buf in enumerate(received)]

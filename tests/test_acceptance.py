@@ -190,7 +190,7 @@ def test_criterion_9_mixed_sampler_marginals():
         rng = np.random.Generator(np.random.PCG64(7))
         x0 = rng.standard_normal((10_000, 2)) * math.sqrt(proc.var_at(1.0))
         result = mixed_rollout(x0, sched, proc, rng)
-        report = marginal_report(result, proc, sched, z=4.0)
+        report = marginal_report(result, proc, sched)
         assert report["pass"], [s for s in report["steps"] if not (s["mean_ok"] and s["var_ok"])]
         assert result.noise_draws == 10 * 2 * 10_000
         # with an empty stochastic set the rollout is bitwise the manual

@@ -96,10 +96,10 @@ def test_comm_sim_impossible_configuration_is_usage_error(argv, capsys):
 def test_double_traffic_fails_the_ledger_checks(argv, monkeypatch, capsys, tmp_path):
     real = osp.ssp.all_to_all
 
-    def all_to_all(send, log, label=""):
+    def all_to_all(send, log):
         # the right buffers arrive, but every one is shipped twice
-        received = real(send, osp.ssp.CommLog(), label)
-        log.record("all_to_all", 2 * send[0].size, label)
+        received = real(send, osp.ssp.CommLog())
+        log.record("all_to_all", 2 * send[0].size)
         return received
 
     monkeypatch.setattr(osp.ssp, "all_to_all", all_to_all)
@@ -223,6 +223,25 @@ def test_env_seed_overrides_flag(capsys, monkeypatch):
                                        "--ensemble", "16", "--seed", "9"])
     assert code == 0
     assert payload["seed"] == 123
+
+
+@pytest.mark.parametrize("argv,config,env,error", [
+    (["--seed", "-1"], "", None, "argument --seed: must be a non-negative integer, got '-1'"),
+    ([], "seed = x", None, "argument --seed: must be a non-negative integer, got 'x'"),
+    ([], "", "x", "error: OSP_SEED must be a non-negative integer, got 'x'"),
+], ids=["flag", "config", "env"])
+def test_bad_seed_is_named_before_any_check_runs(argv, config, env, error, tmp_path,
+                                                 monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    monkeypatch.delenv("OSP_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("OSP_SEED", env)
+    monkeypatch.setattr(checks, "build_full_report", mock.Mock(side_effect=AssertionError))
+    assert _run_code(["--config", str(cfg), "report-all", *argv]) == 2
+    err = capsys.readouterr().err
+    assert error in err
+    assert "Traceback" not in err
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
@@ -426,6 +445,8 @@ def test_off_list_and_zero_values_are_usage_errors(config, argv, tmp_path, capsy
 # Drawn option values for the exit-code contract. Sizes stay small (grid
 # dims <= 12, k <= 3, ensemble and steps <= 12) so each run is quick;
 # off-list words, zero and negative numbers are always among the draws.
+# Options argparse requires are always set, as flags (a config value does
+# not satisfy `required`), so every draw can reach the command body.
 _JUNK = st.sampled_from(["", "x", "1.5", "-", "1,2"])
 _EDGE = st.sampled_from(["0", "-1", "1"])
 _SMALL = st.one_of(_EDGE, st.integers(-3, 12).map(str), _JUNK)
@@ -466,6 +487,9 @@ _COMMANDS = {
 }
 
 
+_REQUIRED = {"value", "mode", "input", "output"}
+
+
 def _write_inputs(root: Path) -> None:
     write_ospt(root / "x.ospt", random_tensor(1, 6, 2, seed=1))
     write_ospt(root / "zero.ospt", random_tensor(0, 0, 0, seed=1))
@@ -484,13 +508,14 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
         _write_inputs(root)
         flags, config, over_cap = [], [], False
         for name, values in _COMMANDS[command].items():
-            if not data.draw(st.booleans(), label=f"set {name}"):
+            required = name in _REQUIRED
+            if not required and not data.draw(st.booleans(), label=f"set {name}"):
                 continue
             value = data.draw(values, label=name)
             over_cap |= name == "blocks" and value.isdigit() and int(value) > MAX_BLOCKS
             if name in ("out", "input", "output") and value:
                 value = str(root / value)
-            if data.draw(st.booleans(), label=f"{name} in config"):
+            if not required and data.draw(st.booleans(), label=f"{name} in config"):
                 config.append(f"{name} = {value}")
             else:
                 flags.append(f"--{name.replace('_', '-')}={value}")

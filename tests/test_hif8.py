@@ -225,13 +225,14 @@ def test_invalid_mode_rejected():
         quantize_tensor(SequenceTensor.zeros(1, 2, 1), "sideways")
 
 
-def test_roundtrip_exact_on_representable_grid():
+def test_roundtrip_exact_on_representable_grid(monkeypatch):
     # with eps = 0 and amax a power-of-two multiple of 15, every x * scale
     # lands exactly on a representable value
+    monkeypatch.setattr("osp.hif8.DEFAULT_EPS", 0.0)
     reps = VALUES[(np.abs(VALUES) <= 15.0) & (VALUES != 0.0)]
     assert reps.max() == 15.0
     x = SequenceTensor((reps * 4.0).reshape(1, -1, 1))  # amax = 60 = 15 * 2^2
-    q = quantize_tensor(x, "forward", eps=0.0)
+    q = quantize_tensor(x, "forward")
     assert q.scale == 0.25
     assert np.array_equal(dequantize(q).data, x.data)
 
