@@ -1,10 +1,14 @@
 """One dense attention kernel in 64-bit precision, plus the per-subsequence
 sparse execution path and its masked dense oracle.
 
-The sparse path masks only pad keys inside each subsequence; the full 2-D
-pattern mask exists purely as an oracle to check the sparse path against.
-Query/key/value come from three fixed seeded random projections of the
-same input, which is all an equivalence check needs.
+`dense_attention` computes scores and the weighted sum with BLAS matmuls
+(`q @ kᵀ`, `weights @ v`) and runs the softmax in place on the scores it
+owns. The sparse path masks only pad keys inside each subsequence. The
+oracle applies the full 2-D pattern mask on the original layout, one block
+of `ORACLE_ROWS` query rows at a time, so its memory is O(rows·S) and no
+S×S array is ever built. Query/key/value come from three fixed seeded
+random projections of the same input, which is all an equivalence check
+needs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .gridseq import GridShape, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
+# query rows per oracle block: at S=16384 one block's float64 scores take
+# 256 x 16384 x 8 B = 32 MiB, so every row sees all its keys at once
+ORACLE_ROWS = 256
 
 
 def qkv_projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -33,48 +40,46 @@ def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, Sequ
 
 
 def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-    """Row-stable softmax over the last axis; disallowed keys get weight 0
-    and rows with no allowed key come out all-zero."""
+    """Row-stable softmax over the last axis, in place on `scores`, which
+    the caller owns. Disallowed keys get weight 0 and rows with no allowed
+    key come out all-zero (their denominator is 0, so they divide by 1)."""
     if allowed is not None:
-        scores = np.where(allowed, scores, -np.inf)
+        np.copyto(scores, -np.inf, where=~allowed)
     row_max = np.max(scores, axis=-1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    weights = np.exp(scores - row_max)
-    denom = np.sum(weights, axis=-1, keepdims=True)
-    return np.where(denom > 0, weights / np.where(denom == 0, 1.0, denom), 0.0)
+    row_max[~np.isfinite(row_max)] = 0.0
+    scores -= row_max
+    np.exp(scores, out=scores)
+    denom = np.sum(scores, axis=-1, keepdims=True)
+    denom[denom == 0] = 1.0
+    scores /= denom
+    return scores
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
                     allowed: np.ndarray | None = None) -> SequenceTensor:
     """Scaled dot-product attention per batch item.
 
+    q may hold fewer query rows than k and v (a block of queries against
+    every key); batch and chan must match and k and v must share a shape.
     allowed, when given, is a boolean (query, key) permission that
     broadcasts to (batch, query, key); disallowed keys are excluded from the
     softmax. Queries with no allowed key output zero vectors.
     """
-    if q.data.shape != k.data.shape or q.data.shape != v.data.shape:
-        raise ShapeError("q, k, v must share (batch, seq, chan)")
-    scores = np.einsum("bic,bjc->bij", q.data, k.data) / np.sqrt(q.chan)
+    if (k.data.shape != v.data.shape or q.batch != k.batch or q.chan != k.chan
+            or q.seq > k.seq):
+        raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
+                         f"v {v.data.shape}: batch and chan must match, k and v must "
+                         f"share a shape and q may not have more rows than k")
+    scores = q.data @ k.data.transpose(0, 2, 1)
+    scores /= np.sqrt(q.chan)
     if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
         try:
-            allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), scores.shape)
+            np.broadcast_to(allowed, scores.shape)
         except ValueError:
-            raise ShapeError(f"mask shape {np.shape(allowed)} does not broadcast to "
+            raise ShapeError(f"mask shape {allowed.shape} does not broadcast to "
                              f"{scores.shape}") from None
-    weights = _softmax_rows(scores, allowed)
-    return SequenceTensor(np.einsum("bij,bjc->bic", weights, v.data))
-
-
-def pattern_allow_matrix(g: GridShape, pattern: SparsePattern,
-                         pg: PaddedGrid | None = None) -> np.ndarray:
-    """(seq, seq) permission matrix: u and v interact iff they share a
-    subsequence under the pattern and, when padded, both are real."""
-    grid = pg.padded if pg is not None else g
-    assign = assignment_of(grid, pattern)
-    allow = assign.subseq[:, None] == assign.subseq[None, :]
-    if pg is not None:
-        allow &= pg.mask[:, None] & pg.mask[None, :]
-    return allow
+    return SequenceTensor(_softmax_rows(scores, allowed) @ v.data)
 
 
 def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
@@ -104,13 +109,22 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Oracle: dense attention over the original layout with the 2-D
-    pattern mask. Must match skiparse_attention to summation-order noise."""
+    pattern mask, u and v interacting iff they share a subsequence and,
+    when padded, both are real. Runs in blocks of ORACLE_ROWS query rows.
+    Must match skiparse_attention to summation-order noise."""
     grid = pg.padded if pg is not None else g
     if x.seq != grid.seq_len:
         raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
     q, k, v = project_qkv(x)
-    allow = pattern_allow_matrix(g, pattern, pg)
-    return dense_attention(q, k, v, allow)
+    subseq = assignment_of(grid, pattern).subseq
+    out = np.empty_like(q.data)
+    for start in range(0, grid.seq_len, ORACLE_ROWS):
+        rows = slice(start, start + ORACLE_ROWS)
+        allow = subseq[rows, None] == subseq[None, :]
+        if pg is not None:
+            allow &= pg.mask[rows, None] & pg.mask[None, :]
+        out[:, rows] = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow).data
+    return SequenceTensor(out)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -45,8 +46,9 @@ def _parse_grid(text: str) -> tuple[int, int, int]:
     return t, h, w
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> dict[str, tuple[int, str]]:
+    """Each key of a flat key = value file, with its line number and value."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -54,7 +56,7 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        values[key.strip().replace("-", "_")] = (lineno, value.strip())
     return values
 
 
@@ -255,15 +257,18 @@ def _add_choice(p: argparse.ArgumentParser, flag: str, words: tuple[str, ...], *
 def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The CLI parser. Config values become string defaults of every
     subcommand, so argparse converts and validates them like flag values
-    and an explicit flag always wins."""
-    parser = argparse.ArgumentParser(
+    and an explicit flag always wins. A parser built with config values
+    raises argparse.ArgumentError on a bad value instead of exiting, so the
+    caller can name the file, line and key it came from."""
+    make = functools.partial(argparse.ArgumentParser, exit_on_error=config is None)
+    parser = make(
         prog="osp",
         description="verification subcommands for the sparse rearrange, "
                     "parallelism, quantization and sampling mechanisms",
     )
     parser.add_argument("--config", help="flat key = value config file; flags override it")
     defaults = config or {}
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     def add_common(p):
         p.add_argument("--grid", default="1,8,8", help="T,H,W latent grid")
@@ -305,7 +310,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p.set_defaults(func=_cmd_comm_sim, **defaults)
 
     p = sub.add_parser("hif8", help="8-bit codec utilities")
-    hif8_sub = p.add_subparsers(dest="hif8_command", required=True)
+    hif8_sub = p.add_subparsers(dest="hif8_command", required=True, parser_class=make)
 
     pe = hif8_sub.add_parser("enum", help="dump the full code/value table as CSV")
     pe.add_argument("--out")
@@ -343,14 +348,22 @@ _NOT_OPTIONS = {"config", "command", "hif8_command", "func"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            config = _load_config(args.config)
-            for key in config:
+            path, config = args.config, _load_config(args.config)
+            for key, (lineno, _) in config.items():
                 if key not in vars(args) or key in _NOT_OPTIONS:
-                    raise UsageError(f"config key {key!r} does not match any option")
-            args = _build_parser(config).parse_args(argv)
+                    raise UsageError(f"{path}:{lineno}: config key {key!r} does not match "
+                                     f"any option")
+            try:
+                args = _build_parser({key: value for key, (_, value) in config.items()}
+                                     ).parse_args(argv)
+            except argparse.ArgumentError as exc:
+                # the same flags parsed without config values, so the value is the file's
+                key = exc.argument_name.removeprefix("--").replace("-", "_")
+                parser.error(f"{path}:{config[key][0]}: config key {key!r}: {exc}")
         if "OSP_SEED" in os.environ and hasattr(args, "seed"):
             try:
                 args.seed = _seed(os.environ["OSP_SEED"])

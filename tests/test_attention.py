@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import gsa_subseq, naive_attention, pattern_allow, tsa_subseq
+from osp import attention
 from osp.anyres import pad_grid, pad_tensor
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
                            skiparse_reference)
@@ -62,9 +65,29 @@ def test_masked_dense_zeroes_blocked_queries():
 
 
 def test_shape_mismatch_raises():
-    q, k, _ = _rand_qkv(1, 4, 2, seed=7)
-    with pytest.raises(ShapeError):
-        dense_attention(q, k, random_tensor(1, 5, 2, seed=9))
+    q, k, v = _rand_qkv(1, 4, 2, seed=7)
+    for bad in [(q, k, random_tensor(1, 5, 2, seed=9)),   # v seq != k seq
+                (q, random_tensor(1, 5, 2, seed=9), v),   # k seq != v seq
+                (random_tensor(2, 4, 2, seed=9), k, v),   # batch
+                (random_tensor(1, 4, 3, seed=9), k, v),   # chan
+                (random_tensor(1, 5, 2, seed=9), k, v)]:  # more queries than keys
+        with pytest.raises(ShapeError):
+            dense_attention(*bad)
+
+
+def test_query_row_block_matches_full_call_and_leaves_inputs_alone():
+    q, k, v = _rand_qkv(2, 9, 3, seed=16)
+    allow = np.random.Generator(np.random.PCG64(17)).random((9, 9)) < 0.5
+    allow[4] = False
+    before = [a.copy() for a in (q.data, k.data, v.data, allow)]
+    full = dense_attention(q, k, v, allow).data
+    for a, b in zip(before, (q.data, k.data, v.data, allow)):
+        assert np.array_equal(a, b)
+    rows = slice(2, 6)
+    part = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow[rows]).data
+    assert part.shape == (2, 4, 3)
+    assert np.max(np.abs(part - full[:, rows])) < 1e-12
+    assert (full[:, 4] == 0.0).all()
 
 
 @pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4)])
@@ -105,6 +128,40 @@ def test_skiparse_equals_masked_reference(g, pattern):
     out = skiparse_attention(x, g, pattern)
     ref = skiparse_reference(x, g, pattern)
     assert np.max(np.abs(out.data - ref.data)) < 1e-10
+
+
+@pytest.mark.parametrize("pattern,subseq_fn", [
+    (SparsePattern.TOKEN_WISE, tsa_subseq),
+    (SparsePattern.GROUP_WISE, gsa_subseq),
+])
+@pytest.mark.parametrize("g", [GridShape(1, 8, 8, 2), GridShape(1, 5, 6, 2)], ids=str)
+def test_row_blocked_oracle_matches_unblocked_and_naive(g, pattern, subseq_fn, monkeypatch):
+    # 7-row blocks: several per sequence, and a ragged last one (64 = 9*7 + 1)
+    monkeypatch.setattr(attention, "ORACLE_ROWS", 7)
+    pg = pad_grid(g)
+    x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=18), pg)
+    ref = skiparse_reference(x, g, pattern, None if pg.trivial else pg).data
+    q, k, v = project_qkv(x)
+    allow = pattern_allow(pg.padded, subseq_fn, real=None if pg.trivial else pg.mask)
+    naive = naive_attention(q.data, k.data, v.data, allow=allow)
+    assert np.max(np.abs(ref - naive)) < 1e-10
+    assert np.max(np.abs(ref - dense_attention(q, k, v, allow).data)) < 1e-12
+    # pad query rows are the fully masked rows, and they come out exactly zero
+    assert np.array_equal(~allow.any(axis=1), ~pg.mask)
+    assert (ref[:, ~pg.mask] == 0.0).all()
+
+
+def test_oracle_memory_stays_below_rows_times_seq():
+    # S=4096: one float64 S x S array alone is 128 MiB
+    g = GridShape(1, 64, 64, 2)
+    x = random_tensor(1, g.seq_len, 64, seed=19)
+    tracemalloc.start()
+    try:
+        skiparse_reference(x, g, SparsePattern.TOKEN_WISE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
 
 
 def test_padded_skiparse_with_multi_item_batch():

@@ -294,6 +294,24 @@ def test_config_count_value_validated_like_a_flag(tmp_path, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,argv", [
+    ("ensemble", "0", ["sampler"]),
+    ("pattern", "foo", ["attn-verify"]),
+], ids=["count", "word"])
+def test_bad_config_value_names_its_file_line_and_key(key, value, argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# defaults\n{key} = {value}\n")
+    assert _run_code(["--config", str(cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: config key {key!r}: argument --{key}:" in err
+    assert "Traceback" not in err
+    # the same value as a flag is the flag's fault, and no file is named
+    assert _run_code([*argv, f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --{key}:" in err
+    assert str(cfg) not in err and "config" not in err
+
+
 def _ospt_header(batch, seq, chan):
     return b"OSPT" + bytes([1]) + struct.pack("<III", batch, seq, chan)
 
