@@ -1,14 +1,16 @@
 """One dense attention kernel in 64-bit precision, plus the per-subsequence
 sparse execution path and its masked dense oracle.
 
-`dense_attention` computes scores and the weighted sum with BLAS matmuls
-(`q @ kᵀ`, `weights @ v`) and runs the softmax in place on the scores it
-owns. The sparse path masks only pad keys inside each subsequence. The
-oracle applies the full 2-D pattern mask on the original layout, one block
-of `ORACLE_ROWS` query rows at a time, so its memory is O(rows·S) and no
-S×S array is ever built. Query/key/value come from three fixed seeded
-random projections of the same input, which is all an equivalence check
-needs.
+`dense_attention` scales q by 1/√C, computes scores and the weighted sum
+with BLAS matmuls (`q @ kᵀ`, `weights @ v`) and runs the softmax in place
+on the scores it owns without normalising them: it divides the (rows × C)
+output by each row's weight sum instead, as FlashAttention does, so no
+pass over the scores divides. The sparse path masks only pad keys inside
+each subsequence. The oracle applies the full 2-D pattern mask on the
+original layout, one block of `ORACLE_ROWS` query rows at a time, so its
+memory is O(rows·S) and no S×S array is ever built. Query/key/value come
+from three fixed seeded random projections of the same input, which is all
+an equivalence check needs.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, Sequ
     return (SequenceTensor(x.data @ wq), SequenceTensor(x.data @ wk), SequenceTensor(x.data @ wv))
 
 
-def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-    """Row-stable softmax over the last axis, in place on `scores`, which
-    the caller owns. Disallowed keys get weight 0 and rows with no allowed
-    key come out all-zero (their denominator is 0, so they divide by 1)."""
+def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stable unnormalised softmax over the last axis, in place on
+    `scores`, which the caller owns: returns exp(score - row max) and each
+    row's sum of them (keepdims). Disallowed keys get weight 0; a row with
+    no allowed key is all-zero and its sum reads 1, so dividing by it
+    leaves zeros."""
     if allowed is not None:
         np.copyto(scores, -np.inf, where=~allowed)
     row_max = np.max(scores, axis=-1, keepdims=True)
@@ -51,13 +56,13 @@ def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
     np.exp(scores, out=scores)
     denom = np.sum(scores, axis=-1, keepdims=True)
     denom[denom == 0] = 1.0
-    scores /= denom
-    return scores
+    return scores, denom
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
                     allowed: np.ndarray | None = None) -> SequenceTensor:
-    """Scaled dot-product attention per batch item.
+    """Scaled dot-product attention per batch item: softmax(q kᵀ / √C) v,
+    computed as (exp(q/√C · kᵀ - row max) @ v) / row sum.
 
     q may hold fewer query rows than k and v (a block of queries against
     every key); batch and chan must match and k and v must share a shape.
@@ -70,8 +75,8 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
         raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
                          f"v {v.data.shape}: batch and chan must match, k and v must "
                          f"share a shape and q may not have more rows than k")
-    scores = q.data @ k.data.transpose(0, 2, 1)
-    scores /= np.sqrt(q.chan)
+    # scaling q, not the scores, is exact when √C is a power of two (C = 64)
+    scores = (q.data / np.sqrt(q.chan)) @ k.data.transpose(0, 2, 1)
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         try:
@@ -79,7 +84,10 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
         except ValueError:
             raise ShapeError(f"mask shape {allowed.shape} does not broadcast to "
                              f"{scores.shape}") from None
-    return SequenceTensor(_softmax_rows(scores, allowed) @ v.data)
+    weights, denom = _softmax_rows(scores, allowed)
+    out = weights @ v.data
+    out /= denom
+    return SequenceTensor(out)
 
 
 def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,

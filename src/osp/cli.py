@@ -35,17 +35,6 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_grid(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--grid expects T,H,W, got {text!r}")
-    try:
-        t, h, w = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--grid expects integers, got {text!r}") from None
-    return t, h, w
-
-
 def _load_config(path: str) -> dict[str, tuple[int, str]]:
     """Each key of a flat key = value file, with its line number and value."""
     values: dict[str, tuple[int, str]] = {}
@@ -107,9 +96,8 @@ def _finish(out: str | None, payload: dict) -> int:
 
 
 def _grid_arg(args) -> GridShape:
-    t, h, w = _parse_grid(args.grid)
     try:
-        return GridShape(t, h, w, args.k)
+        return GridShape(*args.grid, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -204,8 +192,8 @@ def _cmd_hif8_quantize(args) -> int:
 
 
 def _cmd_sampler(args) -> int:
-    if not 0 <= args.sde_steps <= args.steps:
-        raise UsageError(f"--sde-steps {args.sde_steps} is outside 0..--steps {args.steps}")
+    if args.sde_steps > args.steps:
+        raise UsageError(f"--sde-steps {args.sde_steps} is more than --steps {args.steps}")
     payload = checks.sampler_check(args.seed, args.steps, args.sde_steps, args.ensemble)
     if args.out:
         rows = [[repr(s["t"]), repr(s["mean"]), repr(s["var"]),
@@ -232,8 +220,8 @@ def _positive_int(text: str, most: int | None = None) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """A seed as the PCG64 generators take it: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """A count that may be zero, or a seed as the PCG64 generators take it."""
     try:
         value = int(text)
     except ValueError:
@@ -241,6 +229,19 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
+
+
+def _grid(text: str) -> tuple[int, int, int]:
+    """T,H,W: three positive integers."""
+    parts = text.split(",")
+    try:
+        dims = tuple(int(p) for p in parts)
+    except ValueError:
+        dims = ()
+    if len(dims) != 3 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"expected T,H,W as three positive integers, "
+                                         f"got {text!r}")
+    return dims
 
 
 def _add_choice(p: argparse.ArgumentParser, flag: str, words: tuple[str, ...], **kwargs) -> None:
@@ -271,12 +272,12 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     def add_common(p):
-        p.add_argument("--grid", default="1,8,8", help="T,H,W latent grid")
-        p.add_argument("--k", type=int, default=2, help="sparse ratio (skip interval)")
+        p.add_argument("--grid", type=_grid, default="1,8,8", help="T,H,W latent grid")
+        p.add_argument("--k", type=_positive_int, default=2, help="sparse ratio (skip interval)")
         p.add_argument("--out", help="write the report here instead of stdout")
 
     def add_seed(p):
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
 
     p = sub.add_parser("rearrange-check", help="pattern map round-trips and coherence")
     add_common(p)
@@ -329,8 +330,8 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     pq.set_defaults(func=_cmd_hif8_quantize, **defaults)
 
     p = sub.add_parser("sampler", help="mixed SDE/ODE rollout marginal check")
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--sde-steps", type=int, default=10)
+    p.add_argument("--steps", type=_positive_int, default=25)
+    p.add_argument("--sde-steps", type=_non_negative_int, default=10)
     p.add_argument("--ensemble", type=_positive_int, default=10_000)
     add_seed(p)
     p.add_argument("--out", help="per-step CSV path")
@@ -366,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"{path}:{config[key][0]}: config key {key!r}: {exc}")
         if "OSP_SEED" in os.environ and hasattr(args, "seed"):
             try:
-                args.seed = _seed(os.environ["OSP_SEED"])
+                args.seed = _non_negative_int(os.environ["OSP_SEED"])
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"OSP_SEED {exc}") from None
         return args.func(args)

@@ -49,6 +49,40 @@ def test_softmax_rows_sum_to_one_over_unmasked_keys():
     assert np.allclose(out.data, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("mask", ["keys", "pairs"])
+@pytest.mark.parametrize("chan", [5, 64])
+def test_query_block_matches_naive_double_loop(chan, mask):
+    # C=64: scaling q by 1/8 is exact; C=5: 1/sqrt(5) rounds
+    q, k, v = _rand_qkv(2, 12, chan, seed=20)
+    rng = np.random.Generator(np.random.PCG64(21))
+    if mask == "keys":
+        allow = np.broadcast_to(rng.random(12) < 0.6, (12, 12))
+    else:
+        allow = rng.random((12, 12)) < 0.6
+        allow[4] = False
+    naive = naive_attention(q.data, k.data, v.data, allow=allow)
+    rows = slice(2, 9)
+    out = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow[rows]).data
+    assert out.shape == (2, 7, chan)
+    assert np.max(np.abs(out - naive[:, rows])) < 1e-12
+    assert (out[:, ~allow[rows].any(axis=1)] == 0.0).all()
+
+
+def test_softmax_rows_returns_unnormalised_weights_and_their_row_sums():
+    rng = np.random.Generator(np.random.PCG64(22))
+    scores = rng.standard_normal((2, 5, 7)) * 10
+    allowed = rng.random((5, 7)) < 0.5
+    allowed[1] = False
+    weights, denom = attention._softmax_rows(scores, allowed)
+    assert weights is scores and denom.shape == (2, 5, 1)
+    live = allowed.any(axis=1)
+    assert np.array_equal(weights.sum(axis=-1, keepdims=True)[:, live], denom[:, live])
+    # the row maximum has weight exp(0) = 1: nothing was divided
+    assert (weights.max(axis=-1)[:, live] == 1.0).all()
+    assert (weights[:, ~allowed] == 0.0).all()
+    assert (denom[:, ~live] == 1.0).all()
+
+
 def test_all_keys_masked_outputs_zeros():
     q, k, v = _rand_qkv(1, 3, 2, seed=5)
     out = dense_attention(q, k, v, np.zeros(3, dtype=bool))

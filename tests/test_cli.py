@@ -207,7 +207,7 @@ def test_sampler_writes_csv_and_verdict(tmp_path, capsys):
 
 
 def test_bad_grid_is_usage_error(capsys):
-    assert main(["reach", "--grid", "1,4"]) == 2
+    assert _run_code(["reach", "--grid", "1,4"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -297,18 +297,23 @@ def test_config_count_value_validated_like_a_flag(tmp_path, capsys):
 @pytest.mark.parametrize("key,value,argv", [
     ("ensemble", "0", ["sampler"]),
     ("pattern", "foo", ["attn-verify"]),
-], ids=["count", "word"])
+    ("grid", "1,8", ["reach"]),
+    ("grid", "1,x,8", ["reach"]),
+    ("steps", "0", ["sampler"]),
+    ("sde_steps", "-1", ["sampler"]),
+], ids=["count", "word", "grid-short", "grid-word", "steps", "sde-steps"])
 def test_bad_config_value_names_its_file_line_and_key(key, value, argv, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# defaults\n{key} = {value}\n")
     assert _run_code(["--config", str(cfg), *argv]) == 2
     err = capsys.readouterr().err
-    assert f"{cfg}:2: config key {key!r}: argument --{key}:" in err
+    assert f"{cfg}:2: config key {key!r}: argument {flag}:" in err
     assert "Traceback" not in err
     # the same value as a flag is the flag's fault, and no file is named
-    assert _run_code([*argv, f"--{key}", value]) == 2
+    assert _run_code([*argv, flag, value]) == 2
     err = capsys.readouterr().err
-    assert f"argument --{key}:" in err
+    assert f"argument {flag}:" in err
     assert str(cfg) not in err and "config" not in err
 
 
@@ -451,7 +456,9 @@ def _run_code(argv) -> int:
     ("ensemble = 0", ["sampler"]),
     ("", ["sampler", "--ensemble", "0"]),
     ("sde_steps = -1", ["sampler", "--ensemble", "4"]),
-], ids=["pattern", "format", "ensemble-config", "ensemble-flag", "sde-steps-negative"])
+    ("", ["sampler", "--steps", "2", "--sde-steps", "3", "--ensemble", "4"]),
+], ids=["pattern", "format", "ensemble-config", "ensemble-flag", "sde-steps-negative",
+        "sde-steps-over-steps"])
 def test_off_list_and_zero_values_are_usage_errors(config, argv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")

@@ -149,6 +149,48 @@ def test_encode_matches_two_neighbour_oracle_on_seeded_values():
     assert seen == set(range(-25, 18))
 
 
+_LOW48 = np.uint64((1 << 48) - 1)
+
+
+def test_every_midpoint_is_the_first_float_of_its_bucket():
+    # a bucket is every float64 with the same top 16 bits (sign, exponent,
+    # 4 fraction bits); zero low bits put each midpoint at a bucket's start
+    assert not (MIDPOINTS.view(np.uint64) & _LOW48).any()
+
+
+def test_encode_matches_two_neighbour_oracle_on_every_bucket():
+    # No midpoint lies inside a bucket, so the encoder gives every float of a
+    # bucket after its first one code, and the oracle is monotone. Agreement
+    # at each finite bucket's first float, the float after it and its last
+    # float therefore covers every finite float64.
+    heads = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+    heads = heads[np.isfinite(heads.view(np.float64))]
+    assert heads.size == (1 << 16) - 32  # 16 inf/NaN buckets per sign
+    widths = _default_widths()
+    for bits in (heads, heads + np.uint64(1), heads | _LOW48):
+        xs = bits.view(np.float64)
+        assert np.isfinite(xs).all()
+        assert np.array_equal(encode_array(xs), hif8_nearest_codes(widths, xs))
+
+
+_GRID = np.linspace(-300.0, 300.0, 60)
+
+
+@pytest.mark.parametrize("x", [
+    np.array(1.3), np.float64(-224.0), 224.0, np.empty((0, 3)), _GRID.reshape(6, 10)[:, ::3],
+    _GRID.reshape(6, 10).T, _GRID.astype(">f8"), _GRID.astype(np.float32),
+    np.array([0.0, -0.0]), np.array([5e-324, -5e-324, 2.2e-308, -1e-310]),
+], ids=["0-d", "scalar", "float", "empty", "strided", "transposed", "big-endian", "float32",
+        "zeros", "subnormals"])
+def test_encode_array_keeps_shape_on_any_float_input(x):
+    xs = np.asarray(x, dtype=np.float64)
+    codes = encode_array(x)
+    assert codes.dtype == np.uint8 and codes.shape == xs.shape
+    assert np.array_equal(codes, hif8_nearest_codes(_default_widths(), xs))
+    if xs.size and (np.abs(xs) < 2.0 ** -23).all():
+        assert (codes == ZERO_CODE).all()
+
+
 def test_format_check_reaches_the_binade_supremum():
     report = hif8_format_check()
     assert report["pass"]
