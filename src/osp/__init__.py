@@ -10,10 +10,9 @@ from .skiparse import (LayerKind, PatternAssignment, SparsePattern, assignment_o
 from .anyres import PaddedGrid, pad_grid, pad_tensor, strip_padding, subsequence_mask
 from .attention import (FlopReport, dense_attention, flop_report, skiparse_attention,
                         skiparse_reference)
-from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, comm_comparison,
-                  gather_shards, shard_pattern_layout, ssp_pattern_switch)
-from .hif8 import (QuantizedTensor, decode, dequantize, encode,
-                   quantize_tensor, quantized_attention_probe)
+from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, shard_pattern_layout,
+                  ssp_pattern_switch)
+from .hif8 import QuantizedTensor, decode, dequantize, encode, quantize_tensor
 from .mixflow import (OuProcess, RolloutResult, SamplerSchedule, marginal_report,
                       mixed_rollout, ode_step, sde_step, standard_ou, uniform_schedule)
 

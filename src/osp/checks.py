@@ -3,7 +3,16 @@ subcommands, the standard grids, and the report-all section table.
 
 Each routine returns a JSON-ready dict whose "checks" names the invariants
 it exercises and whose "pass" is decided in one place, `_verdict`, so a
-failure can always be reported by name."""
+failure can always be reported by name.
+
+The comparisons and baselines the mechanisms are judged against live here
+too, so the mechanism modules only compute. `comm_comparison` sets the SSP
+switch's counts and volumes, read from the `CommLog` ledger, beside two
+stated baselines at the same per-rank volume S: Ulysses-style attention,
+four all-to-alls per block (query, key, value, output), and a naive
+gather-and-reshard switch, an all-gather moving N * (N-1) * S elements
+globally versus (N-1) * S for the all-to-all. `quantized_attention_probe`
+measures the forward error the HiF8 round trip adds to sparse attention."""
 
 from __future__ import annotations
 
@@ -13,15 +22,15 @@ from .anyres import pad_grid, pad_tensor, strip_padding, subsequence_mask
 from .attention import flop_report, skiparse_attention, skiparse_reference
 from .gridseq import GridShape, SequenceTensor, random_tensor
 from .hif8 import (DEFAULT_EPS, EXP_MAX, EXP_MIN, MANTISSA_WIDTH, MAX_VALUE, VALUES, code_fields,
-                   decode_array, dequantize, encode_array, quantize_tensor,
-                   quantized_attention_probe)
+                   decode_array, dequantize, encode_array, quantize_tensor, roundtrip)
 from .mixflow import marginal_report, mixed_rollout, standard_ou, uniform_schedule
 from .skiparse import (LayerKind, SparsePattern, assignment_of, build_layer_schedule,
                        gsa_to_orig, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
                        reachability_hops, tsa_to_gsa, tsa_to_orig)
-from .ssp import CommLog, comm_comparison, shard_pattern_layout, ssp_pattern_switch
+from .ssp import CommLog, shard_pattern_layout, ssp_pattern_switch
 
 ATTN_TOLERANCE = 1e-10
+GROWTH_SIZES = (2, 4, 8)  # group sizes of the stated naive-over-sparse growth table
 
 ACCEPTANCE_GRIDS = (
     GridShape(1, 4, 4, 2),
@@ -196,6 +205,44 @@ def anyres_check(seed: int) -> dict:
     return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k,
                     padded_grid=[pg.padded.t, pg.padded.h, pg.padded.w],
                     real_tokens=real, pad_tokens=int((~pg.mask).sum()), max_abs_err=errs)
+
+
+def comm_comparison(log: CommLog, group_size: int, per_rank_elements: int,
+                    blocks: int) -> dict:
+    """Side-by-side accounting of `blocks` executed switches. The sparse
+    side is read from `log`, the ledger those switches wrote. The baselines
+    are stated at the same per-rank volume S: Ulysses-style attention needs
+    four all-to-alls per block (query, key, value, output), each moving S,
+    and a gather-and-reshard switch's all-gather moves N * (N-1) * S
+    globally. A working switch logs one all-to-all of S per block, a
+    quarter of the Ulysses volume, and moves (N-1) * S globally, N times
+    less than the naive switch."""
+    n, s = group_size, per_rank_elements
+    ssp_total = log.total_payload("all_to_all")
+    ulysses_total = 4 * blocks * s
+    return {
+        "group_size": n,
+        "per_rank_elements": s,
+        "blocks": blocks,
+        "ssp_events": log.count("all_to_all"),
+        "all_gather_events": log.count("all_gather"),
+        "ulysses_events": 4 * blocks,
+        "ssp_total_per_rank": ssp_total,
+        "ulysses_total_per_rank": ulysses_total,
+        "volume_ratio": ssp_total / ulysses_total,
+        "volume_reduction_percent": 100.0 * (1.0 - ssp_total / ulysses_total),
+        "ssp_global_per_switch": (n - 1) * ssp_total // blocks,
+        "naive_global_per_switch": n * (n - 1) * s,
+        "growth_table": [
+            {
+                "group_size": m,
+                "ssp_global": (m - 1) * s,
+                "naive_global": m * (m - 1) * s,
+                "naive_over_ssp": m,
+            }
+            for m in GROWTH_SIZES
+        ],
+    }
 
 
 def ssp_check(g: GridShape, group_size: int, seed: int, chan: int = 4,
@@ -387,6 +434,40 @@ def schedule_check() -> dict:
                                              LayerKind.TSA, LayerKind.GSA, LayerKind.FULL])
     return _verdict({"full_ends_around_alternating_tsa_gsa": bool(ok)},
                     layers_40_8=[l.value for l in s40])
+
+
+def _error_stats(reference: np.ndarray, approx: np.ndarray) -> dict:
+    diff = np.abs(approx - reference)
+    denom = np.abs(reference)
+    nz = denom > 0
+    rel = diff[nz] / denom[nz] if nz.any() else np.zeros(1)
+    return {
+        "max_abs": float(diff.max(initial=0.0)),
+        "mean_abs": float(diff.mean()) if diff.size else 0.0,
+        "max_rel": float(rel.max(initial=0.0)),
+        "mean_rel": float(rel.mean()) if rel.size else 0.0,
+    }
+
+
+def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePattern) -> dict:
+    """Forward-error probe: run the sparse attention path on the
+    quantization round-trip of x and on x itself, and report input-side
+    and output-side error statistics.
+
+    The round trip runs on x in the pattern's layout and is mapped back, so
+    the input-side statistics are independent of the pattern exactly when
+    the per-tensor scale is permutation invariant.
+    """
+    fwd = pattern_map(g, pattern, batch=x.batch)
+    xq = fwd.invert().apply(roundtrip(fwd.apply(x), "forward"))
+    reference = skiparse_attention(x, g, pattern)
+    probed = skiparse_attention(xq, g, pattern)
+    return {
+        "mode": "forward",
+        "pattern": pattern.value,
+        "input": _error_stats(x.data, xq.data),
+        "output": _error_stats(reference.data, probed.data),
+    }
 
 
 def probe_check(seed: int) -> dict:

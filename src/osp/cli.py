@@ -95,29 +95,25 @@ def _finish(out: str | None, payload: dict) -> int:
     return _exit_code(payload)
 
 
-def _grid_arg(args) -> GridShape:
-    try:
-        return GridShape(*args.grid, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _cmd_rearrange_check(args) -> int:
-    g = _grid_arg(args)
+    g = GridShape(*args.grid, args.k)
     payload = checks.rearrange_checks(g, args.seed)
+    assignments = [assignment_of(g, p) for p in (SparsePattern.TOKEN_WISE,
+                                                  SparsePattern.GROUP_WISE)]
     payload["assignments"] = {
-        pattern.value: assignment_of(g, pattern).to_rows()
-        for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)
+        a.pattern.value: [{"token": i, "subsequence": sub, "position": pos} for i, (sub, pos)
+                          in enumerate(zip(a.subseq.tolist(), a.position.tolist()))]
+        for a in assignments
     }
     return _finish(args.out, payload)
 
 
 def _cmd_reach(args) -> int:
-    return _finish(args.out, checks.reach_check(_grid_arg(args)))
+    return _finish(args.out, checks.reach_check(GridShape(*args.grid, args.k)))
 
 
 def _cmd_mask_dump(args) -> int:
-    g = _grid_arg(args)
+    g = GridShape(*args.grid, args.k)
     pg = pad_grid(g)
     if args.out:
         write_mask(args.out, pg)
@@ -135,13 +131,14 @@ def _cmd_mask_dump(args) -> int:
 
 
 def _cmd_attn_verify(args) -> int:
-    return _finish(args.out, checks.attention_check(_grid_arg(args), SparsePattern(args.pattern),
-                                                    args.seed, chan=args.chan))
+    g = GridShape(*args.grid, args.k)
+    return _finish(args.out, checks.attention_check(g, SparsePattern(args.pattern), args.seed,
+                                                    chan=args.chan))
 
 
 def _cmd_comm_sim(args) -> int:
-    payload = checks.ssp_check(_grid_arg(args), args.group_size, args.seed, chan=args.chan,
-                               blocks=args.blocks)
+    payload = checks.ssp_check(GridShape(*args.grid, args.k), args.group_size, args.seed,
+                               chan=args.chan, blocks=args.blocks)
     payload["per_rank_bytes"] = payload["per_rank_elements"] * args.elem_bytes
     payload["element_bytes"] = args.elem_bytes
     if args.format == "csv":

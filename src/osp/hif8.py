@@ -36,7 +36,9 @@ Quantization uses current scaling at per-tensor granularity: every call
 recomputes amax = max |x| and scale = target / (amax + eps), where eps
 is DEFAULT_EPS = 1e-12 and the target is 15.0 in forward mode and 224.0
 in backward mode, then stores
-encode(x * scale) with the single scale.
+encode(x * scale) with the single scale. The module only computes:
+`checks.quantized_attention_probe` measures the error the round trip
+adds to sparse attention.
 """
 
 from __future__ import annotations
@@ -47,9 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .attention import skiparse_attention
-from .gridseq import GridShape, SequenceTensor
-from .skiparse import SparsePattern
+from .gridseq import SequenceTensor
 
 EXP_MIN = -22
 EXP_MAX = 15
@@ -212,35 +212,3 @@ def dequantize(q: QuantizedTensor) -> SequenceTensor:
 
 def roundtrip(x: SequenceTensor, mode: str) -> SequenceTensor:
     return dequantize(quantize_tensor(x, mode))
-
-
-def _error_stats(reference: np.ndarray, approx: np.ndarray) -> dict:
-    diff = np.abs(approx - reference)
-    denom = np.abs(reference)
-    nz = denom > 0
-    rel = diff[nz] / denom[nz] if nz.any() else np.zeros(1)
-    return {
-        "max_abs": float(diff.max(initial=0.0)),
-        "mean_abs": float(diff.mean()) if diff.size else 0.0,
-        "max_rel": float(rel.max(initial=0.0)),
-        "mean_rel": float(rel.mean()) if rel.size else 0.0,
-    }
-
-
-def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePattern) -> dict:
-    """Forward-error probe: run the sparse attention path on the
-    quantization round-trip of x and on x itself, and report input-side
-    and output-side error statistics.
-
-    The input-side statistics are independent of the pattern because the
-    per-tensor scale is permutation invariant.
-    """
-    xq = roundtrip(x, "forward")
-    reference = skiparse_attention(x, g, pattern)
-    probed = skiparse_attention(xq, g, pattern)
-    return {
-        "mode": "forward",
-        "pattern": pattern.value,
-        "input": _error_stats(x.data, xq.data),
-        "output": _error_stats(reference.data, probed.data),
-    }

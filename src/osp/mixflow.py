@@ -14,7 +14,7 @@ indices and the deterministic branch elsewhere, so marginal statistics
 must agree with the analytic flow at every step up to Monte Carlo and
 O(dt) discretization error (both Euler schemes are weak order 1).
 
-The bundled toy uses beta = 1 and standard normal data, whose marginals
+The bundled toy uses standard normal data, whose marginals
 are closed-form Gaussians at every t, making the agreement falsifiable.
 """
 
@@ -31,16 +31,15 @@ MARGINAL_Z = 4.0  # standard errors each moment may stray from the analytic marg
 class OuProcess:
     """Variance-preserving Ornstein-Uhlenbeck process with Gaussian data.
 
-    Forward dynamics dx = -0.5 * beta * x dt + sqrt(beta) dw started from
+    Forward dynamics dx = -0.5 * x dt + dw started from
     N(data_mean, data_var * I) give the Gaussian marginal at time t:
 
-        mean(t) = data_mean * exp(-0.5 * beta * t)
-        var(t)  = data_var * exp(-beta * t) + 1 - exp(-beta * t)
+        mean(t) = data_mean * exp(-0.5 * t)
+        var(t)  = data_var * exp(-t) + 1 - exp(-t)
 
     and the exact score s(x, t) = -(x - mean(t)) / var(t).
     """
 
-    beta: float = 1.0
     data_mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
     data_var: float = 1.0
 
@@ -56,16 +55,16 @@ class OuProcess:
         return self.data_mean.size
 
     def drift(self, x: np.ndarray, t: float) -> np.ndarray:
-        return -0.5 * self.beta * x
+        return -0.5 * x
 
     def diffusion(self, t: float) -> float:
-        return float(np.sqrt(self.beta))
+        return 1.0
 
     def mean_at(self, t: float) -> np.ndarray:
-        return self.data_mean * np.exp(-0.5 * self.beta * t)
+        return self.data_mean * np.exp(-0.5 * t)
 
     def var_at(self, t: float) -> float:
-        decay = np.exp(-self.beta * t)
+        decay = np.exp(-t)
         return float(1.0 + (self.data_var - 1.0) * decay)
 
     def score(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -73,8 +72,8 @@ class OuProcess:
 
 
 def standard_ou(dim: int = 2) -> OuProcess:
-    """The bundled toy: beta = 1 and standard normal data, so every
-    marginal is N(0, I)."""
+    """The bundled toy: standard normal data, so every marginal is
+    N(0, I)."""
     return OuProcess(data_mean=np.zeros(dim))
 
 

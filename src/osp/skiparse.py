@@ -131,12 +131,6 @@ class PatternAssignment:
     num_subsequences: int
     subseq_len: int
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"token": i, "subsequence": int(self.subseq[i]), "position": int(self.position[i])}
-            for i in range(self.subseq.size)
-        ]
-
 
 def assignment_of(g: GridShape, pattern: SparsePattern) -> PatternAssignment:
     m = pattern_map(g, pattern, batch=1)

@@ -16,12 +16,8 @@ collective:
 The same three steps convert token-wise to group-wise and back. Collectives
 are synchronous buffer exchanges with no transport model; each executed
 collective writes one event to the `CommLog` ledger with the exact scalar
-elements it moved per rank. `comm_comparison` reads the switch's counts
-and volumes from that ledger and sets them beside two stated baselines at
-the same per-rank volume S: Ulysses-style attention, four all-to-alls per
-block (query, key, value, output), and a naive gather-and-reshard switch,
-an all-gather moving N * (N-1) * S elements globally versus (N-1) * S for
-the all-to-all.
+elements it moved per rank. `checks.comm_comparison` reads that ledger and
+sets it beside the baselines.
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ import numpy as np
 
 from .gridseq import GridShape, SequenceTensor, rearrange_map
 from .skiparse import orig_to_tsa
-
-GROWTH_SIZES = (2, 4, 8)  # group sizes of the stated naive-over-sparse growth table
 
 
 class ShardingError(ValueError):
@@ -111,13 +105,6 @@ def shard_pattern_layout(x_pattern: SequenceTensor, group_size: int,
     return ProcessGroup(shards, log if log is not None else CommLog())
 
 
-def gather_shards(group: ProcessGroup) -> SequenceTensor:
-    """Concatenate all shards along the batch axis. Verification helper
-    only; it is not a protocol step and logs nothing."""
-    data = np.concatenate([s.tensor.data for s in group.shards], axis=0)
-    return SequenceTensor(data)
-
-
 def all_to_all(send: list[np.ndarray], log: CommLog) -> list[np.ndarray]:
     """All-to-all collective: received[r] is the concatenation over j of
     rank j's r-th chunk. Each send buffer must split into N equal chunks
@@ -179,41 +166,3 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     out_shards = [RankShard(r, merge.apply(SequenceTensor(buf)))
                   for r, buf in enumerate(received)]
     return ProcessGroup(tuple(out_shards), group.log)
-
-
-def comm_comparison(log: CommLog, group_size: int, per_rank_elements: int,
-                    blocks: int) -> dict:
-    """Side-by-side accounting of `blocks` executed switches. The sparse
-    side is read from `log`, the ledger those switches wrote. The baselines
-    are stated at the same per-rank volume S: Ulysses-style attention needs
-    four all-to-alls per block (query, key, value, output), each moving S,
-    and a gather-and-reshard switch's all-gather moves N * (N-1) * S
-    globally. A working switch logs one all-to-all of S per block, a
-    quarter of the Ulysses volume, and moves (N-1) * S globally, N times
-    less than the naive switch."""
-    n, s = group_size, per_rank_elements
-    ssp_total = log.total_payload("all_to_all")
-    ulysses_total = 4 * blocks * s
-    return {
-        "group_size": n,
-        "per_rank_elements": s,
-        "blocks": blocks,
-        "ssp_events": log.count("all_to_all"),
-        "all_gather_events": log.count("all_gather"),
-        "ulysses_events": 4 * blocks,
-        "ssp_total_per_rank": ssp_total,
-        "ulysses_total_per_rank": ulysses_total,
-        "volume_ratio": ssp_total / ulysses_total,
-        "volume_reduction_percent": 100.0 * (1.0 - ssp_total / ulysses_total),
-        "ssp_global_per_switch": (n - 1) * ssp_total // blocks,
-        "naive_global_per_switch": n * (n - 1) * s,
-        "growth_table": [
-            {
-                "group_size": m,
-                "ssp_global": (m - 1) * s,
-                "naive_global": m * (m - 1) * s,
-                "naive_over_ssp": m,
-            }
-            for m in GROWTH_SIZES
-        ],
-    }

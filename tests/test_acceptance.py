@@ -11,6 +11,7 @@ from oracles import (brute_force_max_hops, gsa_subseq, hif8_value_table,
                      naive_attention, pattern_allow, tsa_subseq)
 from osp.anyres import pad_grid, pad_tensor
 from osp.attention import flop_report, project_qkv, skiparse_attention
+from osp.checks import comm_comparison
 from osp.cli import main
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, VALUES, code_fields, decode_array, encode_array,
@@ -19,7 +20,7 @@ from osp.mixflow import (marginal_report, mixed_rollout, ode_step, standard_ou,
                          uniform_schedule)
 from osp.skiparse import (SparsePattern, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
                           reachability_hops, tsa_to_gsa, tsa_to_orig, gsa_to_orig)
-from osp.ssp import CommLog, comm_comparison, shard_pattern_layout, ssp_pattern_switch
+from osp.ssp import CommLog, shard_pattern_layout, ssp_pattern_switch
 
 GRIDS = [
     GridShape(1, 4, 4, 2),

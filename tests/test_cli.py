@@ -443,6 +443,21 @@ def test_misrounding_encoder_fails_report_all(mutant, invariant, monkeypatch, ca
     assert f"sections.hif8_format.{invariant}" in capsys.readouterr().err
 
 
+def test_token_order_dependent_quantizer_fails_report_all(monkeypatch, capsys, tmp_path):
+    # a scale taken from the first token alone changes with the layout's token order
+    def first_token_amax(x, mode):
+        amax = float(np.max(np.abs(x.data[:, 0, :])))
+        scale = {"forward": 15.0, "backward": 224.0}[mode] / (amax + 1e-12)
+        codes = SequenceTensor(osp.hif8.encode_array(x.data * scale))
+        return osp.hif8.QuantizedTensor(codes, scale, mode, amax)
+
+    monkeypatch.setattr(osp.hif8, "quantize_tensor", first_token_amax)
+    code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "FAIL: sections.quantized_attention_probe.input_error_pattern_independent\n"
+
+
 def _run_code(argv) -> int:
     try:
         return main(argv)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hif8_nearest_codes, hif8_value_table
-from osp.checks import hif8_format_check
+from osp.checks import hif8_format_check, quantized_attention_probe
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, MIDPOINTS, VALUES, ZERO_CODE, EncodeError,
                       code_fields, decode, decode_array, dequantize, encode, encode_array,
-                      quantize_tensor, quantized_attention_probe, roundtrip)
+                      quantize_tensor, roundtrip)
 from osp.skiparse import SparsePattern
 
 

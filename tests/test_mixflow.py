@@ -42,7 +42,7 @@ def test_ode_step_hand_derived_value():
     # beta = 1, data mean (1, -2), data var 0.25, t = 1, x = (0.3, 0.7), dt = -0.04:
     # mean(1) = (0.60653066, -1.21306132), var(1) = 0.72409042,
     # score = (0.42333202, -2.64201993), x' = x + (-x/2 - score/2) * dt
-    proc = OuProcess(beta=1.0, data_mean=np.array([1.0, -2.0]), data_var=0.25)
+    proc = OuProcess(data_mean=np.array([1.0, -2.0]), data_var=0.25)
     got = ode_step(np.array([0.3, 0.7]), 1.0, -0.04, proc)
     assert np.allclose(got, [0.31446664, 0.66115960], atol=1e-8)
 
@@ -68,7 +68,7 @@ def test_sde_step_reproducible_under_seed():
 def test_sde_step_one_step_moments_match_closed_form():
     # from a fixed start the Euler-Maruyama update is Gaussian with
     # mean x + (f - g^2 s) dt and variance g^2 |dt| per dimension
-    proc = OuProcess(beta=1.0, data_mean=np.array([1.0, -2.0]), data_var=0.25)
+    proc = OuProcess(data_mean=np.array([1.0, -2.0]), data_var=0.25)
     x0 = np.tile([0.3, 0.7], (10_000, 1))
     t, dt = 1.0, -0.04
     rng = np.random.Generator(np.random.PCG64(5))
@@ -175,7 +175,7 @@ def test_marginal_report_structure_and_pass():
 
 
 def test_nonstationary_ou_moments():
-    proc = OuProcess(beta=1.0, data_mean=np.array([2.0, 0.0]), data_var=0.25)
+    proc = OuProcess(data_mean=np.array([2.0, 0.0]), data_var=0.25)
     assert np.allclose(proc.mean_at(0.0), [2.0, 0.0])
     assert proc.var_at(0.0) == 0.25
     # far in the future the marginal forgets the data distribution

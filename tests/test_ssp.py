@@ -3,11 +3,11 @@ import pytest
 
 from oracles import transpose_chunks
 from osp import checks
+from osp.checks import comm_comparison
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.skiparse import SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
 from osp.ssp import (CollectiveError, CommLog, ProcessGroup, ProtocolError, RankShard,
-                     ShardingError, all_to_all, comm_comparison, gather_shards,
-                     shard_pattern_layout, ssp_pattern_switch)
+                     ShardingError, all_to_all, shard_pattern_layout, ssp_pattern_switch)
 
 
 def _tsa_layout(g, chan=4, seed=0, batch=1):
@@ -29,7 +29,7 @@ def test_shard_counts(group_size, per_rank):
     x_tsa = _tsa_layout(g)
     group = shard_pattern_layout(x_tsa, group_size)
     assert all(s.tensor.batch == per_rank for s in group.shards)
-    assert np.array_equal(gather_shards(group).data, x_tsa.data)
+    assert np.array_equal(np.concatenate([s.tensor.data for s in group.shards]), x_tsa.data)
 
 
 def test_shard_divisibility_error():
@@ -161,7 +161,7 @@ def test_switch_is_deterministic():
     for _ in range(2):
         group = shard_pattern_layout(_tsa_layout(g, seed=7), 4)
         switched = ssp_pattern_switch(group, g)
-        runs.append(gather_shards(switched).data)
+        runs.append(np.concatenate([s.tensor.data for s in switched.shards]))
     assert np.array_equal(runs[0], runs[1])
 
 
