@@ -48,11 +48,8 @@ class PaddedGrid:
 
     @property
     def trivial(self) -> bool:
-        """True when no padding was needed (mask would be None downstream)."""
+        """True when no padding was needed."""
         return self.padded == self.original
-
-    def mask_or_none(self) -> np.ndarray | None:
-        return None if self.trivial else self.mask
 
 
 def pad_grid(g: GridShape) -> PaddedGrid:

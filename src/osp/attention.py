@@ -90,25 +90,34 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     return SequenceTensor(out)
 
 
+def _attention_grid(x: SequenceTensor, g: GridShape, pg: PaddedGrid | None) -> GridShape:
+    """The grid x lives on: g, or the padded grid of `pg`, which must have
+    been built for g."""
+    if pg is not None and pg.original != g:
+        raise ShapeError(f"padding was built for grid {pg.original}, not for {g}")
+    grid = pg.padded if pg is not None else g
+    if x.seq != grid.seq_len:
+        raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
+    return grid
+
+
 def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Sparse attention: rearrange to the pattern layout, run dense
     attention independently per subsequence, rearrange back.
 
-    With a PaddedGrid, x must already live on the padded grid; pad keys
-    are excluded from the softmax and pad query rows come back as zeros.
+    With a PaddedGrid of g, x must already live on the padded grid; pad
+    keys are excluded from the softmax and pad query rows come back as
+    zeros.
     """
-    grid = pg.padded if pg is not None else g
-    if x.seq != grid.seq_len:
-        raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
+    grid = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x)
     fwd = pattern_map(grid, pattern, batch=x.batch)
     qp, kp, vp = fwd.apply(q), fwd.apply(k), fwd.apply(v)
-    valid = pg.mask_or_none() if pg is not None else None
-    if valid is None:
+    if pg is None:
         return fwd.invert().apply(dense_attention(qp, kp, vp))
     # the sub-mask follows the tokens through the same gather as q, k, v
-    sub_valid = valid[fwd.src % fwd.in_seq]
+    sub_valid = pg.mask[fwd.src % fwd.in_seq]
     out = dense_attention(qp, kp, vp, sub_valid[:, None, :]).data.copy()
     out[~sub_valid] = 0.0
     return fwd.invert().apply(SequenceTensor(out))
@@ -120,9 +129,7 @@ def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     pattern mask, u and v interacting iff they share a subsequence and,
     when padded, both are real. Runs in blocks of ORACLE_ROWS query rows.
     Must match skiparse_attention to summation-order noise."""
-    grid = pg.padded if pg is not None else g
-    if x.seq != grid.seq_len:
-        raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
+    grid = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x)
     subseq = assignment_of(grid, pattern).subseq
     out = np.empty_like(q.data)

@@ -81,18 +81,15 @@ def _failures(node, prefix: str = "") -> list[str]:
     return names
 
 
-def _exit_code(payload: dict) -> int:
-    """0 on pass; otherwise 1, with every failed check named on stderr."""
+def _finish(out: str | None, payload: dict) -> int:
+    """Emit the JSON payload; exit 0 on pass, otherwise 1 with every failed
+    check named on stderr."""
+    _emit(out, _dump_json(payload))
     if payload.get("pass", True):
         return 0
     names = _failures(payload) or ["pass"]
     print(f"FAIL: {', '.join(names)}", file=sys.stderr)
     return 1
-
-
-def _finish(out: str | None, payload: dict) -> int:
-    _emit(out, _dump_json(payload))
-    return _exit_code(payload)
 
 
 def _cmd_rearrange_check(args) -> int:
@@ -141,11 +138,6 @@ def _cmd_comm_sim(args) -> int:
                                chan=args.chan, blocks=args.blocks)
     payload["per_rank_bytes"] = payload["per_rank_elements"] * args.elem_bytes
     payload["element_bytes"] = args.elem_bytes
-    if args.format == "csv":
-        header = ["group_size", "ssp_global", "naive_global", "naive_over_ssp"]
-        rows = [[r[c] for c in header] for r in payload["comparison"]["growth_table"]]
-        _emit(args.out, _csv_text(header, rows))
-        return _exit_code(payload)
     return _finish(args.out, payload)
 
 
@@ -304,7 +296,6 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p.add_argument("--chan", type=_positive_int, default=4)
     p.add_argument("--elem-bytes", type=_positive_int, default=2,
                    help="element width used for the bytes column")
-    _add_choice(p, "--format", ("json", "csv"), default="json")
     p.set_defaults(func=_cmd_comm_sim, **defaults)
 
     p = sub.add_parser("hif8", help="8-bit codec utilities")

@@ -44,7 +44,7 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class CommEvent:
-    kind: str  # "all_to_all" | "all_gather"
+    kind: str  # "all_to_all", the one collective the switch records
     payload_per_rank: int  # scalar elements moved per rank
 
 

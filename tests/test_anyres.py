@@ -14,7 +14,6 @@ def test_already_divisible_grid_is_trivial():
     assert pg.trivial
     assert pg.padded == pg.original
     assert pg.mask.all()
-    assert pg.mask_or_none() is None
 
 
 def test_pad_5x6_to_8x8():

@@ -259,3 +259,15 @@ def test_flop_report_values():
 def test_flop_report_original_ratio_one():
     rep = flop_report(GridShape(1, 8, 8, 2), SparsePattern.ORIGINAL)
     assert rep.ratio == 1.0
+
+
+@pytest.mark.parametrize("fn", [skiparse_attention, skiparse_reference],
+                         ids=lambda fn: fn.__name__)
+def test_padding_built_for_another_grid_raises(fn):
+    # 1x5x6 pads to 1x8x8, so x fits the padded grid and only the grids differ
+    g, other = GridShape(1, 8, 8, 2), GridShape(1, 5, 6, 2)
+    pg = pad_grid(other)
+    x = random_tensor(1, pg.padded.seq_len, 4, seed=23)
+    with pytest.raises(ShapeError) as exc:
+        fn(x, g, SparsePattern.TOKEN_WISE, pg)
+    assert str(g) in str(exc.value) and str(other) in str(exc.value)

@@ -201,18 +201,6 @@ def test_comm_comparison_counts_and_ratio():
     assert rep["naive_global_per_switch"] == 12 * s
 
 
-def test_naive_over_ssp_grows_linearly():
-    for g, group_size in ((GridShape(1, 4, 4, 2), 2), (GridShape(1, 8, 8, 2), 4),
-                          (GridShape(1, 16, 16, 4), 8)):
-        log, s = _run_switches(g, group_size, blocks=1)
-        rep = comm_comparison(log, group_size, s, blocks=1)
-        assert rep["naive_global_per_switch"] == group_size * rep["ssp_global_per_switch"]
-        rows = rep["growth_table"]
-        assert [r["group_size"] for r in rows] == [2, 4, 8]
-        for r in rows:
-            assert r["naive_global"] == r["group_size"] * r["ssp_global"]
-
-
 def test_comm_comparison_reads_the_ledger_not_the_formula():
     log = CommLog()
     log.record("all_to_all", 200)
