@@ -5,12 +5,14 @@ sparse execution path and its masked dense oracle.
 with BLAS matmuls (`q @ kᵀ`, `weights @ v`) and runs the softmax in place
 on the scores it owns without normalising them: it divides the (rows × C)
 output by each row's weight sum instead, as FlashAttention does, so no
-pass over the scores divides. The sparse path masks only pad keys inside
-each subsequence. The oracle applies the full 2-D pattern mask on the
-original layout, one block of `ORACLE_ROWS` query rows at a time, so its
-memory is O(rows·S) and no S×S array is ever built. Query/key/value come
-from three fixed seeded random projections of the same input, which is all
-an equivalence check needs.
+pass over the scores divides.
+
+Both routes over a grid run masked, on `pg` or by default `pad_grid(g)`.
+The sparse path gathers x once into the pattern layout and masks pad keys
+inside each subsequence. The oracle applies the full 2-D pattern mask on
+the original layout, `ORACLE_ROWS` query rows at a time, so its memory is
+O(rows·S). Query/key/value come from three fixed seeded random
+projections of the same input, which is all an equivalence check needs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anyres import PaddedGrid
+from .anyres import PaddedGrid, pad_grid
 from .gridseq import GridShape, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, pattern_map
 
@@ -90,35 +92,33 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     return SequenceTensor(out)
 
 
-def _attention_grid(x: SequenceTensor, g: GridShape, pg: PaddedGrid | None) -> GridShape:
-    """The grid x lives on: g, or the padded grid of `pg`, which must have
-    been built for g."""
-    if pg is not None and pg.original != g:
+def _attention_grid(x: SequenceTensor, g: GridShape, pg: PaddedGrid | None) -> PaddedGrid:
+    """The padding x lives on: `pg`, built for g, or pad_grid(g), which is g
+    itself with every token real when k^2 divides h and w."""
+    if pg is None:
+        pg = pad_grid(g)
+    elif pg.original != g:
         raise ShapeError(f"padding was built for grid {pg.original}, not for {g}")
-    grid = pg.padded if pg is not None else g
-    if x.seq != grid.seq_len:
-        raise ShapeError(f"expected seq {grid.seq_len}, got {x.seq}")
-    return grid
+    if x.seq != pg.padded.seq_len:
+        raise ShapeError(f"expected seq {pg.padded.seq_len} of the padded grid {pg.padded}, "
+                         f"got {x.seq}")
+    return pg
 
 
 def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
-    """Sparse attention: rearrange to the pattern layout, run dense
-    attention independently per subsequence, rearrange back.
-
-    With a PaddedGrid of g, x must already live on the padded grid; pad
-    keys are excluded from the softmax and pad query rows come back as
-    zeros.
+    """Sparse attention: gather x once into the pattern layout, project it
+    there (projection is per token, so it commutes with the gather), run
+    dense attention per subsequence and gather back. ORIGINAL is full
+    attention. x lives on the padded grid of `pg` (default pad_grid(g)); pad
+    keys are excluded from the softmax and pad query rows come back zero.
     """
-    grid = _attention_grid(x, g, pg)
-    q, k, v = project_qkv(x)
-    fwd = pattern_map(grid, pattern, batch=x.batch)
-    qp, kp, vp = fwd.apply(q), fwd.apply(k), fwd.apply(v)
-    if pg is None:
-        return fwd.invert().apply(dense_attention(qp, kp, vp))
-    # the sub-mask follows the tokens through the same gather as q, k, v
+    pg = _attention_grid(x, g, pg)
+    fwd = pattern_map(pg.padded, pattern, batch=x.batch)
+    q, k, v = project_qkv(fwd.apply(x))
+    # the sub-mask follows the tokens through the same gather as x
     sub_valid = pg.mask[fwd.src % fwd.in_seq]
-    out = dense_attention(qp, kp, vp, sub_valid[:, None, :]).data.copy()
+    out = dense_attention(q, k, v, sub_valid[:, None, :]).data.copy()
     out[~sub_valid] = 0.0
     return fwd.invert().apply(SequenceTensor(out))
 
@@ -126,18 +126,16 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Oracle: dense attention over the original layout with the 2-D
-    pattern mask, u and v interacting iff they share a subsequence and,
-    when padded, both are real. Runs in blocks of ORACLE_ROWS query rows.
-    Must match skiparse_attention to summation-order noise."""
-    grid = _attention_grid(x, g, pg)
+    pattern mask, u and v interacting iff they share a subsequence and both
+    are real in `pg` (default pad_grid(g)). Runs in blocks of ORACLE_ROWS
+    query rows. Must match skiparse_attention to summation-order noise."""
+    pg = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x)
-    subseq = assignment_of(grid, pattern).subseq
+    subseq = assignment_of(pg.padded, pattern).subseq
     out = np.empty_like(q.data)
-    for start in range(0, grid.seq_len, ORACLE_ROWS):
+    for start in range(0, pg.padded.seq_len, ORACLE_ROWS):
         rows = slice(start, start + ORACLE_ROWS)
-        allow = subseq[rows, None] == subseq[None, :]
-        if pg is not None:
-            allow &= pg.mask[rows, None] & pg.mask[None, :]
+        allow = (subseq[rows, None] == subseq[None, :]) & pg.mask[rows, None] & pg.mask[None, :]
         out[:, rows] = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow).data
     return SequenceTensor(out)
 

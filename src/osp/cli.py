@@ -29,6 +29,10 @@ DEFAULT_SEED = 7
 # comm-sim runs one real pattern switch per block (1000 blocks take about
 # 0.2 s), so a larger count is a usage error, not a run of hours
 MAX_BLOCKS = 1024
+# sampler runs one Python-level step per step and prints one JSON row each
+# (1024 steps take about 0.4 s and print 334 KB at the default ensemble),
+# so a larger count is a usage error, not a run of hours
+MAX_STEPS = 1024
 
 
 class UsageError(ValueError):
@@ -318,7 +322,7 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     pq.set_defaults(func=_cmd_hif8_quantize, **defaults)
 
     p = sub.add_parser("sampler", help="mixed SDE/ODE rollout marginal check")
-    p.add_argument("--steps", type=_positive_int, default=25)
+    p.add_argument("--steps", type=lambda text: _positive_int(text, MAX_STEPS), default=25)
     p.add_argument("--sde-steps", type=_non_negative_int, default=10)
     p.add_argument("--ensemble", type=_positive_int, default=10_000)
     add_seed(p)

@@ -46,12 +46,6 @@ class SparsePattern(Enum):
     GROUP_WISE = "gsa"
 
 
-class LayerKind(Enum):
-    FULL = "full"
-    TSA = "tsa"
-    GSA = "gsa"
-
-
 # Every layout orders one set of named factors. A frame row r splits as
 # (r // k^2, (r // k) % k, r % k) = (row group, p1, p2), the row group fused
 # with t into txh; a column c splits the same way into (wg, q1, q2). Each
@@ -171,9 +165,10 @@ def reachability_hops(g: GridShape) -> int | float:
     return math.inf if ((leaves > 0) & (leaves.T > 0)).any() else 2
 
 
-def build_layer_schedule(num_layers: int, n_full: int) -> list[LayerKind]:
-    """Spindle schedule: n_full / 2 full-attention layers at each end, the
-    middle strictly alternating token-wise / group-wise starting with TSA.
+def build_layer_schedule(num_layers: int, n_full: int) -> list[SparsePattern]:
+    """Spindle schedule, one `skiparse_attention` pattern per layer:
+    n_full / 2 full-attention (ORIGINAL) layers at each end, the middle
+    strictly alternating token-wise / group-wise starting with TSA.
 
     The alternation phase (TSA first) is a fixed convention of this
     package; equivalence checks elsewhere do not depend on it.
@@ -182,9 +177,7 @@ def build_layer_schedule(num_layers: int, n_full: int) -> list[LayerKind]:
         raise ScheduleError(f"n_full must be even and non-negative, got {n_full}")
     if n_full > num_layers:
         raise ScheduleError(f"n_full={n_full} exceeds num_layers={num_layers}")
-    head = n_full // 2
-    schedule = [LayerKind.FULL] * head
-    for i in range(num_layers - n_full):
-        schedule.append(LayerKind.TSA if i % 2 == 0 else LayerKind.GSA)
-    schedule.extend([LayerKind.FULL] * (num_layers - len(schedule)))
-    return schedule
+    middle = [(SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE)[i % 2]
+              for i in range(num_layers - n_full)]
+    full = [SparsePattern.ORIGINAL] * (n_full // 2)
+    return full + middle + full

@@ -8,8 +8,9 @@ from osp import attention
 from osp.anyres import pad_grid, pad_tensor
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
                            skiparse_reference)
+from osp.checks import ATTN_TOLERANCE
 from osp.gridseq import GridShape, SequenceTensor, ShapeError, random_tensor
-from osp.skiparse import SparsePattern
+from osp.skiparse import SparsePattern, build_layer_schedule
 
 
 def _rand_qkv(batch, seq, chan, seed):
@@ -271,3 +272,31 @@ def test_padding_built_for_another_grid_raises(fn):
     with pytest.raises(ShapeError) as exc:
         fn(x, g, SparsePattern.TOKEN_WISE, pg)
     assert str(g) in str(exc.value) and str(other) in str(exc.value)
+
+
+def test_default_padding_is_pad_grid_of_g():
+    for g in (GridShape(1, 8, 8, 2), GridShape(1, 9, 9, 3)):
+        x = random_tensor(2, g.seq_len, 4, seed=24)
+        for pattern in SparsePattern:
+            for fn in (skiparse_attention, skiparse_reference):
+                assert np.array_equal(fn(x, g, pattern).data,
+                                      fn(x, g, pattern, pad_grid(g)).data), (g, pattern, fn)
+    # an unpadded x on a grid k^2 does not divide is the wrong length for pad_grid(g)
+    g = GridShape(1, 5, 6, 2)
+    x = random_tensor(1, g.seq_len, 4, seed=25)
+    for pattern in SparsePattern:
+        with pytest.raises(ShapeError, match=f"expected seq {pad_grid(g).padded.seq_len}"):
+            skiparse_attention(x, g, pattern)
+
+
+def test_spindle_schedule_runs_layer_by_layer():
+    # every schedule entry is the pattern argument, ORIGINAL included, on a padded grid
+    g = GridShape(1, 5, 6, 2)
+    pg = pad_grid(g)
+    x = pad_tensor(random_tensor(2, g.seq_len, 8, seed=26), pg)
+    for layer, pattern in enumerate(build_layer_schedule(6, 2)):
+        out = skiparse_attention(x, g, pattern, pg)
+        ref = skiparse_reference(x, g, pattern, pg)
+        assert np.max(np.abs(out.data - ref.data)) <= ATTN_TOLERANCE, (layer, pattern)
+        assert (out.data[:, ~pg.mask] == 0.0).all(), (layer, pattern)
+        x = out

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import struct
 import subprocess
 import sys
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 import osp
 from oracles import hif8_value_table
 from osp import checks
-from osp.cli import MAX_BLOCKS, main
+from osp.cli import MAX_BLOCKS, MAX_STEPS, main
 from osp.gridseq import SequenceTensor, random_tensor, read_ospt, write_ospt
-from osp.skiparse import LayerKind
+from osp.skiparse import SparsePattern
 
 
 def _run_json(capsys, argv):
@@ -361,6 +362,28 @@ def test_blocks_are_capped(config, flags, expected, tmp_path, capsys, monkeypatc
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,flags,expected", [
+    ("", ["--steps", str(MAX_STEPS + 1)], 2),
+    ("steps = 100000000", [], 2),
+    ("", ["--steps", str(MAX_STEPS), "--ensemble", "2", "--sde-steps", "0"], 0),
+], ids=["flag-over-cap", "config-over-cap", "at-cap"])
+def test_steps_are_capped(config, flags, expected, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    rollout, calls = checks.mixed_rollout, []
+
+    def counted_rollout(*args, **kwargs):
+        calls.append(1)
+        assert expected == 0, "a rollout ran for --steps above the cap"
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "mixed_rollout", counted_rollout)
+    assert _run_code(["--config", str(cfg), "sampler", *flags]) == expected
+    assert bool(calls) == (expected == 0)
+    if expected:
+        assert "error:" in capsys.readouterr().err
+
+
 def test_assertion_failure_exits_1_and_names_invariant(capsys, monkeypatch):
     failing = {"grid": [1, 4, 4], "k": 2, "max_hops": 3,
                "checks": {"max_hops_at_most_two": False}, "pass": False}
@@ -384,7 +407,8 @@ def test_report_all_sections_pass(tmp_path):
 
 
 def test_failing_report_section_names_its_invariant(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(checks, "build_layer_schedule", lambda n, f: [LayerKind.TSA] * n)
+    monkeypatch.setattr(checks, "build_layer_schedule",
+                        lambda n, f: [SparsePattern.TOKEN_WISE] * n)
     code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
     assert code == 1
     err = capsys.readouterr().err
@@ -435,6 +459,40 @@ def test_token_order_dependent_quantizer_fails_report_all(monkeypatch, capsys, t
         "FAIL: sections.quantized_attention_probe.input_error_pattern_independent\n"
 
 
+def test_rollout_drawing_on_ode_steps_fails_report_all(monkeypatch, capsys, tmp_path):
+    rollout = checks.mixed_rollout
+
+    def drawing_rollout(x0, schedule, proc, rng=None):
+        # the same snapshots, but every ODE step also draws a variate it never uses
+        result = rollout(x0, schedule, proc, rng)
+        if rng is not None:
+            rng.standard_normal(schedule.num_steps - len(schedule.sde_steps))
+        return result
+
+    monkeypatch.setattr(checks, "mixed_rollout", drawing_rollout)
+    code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "FAIL: sections.sampler.empty_sde_set_is_pure_ode\n"
+
+
+def _readme_examples() -> list[list[str]]:
+    """Every `osp ...` line of the sh block under the README's CLI heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()
+            if line.startswith("osp ")]
+
+
+def test_readme_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    write_ospt(tmp_path / "x.ospt", random_tensor(1, 16, 4, seed=3))
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) >= 10
+    for argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def _run_code(argv) -> int:
     try:
         return main(argv)
@@ -460,7 +518,8 @@ def test_off_list_and_zero_values_are_usage_errors(config, argv, tmp_path, capsy
 
 # Drawn option values for the exit-code contract. Sizes stay small (grid
 # dims <= 12, k <= 3, ensemble and steps <= 12) so each run is quick;
-# off-list words, zero and negative numbers are always among the draws.
+# off-list words, zero and negative numbers are always among the draws, and
+# so are counts above their cap, which must stop before anything runs.
 # Options argparse requires are always set, as flags (a config value does
 # not satisfy `required`), so every draw can reach the command body.
 _JUNK = st.sampled_from(["", "x", "1.5", "-", "1,2"])
@@ -472,7 +531,11 @@ _GRID = st.one_of(
     .map(lambda dims: ",".join(map(str, dims))),
     st.sampled_from(["", "1,4", "1,4,4,4", "a,b,c", "1, 4, x"]))
 _K = st.one_of(_EDGE, st.integers(-1, 3).map(str), _JUNK)
-_OVER_CAP = st.integers(MAX_BLOCKS + 1, 10 ** 12).map(str)
+_CAPS = {"blocks": MAX_BLOCKS, "steps": MAX_STEPS}
+
+
+def _over_cap(name):
+    return st.integers(_CAPS[name] + 1, 10 ** 12).map(str)
 
 
 def _words(*words):
@@ -487,7 +550,7 @@ _COMMANDS = {
     ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL,
                        "pattern": _words("original", "tsa", "gsa")},
     ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL, "group_size": _SMALL,
-                    "blocks": st.one_of(_SMALL, _OVER_CAP), "elem_bytes": _SMALL},
+                    "blocks": st.one_of(_SMALL, _over_cap("blocks")), "elem_bytes": _SMALL},
     ("hif8", "enum"): {},
     ("hif8", "encode"): {"value": st.one_of(
         st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e-300", "x", ""]),
@@ -497,7 +560,8 @@ _COMMANDS = {
                                                      "empty.ospt", "missing.ospt", "nan.ospt",
                                                      "inf.ospt"]),
                            "output": st.sampled_from(["y.ospt", "no-dir/y.ospt"])},
-    ("sampler",): {"steps": _SMALL, "sde_steps": _SMALL, "ensemble": _SMALL, "seed": _SEED},
+    ("sampler",): {"steps": st.one_of(_SMALL, _over_cap("steps")), "sde_steps": _SMALL,
+                   "ensemble": _SMALL, "seed": _SEED},
     ("report-all",): {"seed": _SEED},
 }
 
@@ -527,7 +591,7 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
             if not required and not data.draw(st.booleans(), label=f"set {name}"):
                 continue
             value = data.draw(values, label=name)
-            over_cap |= name == "blocks" and value.isdigit() and int(value) > MAX_BLOCKS
+            over_cap |= name in _CAPS and value.isdigit() and int(value) > _CAPS[name]
             if name in ("out", "input", "output") and value:
                 value = str(root / value)
             if not required and data.draw(st.booleans(), label=f"{name} in config"):
@@ -538,12 +602,15 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
         if config:
             (root / "run.cfg").write_text("\n".join(config) + "\n")
             argv = ["--config", str(root / "run.cfg"), *argv]
-        switch = checks.ssp_pattern_switch
 
-        def guarded_switch(*args, **kwargs):
-            assert not over_cap, f"a switch ran for --blocks above {MAX_BLOCKS}: {argv}"
-            return switch(*args, **kwargs)
+        def guarded(name):
+            run = getattr(checks, name)
 
-        with mock.patch.object(checks, "ssp_pattern_switch", guarded_switch):
+            def call(*args, **kwargs):
+                assert not over_cap, f"{name} ran for a count above its cap: {argv}"
+                return run(*args, **kwargs)
+            return mock.patch.object(checks, name, call)
+
+        with guarded("ssp_pattern_switch"), guarded("mixed_rollout"):
             code = _run_code(argv)
     assert code in (0, 1, 2), argv

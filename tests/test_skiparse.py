@@ -4,7 +4,7 @@ import pytest
 from oracles import (brute_force_max_hops, gsa_position, gsa_subseq, iter_coords,
                      tsa_position, tsa_subseq)
 from osp.gridseq import GridShape, random_tensor
-from osp.skiparse import (LayerKind, PatternError, ScheduleError, SparsePattern,
+from osp.skiparse import (PatternError, ScheduleError, SparsePattern,
                           assignment_of, build_layer_schedule, gsa_to_orig, gsa_to_tsa,
                           orig_to_gsa, orig_to_tsa, pattern_map, reachability_hops,
                           tsa_to_gsa, tsa_to_orig)
@@ -170,17 +170,18 @@ def test_reachability_requires_k2_divisibility():
 
 def test_layer_schedule_40_8():
     s = build_layer_schedule(40, 8)
-    assert s[:4] == [LayerKind.FULL] * 4
-    assert s[-4:] == [LayerKind.FULL] * 4
+    assert s[:4] == [SparsePattern.ORIGINAL] * 4
+    assert s[-4:] == [SparsePattern.ORIGINAL] * 4
     middle = s[4:36]
-    assert middle == [LayerKind.TSA if i % 2 == 0 else LayerKind.GSA for i in range(32)]
+    assert middle == [SparsePattern.TOKEN_WISE if i % 2 == 0 else SparsePattern.GROUP_WISE
+                      for i in range(32)]
 
 
 def test_layer_schedule_edge_cases():
-    assert build_layer_schedule(4, 4) == [LayerKind.FULL] * 4
+    assert build_layer_schedule(4, 4) == [SparsePattern.ORIGINAL] * 4
     assert build_layer_schedule(6, 2) == [
-        LayerKind.FULL, LayerKind.TSA, LayerKind.GSA,
-        LayerKind.TSA, LayerKind.GSA, LayerKind.FULL,
+        SparsePattern.ORIGINAL, SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE,
+        SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE, SparsePattern.ORIGINAL,
     ]
 
 
