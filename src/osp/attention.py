@@ -13,29 +13,45 @@ inside each subsequence. The oracle applies the full 2-D pattern mask on
 the original layout, `ORACLE_ROWS` query rows at a time, so its memory is
 O(rows·S). Query/key/value come from three fixed seeded random
 projections of the same input, which is all an equivalence check needs.
+They depend only on the channel width, so each width's matrices are drawn
+once per process and are read-only; a test that changes
+`PROJECTION_SEED` must call `_projections.cache_clear()` first.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anyres import PaddedGrid, pad_grid
 from .gridseq import GridShape, SequenceTensor, ShapeError
-from .skiparse import SparsePattern, assignment_of, pattern_map
+from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 # query rows per oracle block: at S=16384 one block's float64 scores take
 # 256 x 16384 x 8 B = 32 MiB, so every row sees all its keys at once
 ORACLE_ROWS = 256
+# channel widths whose projections are kept: report-all uses 2
+PROJECTION_MEMO_SIZE = 8
 
 
 def qkv_projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (chan, chan) q, k and v matrices, drawn once per
+    process and shared."""
+    # a plain function, so a tracer that wraps module functions sees the call
+    return _projections(chan)
+
+
+@functools.lru_cache(maxsize=PROJECTION_MEMO_SIZE)
+def _projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(PROJECTION_SEED))
     scale = 1.0 / np.sqrt(chan)
-    wq, wk, wv = (rng.standard_normal((chan, chan)) * scale for _ in range(3))
-    return wq, wk, wv
+    mats = tuple(rng.standard_normal((chan, chan)) * scale for _ in range(3))
+    for m in mats:
+        m.flags.writeable = False
+    return mats
 
 
 def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
@@ -120,7 +136,8 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     sub_valid = pg.mask[fwd.src % fwd.in_seq]
     out = dense_attention(q, k, v, sub_valid[:, None, :]).data.copy()
     out[~sub_valid] = 0.0
-    return fwd.invert().apply(SequenceTensor(out))
+    back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
+    return back.apply(SequenceTensor(out))
 
 
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,

@@ -24,8 +24,8 @@ from .gridseq import GridShape, SequenceTensor, random_tensor
 from .hif8 import (DEFAULT_EPS, EXP_MAX, EXP_MIN, MANTISSA_WIDTH, MAX_VALUE, VALUES, code_fields,
                    decode_array, dequantize, encode_array, quantize_tensor, roundtrip)
 from .mixflow import marginal_report, mixed_rollout, ode_step, standard_ou, uniform_schedule
-from .skiparse import (SparsePattern, assignment_of, build_layer_schedule,
-                       gsa_to_orig, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
+from .skiparse import (SparsePattern, assignment_of, build_layer_schedule, gsa_to_orig,
+                       gsa_to_tsa, layout_map, orig_to_gsa, orig_to_tsa, pattern_map,
                        reachability_hops, tsa_to_gsa, tsa_to_orig)
 from .ssp import CommLog, shard_pattern_layout, ssp_pattern_switch
 
@@ -451,7 +451,8 @@ def quantized_attention_probe(x: SequenceTensor, g: GridShape, pattern: SparsePa
     the per-tensor scale is permutation invariant.
     """
     fwd = pattern_map(g, pattern, batch=x.batch)
-    xq = fwd.invert().apply(roundtrip(fwd.apply(x), "forward"))
+    back = layout_map(g, pattern, SparsePattern.ORIGINAL, x.batch)
+    xq = back.apply(roundtrip(fwd.apply(x), "forward"))
     reference = skiparse_attention(x, g, pattern)
     probed = skiparse_attention(xq, g, pattern)
     return {

@@ -337,11 +337,18 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     return parser
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without config defaults, built once per process: parsing
+    leaves it unchanged, so every `main` call can share it."""
+    return _build_parser()
+
+
 _NOT_OPTIONS = {"config", "command", "hif8_command", "func"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _default_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -14,6 +14,7 @@ algorithm) so golden files can be regenerated exactly from a seed.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -210,10 +211,10 @@ def rearrange_map(
     if sorted(out_names) != sorted(names):
         raise ValueError("output axes must be a permutation of input axes")
 
-    in_batch = int(np.prod([s for _, s in batch_axes], dtype=np.int64)) if batch_axes else 1
-    in_seq = int(np.prod([s for _, s in seq_axes], dtype=np.int64)) if seq_axes else 1
-    ob = int(np.prod([sizes[n] for n in out_batch], dtype=np.int64)) if out_batch else 1
-    os_ = int(np.prod([sizes[n] for n in out_seq], dtype=np.int64)) if out_seq else 1
+    in_batch = math.prod(s for _, s in batch_axes)
+    in_seq = math.prod(s for _, s in seq_axes)
+    ob = math.prod(sizes[n] for n in out_batch)
+    os_ = math.prod(sizes[n] for n in out_seq)
 
     grid = np.arange(in_batch * in_seq, dtype=np.int64).reshape([size for _, size in axes])
     perm = [names.index(n) for n in out_names]

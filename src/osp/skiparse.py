@@ -19,10 +19,17 @@ of a frame, and one builder, `layout_map(g, src, dst)`, on the shared
 axis-factorization engine `gridseq.rearrange_map` (einops notation). The
 enlarged batch is always nested (pattern-row, pattern-col, batch),
 pattern-row outermost, so that layouts agree across implementations.
+
+A map is a pure function of (grid, src layout, dst layout, batch), so
+`layout_map` builds each one once per process and hands every caller the
+same immutable `IndexMap` (frozen, with a read-only `src`). A test that
+swaps `_LAYOUTS` or `rearrange_map` must call
+`_build_layout_map.cache_clear()` first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,14 +64,25 @@ _LAYOUTS = {
     SparsePattern.GROUP_WISE: (("p1", "q1", "b"), ("txh", "p2", "wg", "q2")),
 }
 
+# maps kept by the layout_map memo: one report-all builds 53 distinct maps
+LAYOUT_MEMO_SIZE = 64
+
 
 def layout_map(g: GridShape, src: SparsePattern, dst: SparsePattern, batch: int = 1) -> IndexMap:
     """Layout src -> layout dst for `batch` items on grid g.
 
     A stride that k (or k^2) does not divide into h and w gets size 1, so
     the layouts that batch it raise PatternError: token-wise needs h and w
-    divisible by k, group-wise by k^2.
+    divisible by k, group-wise by k^2. The map comes from a memo of the
+    last LAYOUT_MEMO_SIZE built, so callers share it; it is immutable.
     """
+    # a plain function, so a tracer that wraps module functions sees the call
+    return _build_layout_map(g, src, dst, batch)
+
+
+@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _build_layout_map(g: GridShape, src: SparsePattern, dst: SparsePattern,
+                      batch: int) -> IndexMap:
     k = g.k
     fine = k if g.h % k == 0 and g.w % k == 0 else 1
     mid = k if g.h % (k * k) == 0 and g.w % (k * k) == 0 else 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridseq import GridShape, SequenceTensor, rearrange_map
-from .skiparse import orig_to_tsa
+from .skiparse import orig_to_tsa, tsa_to_orig
 
 
 class ShardingError(ValueError):
@@ -156,13 +156,16 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     # batch item); the merge wants the source subsequences outermost
     swap = rearrange_map([("n", n), ("dst", g_per_rank), ("src", g_per_rank), ("b", b)],
                          [("s", split.out_seq)], ["n", "src", "dst", "b"], ["s"])
-    merge = split.invert().compose(swap)
+    merge = tsa_to_orig(reduced, batch=g_per_rank * b).compose(swap)
 
     # 1. local rearrangement: group local elements by target subsequence
     send = [split.apply(s.tensor).data for s in group.shards]
-    # 2. one all-to-all delivers each target block to its owner rank
+    # 2. one all-to-all delivers each target block to its owner rank; the
+    # send buffers are dropped as soon as the received ones own the data
     received = all_to_all(send, group.log)
-    # 3. one local gather into the switched layout
-    out_shards = [RankShard(r, merge.apply(SequenceTensor(buf)))
-                  for r, buf in enumerate(received)]
+    del send
+    # 3. one local gather into the switched layout; popping frees each
+    # received buffer once its rank is merged
+    out_shards = [RankShard(r, merge.apply(SequenceTensor(received.pop(0))))
+                  for r in range(n)]
     return ProcessGroup(tuple(out_shards), group.log)

@@ -141,6 +141,18 @@ def test_original_pattern_equals_dense():
     assert np.array_equal(via_pattern.data, direct.data)
 
 
+def test_projections_are_drawn_once_and_read_only():
+    cached = attention.qkv_projections(8)
+    assert attention.qkv_projections(8) is cached
+    for w in cached:
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+    attention._projections.cache_clear()
+    rebuilt = attention.qkv_projections(8)
+    assert rebuilt is not cached
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt, cached))
+
+
 @pytest.mark.parametrize("pattern,subseq_fn", [
     (SparsePattern.TOKEN_WISE, tsa_subseq),
     (SparsePattern.GROUP_WISE, gsa_subseq),

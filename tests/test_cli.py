@@ -406,6 +406,20 @@ def test_report_all_sections_pass(tmp_path):
     }
 
 
+def test_calls_in_one_process_leave_report_all_unchanged(tmp_path, capsys, monkeypatch):
+    # the default parser and the map and projection memos live for the process;
+    # a config run sets seed = 3, which a leaking default would carry over
+    monkeypatch.delenv("OSP_SEED", raising=False)
+    first, second, cfg = tmp_path / "1.json", tmp_path / "2.json", tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\ngroup_size = 2\nblocks = 2\n")
+    assert main(["report-all", "--out", str(first)]) == 0
+    assert main(["attn-verify", "--grid", "1,5,6", "--pattern", "gsa"]) == 0
+    assert main(["--config", str(cfg), "comm-sim"]) == 0
+    assert main(["report-all", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_failing_report_section_names_its_invariant(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(checks, "build_layer_schedule",
                         lambda n, f: [SparsePattern.TOKEN_WISE] * n)

@@ -8,12 +8,19 @@ tuples, the `COUNTERS` keys, the `METHODS` expansions, the
 to the span-view queries inside `layer_metrics`. The names that are stale
 today are pinned, so a newly stale name fails and a fixed one forces the
 set to shrink.
+
+A name that resolves must also be an object `perfbench/spans.py` can wrap:
+a plain function defined in its module, or a plain or static method. A
+decorator such as `functools.lru_cache` on a public function turns it into
+another kind of object that the tracer skips, which zeroes its metrics the
+same way.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -76,6 +83,17 @@ def _resolves(name: str) -> bool:
     return True
 
 
+def _wrappable(name: str) -> bool:
+    module, *attrs = name.split(".")
+    owner = importlib.import_module(f"osp.{module}")
+    for attr in attrs[:-1]:
+        owner = getattr(owner, attr)
+    raw = vars(owner)[attrs[-1]]
+    if inspect.ismodule(owner):
+        return inspect.isfunction(raw) and raw.__module__ == owner.__name__
+    return inspect.isfunction(raw) or isinstance(raw, staticmethod)
+
+
 def test_collects_names_from_every_source():
     # one name from each source: a constant, a tuple, COUNTERS, METHODS,
     # CHECK_ROUTINES and a query literal
@@ -86,3 +104,9 @@ def test_collects_names_from_every_source():
 def test_stale_span_names_are_exactly_the_known_set():
     stale = {name for name in _span_names() if not _resolves(name)}
     assert stale == STALE
+
+
+def test_every_resolving_span_name_is_a_kind_the_tracer_wraps():
+    resolving = {name for name in _span_names() if _resolves(name)}
+    assert "attention.qkv_projections" in resolving
+    assert {name for name in resolving if not _wrappable(name)} == set()

@@ -3,10 +3,12 @@ import pytest
 
 from oracles import (brute_force_max_hops, gsa_position, gsa_subseq, iter_coords,
                      tsa_position, tsa_subseq)
+from osp import skiparse
+from osp.anyres import pad_grid
 from osp.gridseq import GridShape, random_tensor
 from osp.skiparse import (PatternError, ScheduleError, SparsePattern,
                           assignment_of, build_layer_schedule, gsa_to_orig, gsa_to_tsa,
-                          orig_to_gsa, orig_to_tsa, pattern_map, reachability_hops,
+                          layout_map, orig_to_gsa, orig_to_tsa, pattern_map, reachability_hops,
                           tsa_to_gsa, tsa_to_orig)
 
 GRIDS = [
@@ -126,6 +128,22 @@ def test_declared_inverses_equal_computed_inverses():
     g = GridShape(1, 8, 8, 2)
     assert tsa_to_orig(g, 3).same_permutation(orig_to_tsa(g, 3).invert())
     assert gsa_to_orig(g, 3).same_permutation(orig_to_gsa(g, 3).invert())
+    # the attention path and the probe take their inverse from the memo
+    padded = pad_grid(GridShape(1, 10, 13, 2)).padded
+    for p in SparsePattern:
+        back = layout_map(padded, p, SparsePattern.ORIGINAL, 2)
+        assert back.same_permutation(layout_map(padded, SparsePattern.ORIGINAL, p, 2).invert())
+
+
+def test_layout_maps_are_built_once_and_read_only():
+    g = GridShape(2, 8, 8, 2)
+    cached = layout_map(g, SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE, 3)
+    assert tsa_to_gsa(g, 3) is cached
+    with pytest.raises(ValueError):
+        cached.src[0, 0] = 0
+    skiparse._build_layout_map.cache_clear()
+    rebuilt = tsa_to_gsa(g, 3)
+    assert rebuilt is not cached and rebuilt.same_permutation(cached)
 
 
 def test_divisibility_errors():
