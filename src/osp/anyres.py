@@ -5,6 +5,8 @@ Padding is appended at the end of the h and w axes only, so tokens at the
 same spatial position always land in the same subsequence regardless of
 the original resolution. After a pattern map is applied the mask stays
 1-D (one flag per (subsequence, position)); no 2-D mask is ever required.
+`subsequence_mask` is the one place where validity follows a layout; the
+sparse attention path reads its per-subsequence mask from it.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def subsequence_mask(pg: PaddedGrid, pattern: SparsePattern) -> np.ndarray:
     """Validity per (subsequence, position): the flat mask permuted by the
     pattern map. A position is valid iff its source token is real."""
     m = pattern_map(pg.padded, pattern, batch=1)
-    return pg.mask[m.src.reshape(-1)].reshape(m.out_batch, m.out_seq)
+    return pg.mask[m.src]
 
 
 def write_mask(path: str | Path, pg: PaddedGrid) -> None:

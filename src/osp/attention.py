@@ -9,13 +9,13 @@ pass over the scores divides.
 
 Both routes over a grid run masked, on `pg` or by default `pad_grid(g)`.
 The sparse path gathers x once into the pattern layout and masks pad keys
-inside each subsequence. The oracle applies the full 2-D pattern mask on
-the original layout, `ORACLE_ROWS` query rows at a time, so its memory is
-O(rows·S). Query/key/value come from three fixed seeded random
-projections of the same input, which is all an equivalence check needs.
-They depend only on the channel width, so each width's matrices are drawn
-once per process and are read-only; a test that changes
-`PROJECTION_SEED` must call `_projections.cache_clear()` first.
+inside each subsequence with `anyres.subsequence_mask`. The oracle applies
+the full 2-D pattern mask on the original layout, `ORACLE_ROWS` query rows
+at a time, so its memory is O(rows·S). Query/key/value come from three
+fixed seeded random projections of the same input, which is all an
+equivalence check needs. They depend only on the channel width, so each
+width's matrices are drawn once per process and are read-only; a test that
+changes `PROJECTION_SEED` must call `_projections.cache_clear()` first.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anyres import PaddedGrid, pad_grid
+from .anyres import PaddedGrid, pad_grid, subsequence_mask
 from .gridseq import GridShape, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
 
@@ -132,8 +132,9 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     pg = _attention_grid(x, g, pg)
     fwd = pattern_map(pg.padded, pattern, batch=x.batch)
     q, k, v = project_qkv(fwd.apply(x))
-    # the sub-mask follows the tokens through the same gather as x
-    sub_valid = pg.mask[fwd.src % fwd.in_seq]
+    # layout rows nest the batch item innermost, so each subsequence's row
+    # of validity repeats once per item
+    sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
     out = dense_attention(q, k, v, sub_valid[:, None, :]).data.copy()
     out[~sub_valid] = 0.0
     back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)

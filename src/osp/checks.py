@@ -139,8 +139,9 @@ def local_equivalence_check(g: GridShape, seed: int) -> dict:
 
 
 def attention_check(g: GridShape, pattern: SparsePattern, seed: int, chan: int = 8) -> dict:
-    """Sparse path versus the 2-D-mask dense oracle, padding first when the
-    grid is not a multiple of k^2."""
+    """Sparse path versus the 2-D-mask dense oracle on every token, padding
+    first when the grid is not a multiple of k^2; the oracle's pad rows
+    attend nothing, so the sparse path's must come out zero."""
     pg = pad_grid(g)
     xp = pad_tensor(random_tensor(1, g.seq_len, chan, seed), pg)
     out = skiparse_attention(xp, g, pattern, pg)
@@ -153,8 +154,10 @@ def attention_check(g: GridShape, pattern: SparsePattern, seed: int, chan: int =
 
 
 def anyres_check(seed: int) -> dict:
-    """Padding, 1-D mask, pad-content independence and position stability
-    on a 5x6 grid, which pads to 8x8 at k = 2."""
+    """Padding, 1-D mask, pad-content independence and subsequence
+    stability on a 5x6 grid, which pads to 8x8 at k = 2. Whether masked
+    attention on a padded grid matches the oracle is the `attention`
+    section's padded cases."""
     g = GridShape(1, 5, 6, 2)
     pg = pad_grid(g)
     x = random_tensor(1, g.seq_len, 6, seed)
@@ -169,41 +172,38 @@ def anyres_check(seed: int) -> dict:
 
     strip_ok = np.array_equal(strip_padding(xp, pg).data, x.data)
 
-    errs = {}
     invariance_ok = True
     rng = np.random.Generator(np.random.PCG64(seed + 100))
     junk = rng.standard_normal(((~pg.mask).sum(), x.chan)) * 1e6
     for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE):
         out = skiparse_attention(xp, g, pattern, pg)
-        ref = skiparse_reference(xp, g, pattern, pg)
-        errs[pattern.value] = float(np.max(np.abs(out.data[:, pg.mask, :] - ref.data[:, pg.mask, :])))
         xp_junk = pad_tensor(x, pg, pad_fill=junk)
         out_junk = skiparse_attention(xp_junk, g, pattern, pg)
         invariance_ok = invariance_ok and np.array_equal(
             out.data[:, pg.mask, :], out_junk.data[:, pg.mask, :])
 
-    # tokens shared with the already-divisible grid of the padded shape get
-    # identical assignments
-    full = GridShape(g.t, pg.padded.h, pg.padded.w, g.k)
+    # each real token keeps its subsequence on a grid padded by other
+    # amounts (11x13 pads to 12x16); positions may differ across widths
+    big = GridShape(1, 11, 13, 2)
+    other = pad_grid(big)
+    coords = np.unravel_index(np.arange(g.seq_len), (g.t, g.h, g.w))
+    in_other = other.embedding[np.ravel_multi_index(coords, (big.t, big.h, big.w))]
     stability_ok = True
     for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE):
-        a_pad = assignment_of(pg.padded, pattern)
-        a_full = assignment_of(full, pattern)
-        shared = pg.embedding
-        stability_ok = stability_ok and np.array_equal(a_pad.subseq[shared], a_full.subseq[shared])
-        stability_ok = stability_ok and np.array_equal(a_pad.position[shared], a_full.position[shared])
+        here = assignment_of(pg.padded, pattern).subseq[pg.embedding]
+        there = assignment_of(other.padded, pattern).subseq[in_other]
+        stability_ok = stability_ok and np.array_equal(here, there)
 
     checks = {
         "real_token_count": real == g.seq_len,
         "mask_counts_preserved": bool(mask_counts_ok),
         "strip_after_pad_identity": bool(strip_ok),
-        "masked_attention_matches_oracle": all(e <= ATTN_TOLERANCE for e in errs.values()),
         "pad_content_independent": bool(invariance_ok),
-        "position_stable_across_shapes": bool(stability_ok),
+        "subsequence_stable_across_resolutions": bool(stability_ok),
     }
     return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k,
                     padded_grid=[pg.padded.t, pg.padded.h, pg.padded.w],
-                    real_tokens=real, pad_tokens=int((~pg.mask).sum()), max_abs_err=errs)
+                    real_tokens=real, pad_tokens=int((~pg.mask).sum()))
 
 
 def comm_comparison(log: CommLog, group_size: int, per_rank_elements: int,
@@ -494,7 +494,8 @@ def build_full_report(seed: int) -> dict:
         "local_equivalence": _cases("grids", [local_equivalence_check(g, seed + 1)
                                               for g in (g882, g993)]),
         "attention": _cases("cases", [attention_check(g, p, seed + 2)
-                                      for g in (GridShape(1, 4, 4, 2), g882, g993)
+                                      for g in (GridShape(1, 4, 4, 2), g882, g993,
+                                                GridShape(1, 5, 6, 2))
                                       for p in patterns]),
         "anyres": anyres_check(seed + 3),
         "ssp": _cases("cases", [ssp_check(g, n, seed + 4) for g, n in

@@ -138,11 +138,8 @@ def _cmd_attn_verify(args) -> int:
 
 
 def _cmd_comm_sim(args) -> int:
-    payload = checks.ssp_check(GridShape(*args.grid, args.k), args.group_size, args.seed,
-                               chan=args.chan, blocks=args.blocks)
-    payload["per_rank_bytes"] = payload["per_rank_elements"] * args.elem_bytes
-    payload["element_bytes"] = args.elem_bytes
-    return _finish(args.out, payload)
+    return _finish(args.out, checks.ssp_check(GridShape(*args.grid, args.k), args.group_size,
+                                              args.seed, chan=args.chan, blocks=args.blocks))
 
 
 def _cmd_hif8_enum(args) -> int:
@@ -298,8 +295,6 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p.add_argument("--group-size", type=_positive_int, default=4)
     p.add_argument("--blocks", type=lambda text: _positive_int(text, MAX_BLOCKS), default=1)
     p.add_argument("--chan", type=_positive_int, default=4)
-    p.add_argument("--elem-bytes", type=_positive_int, default=2,
-                   help="element width used for the bytes column")
     p.set_defaults(func=_cmd_comm_sim, **defaults)
 
     p = sub.add_parser("hif8", help="8-bit codec utilities")

@@ -119,28 +119,34 @@ def random_tensor(batch: int, seq: int, chan: int, seed: int) -> SequenceTensor:
 class IndexMap:
     """Gather table: output address (b, s) reads input flat address src[b, s].
 
-    Flat input addresses are b_in * in_seq + s_in. A map is a bijection
-    when every input address is consumed exactly once; all pattern maps
-    in this package are bijections and are checked as such in tests.
+    Flat input addresses are b_in * in_seq + s_in; the output shape is the
+    shape of src. A map is a bijection when every input address is consumed
+    exactly once; all pattern maps in this package are bijections and are
+    checked as such in tests.
     """
 
     in_batch: int
     in_seq: int
-    out_batch: int
-    out_seq: int
     src: np.ndarray  # (out_batch, out_seq) int64
 
     def __post_init__(self) -> None:
         src = np.ascontiguousarray(self.src, dtype=np.int64)
-        if src.shape != (self.out_batch, self.out_seq):
-            raise ShapeError(f"src shape {src.shape} != ({self.out_batch}, {self.out_seq})")
-        if self.in_batch * self.in_seq != self.out_batch * self.out_seq:
-            raise ShapeError("IndexMap must preserve the total element count")
         total = self.in_batch * self.in_seq
+        if src.ndim != 2 or src.size != total:
+            raise ShapeError(f"src shape {src.shape} must be 2-D and hold the "
+                             f"{total} addresses of input ({self.in_batch}, {self.in_seq})")
         if src.size and (src.min() < 0 or src.max() >= total):
             raise ShapeError("source addresses out of range")
         src.flags.writeable = False
         object.__setattr__(self, "src", src)
+
+    @property
+    def out_batch(self) -> int:
+        return self.src.shape[0]
+
+    @property
+    def out_seq(self) -> int:
+        return self.src.shape[1]
 
     @property
     def total(self) -> int:
@@ -165,27 +171,23 @@ class IndexMap:
         """Map equal to applying `inner` first, then this map."""
         if (self.in_batch, self.in_seq) != (inner.out_batch, inner.out_seq):
             raise ShapeError("composition shapes do not chain")
-        src = inner.src.reshape(-1)[self.src.reshape(-1)]
-        return IndexMap(inner.in_batch, inner.in_seq, self.out_batch, self.out_seq,
-                        src.reshape(self.out_batch, self.out_seq))
+        return IndexMap(inner.in_batch, inner.in_seq, inner.src.reshape(-1)[self.src])
 
     def invert(self) -> "IndexMap":
         if not self.is_bijection():
             raise ShapeError("only bijective maps can be inverted")
         inv = np.empty(self.total, dtype=np.int64)
         inv[self.src.reshape(-1)] = np.arange(self.total, dtype=np.int64)
-        return IndexMap(self.out_batch, self.out_seq, self.in_batch, self.in_seq,
-                        inv.reshape(self.in_batch, self.in_seq))
+        return IndexMap(self.out_batch, self.out_seq, inv.reshape(self.in_batch, self.in_seq))
 
     def same_permutation(self, other: "IndexMap") -> bool:
-        return (self.in_batch, self.in_seq, self.out_batch, self.out_seq) == \
-            (other.in_batch, other.in_seq, other.out_batch, other.out_seq) and \
+        return (self.in_batch, self.in_seq) == (other.in_batch, other.in_seq) and \
             np.array_equal(self.src, other.src)
 
     @staticmethod
     def identity(batch: int, seq: int) -> "IndexMap":
         src = np.arange(batch * seq, dtype=np.int64).reshape(batch, seq)
-        return IndexMap(batch, seq, batch, seq, src)
+        return IndexMap(batch, seq, src)
 
 
 def rearrange_map(
@@ -213,13 +215,11 @@ def rearrange_map(
 
     in_batch = math.prod(s for _, s in batch_axes)
     in_seq = math.prod(s for _, s in seq_axes)
-    ob = math.prod(sizes[n] for n in out_batch)
-    os_ = math.prod(sizes[n] for n in out_seq)
+    out_shape = (math.prod(sizes[n] for n in out_batch), math.prod(sizes[n] for n in out_seq))
 
     grid = np.arange(in_batch * in_seq, dtype=np.int64).reshape([size for _, size in axes])
     perm = [names.index(n) for n in out_names]
-    src = grid.transpose(perm).reshape(ob, os_)
-    return IndexMap(in_batch, in_seq, ob, os_, src)
+    return IndexMap(in_batch, in_seq, grid.transpose(perm).reshape(out_shape))
 
 
 def write_ospt(path: str | Path, x: SequenceTensor) -> None:

@@ -20,7 +20,7 @@ are closed-form Gaussians at every t, making the agreement falsifiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class OuProcess:
     and the exact score s(x, t) = -(x - mean(t)) / var(t).
     """
 
-    data_mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    data_mean: np.ndarray
     data_var: float = 1.0
 
     def __post_init__(self) -> None:
@@ -71,7 +71,7 @@ class OuProcess:
         return -(x - self.mean_at(t)) / self.var_at(t)
 
 
-def standard_ou(dim: int = 2) -> OuProcess:
+def standard_ou(dim: int) -> OuProcess:
     """The bundled toy: standard normal data, so every marginal is
     N(0, I)."""
     return OuProcess(data_mean=np.zeros(dim))

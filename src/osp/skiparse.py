@@ -145,14 +145,10 @@ class PatternAssignment:
 
 
 def assignment_of(g: GridShape, pattern: SparsePattern) -> PatternAssignment:
-    m = pattern_map(g, pattern, batch=1)
-    n_sub, sub_len = m.out_batch, m.out_seq
-    subseq = np.empty(g.seq_len, dtype=np.int64)
-    position = np.empty(g.seq_len, dtype=np.int64)
-    out_flat = np.arange(n_sub * sub_len, dtype=np.int64)
-    subseq[m.src.reshape(-1)] = out_flat // sub_len
-    position[m.src.reshape(-1)] = out_flat % sub_len
-    return PatternAssignment(pattern, subseq, position, n_sub, sub_len)
+    # the inverse map sends each original token to its flat pattern address
+    back = layout_map(g, pattern, SparsePattern.ORIGINAL)
+    subseq, position = np.divmod(back.src[0], back.in_seq)
+    return PatternAssignment(pattern, subseq, position, back.in_batch, back.in_seq)
 
 
 def reachability_hops(g: GridShape) -> int | float:

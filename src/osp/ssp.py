@@ -64,12 +64,13 @@ class CommLog:
 
 @dataclass(frozen=True)
 class RankShard:
-    rank: int
     tensor: SequenceTensor
 
 
 @dataclass(frozen=True)
 class ProcessGroup:
+    """Rank r holds shards[r]; a shard's rank is its index."""
+
     shards: tuple[RankShard, ...]
     log: CommLog
 
@@ -77,10 +78,6 @@ class ProcessGroup:
         shapes = {s.tensor.data.shape for s in self.shards}
         if len(shapes) > 1:
             raise ShardingError(f"ranks hold unequal shapes: {sorted(shapes)}")
-
-    @property
-    def size(self) -> int:
-        return len(self.shards)
 
     @property
     def local_elements(self) -> int:
@@ -99,7 +96,7 @@ def shard_pattern_layout(x_pattern: SequenceTensor, group_size: int,
         )
     per = x_pattern.batch // group_size
     shards = tuple(
-        RankShard(r, SequenceTensor(x_pattern.data[r * per:(r + 1) * per]))
+        RankShard(SequenceTensor(x_pattern.data[r * per:(r + 1) * per]))
         for r in range(group_size)
     )
     return ProcessGroup(shards, log if log is not None else CommLog())
@@ -111,20 +108,18 @@ def all_to_all(send: list[np.ndarray], log: CommLog) -> list[np.ndarray]:
     along its leading axis. Logs one event; the payload metric is the
     whole per-rank buffer (self-chunk included)."""
     n = len(send)
-    sizes = {buf.size for buf in send}
     shapes = {buf.shape for buf in send}
     if len(shapes) > 1:
         raise CollectiveError(f"ranks send unequal shapes: {sorted(shapes)}")
-    chunked = []
-    for buf in send:
-        if buf.shape[0] % n:
-            raise CollectiveError(f"leading axis {buf.shape[0]} not divisible into {n} chunks")
-        chunked.append(buf.reshape(n, buf.shape[0] // n, *buf.shape[1:]))
+    lead, *rest = send[0].shape
+    if lead % n:
+        raise CollectiveError(f"leading axis {lead} not divisible into {n} chunks")
+    chunked = [buf.reshape(n, lead // n, *rest) for buf in send]
     received = [
         np.concatenate([chunked[j][r] for j in range(n)], axis=0)
         for r in range(n)
     ]
-    log.record("all_to_all", sizes.pop())
+    log.record("all_to_all", send[0].size)
     return received
 
 
@@ -134,7 +129,7 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     applied to token-wise shards it yields group-wise shards and vice
     versa. The result equals gathering all shards, converting with the
     single-process direct map, and resharding."""
-    n = group.size
+    n = len(group.shards)
     k2 = g.k * g.k
     if k2 % n:
         raise ShardingError(f"k^2={k2} not divisible by group size {n}")
@@ -166,6 +161,5 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     del send
     # 3. one local gather into the switched layout; popping frees each
     # received buffer once its rank is merged
-    out_shards = [RankShard(r, merge.apply(SequenceTensor(received.pop(0))))
-                  for r in range(n)]
+    out_shards = [RankShard(merge.apply(SequenceTensor(received.pop(0)))) for _ in range(n)]
     return ProcessGroup(tuple(out_shards), group.log)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import iter_coords
+from oracles import gsa_subseq, iter_coords, tsa_subseq
 from osp.anyres import pad_grid, pad_tensor, read_mask, strip_padding, subsequence_mask, write_mask
 from osp.gridseq import GridShape, ShapeError, random_tensor
 from osp.skiparse import SparsePattern, assignment_of, orig_to_tsa, tsa_to_orig
@@ -100,16 +100,18 @@ def test_padding_keeps_subsequence_count():
         assert assignment_of(pg.padded, pattern).num_subsequences == 4
 
 
-@pytest.mark.parametrize("pattern", [SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE])
-def test_position_stability_across_shapes(pattern):
-    # every real token of the padded 5x6 grid gets the same assignment as
-    # the matching token of a native 8x8 grid
-    pg = pad_grid(GridShape(1, 5, 6, 2))
-    a_pad = assignment_of(pg.padded, pattern)
-    a_full = assignment_of(GridShape(1, 8, 8, 2), pattern)
-    shared = pg.embedding
-    assert np.array_equal(a_pad.subseq[shared], a_full.subseq[shared])
-    assert np.array_equal(a_pad.position[shared], a_full.position[shared])
+@pytest.mark.parametrize("pattern,oracle", [(SparsePattern.TOKEN_WISE, tsa_subseq),
+                                            (SparsePattern.GROUP_WISE, gsa_subseq)],
+                         ids=["tsa", "gsa"])
+def test_subsequence_stable_across_resolutions(pattern, oracle):
+    # a real token's subsequence id depends only on its own (row, col), never
+    # on how far its grid was padded
+    for g in (GridShape(1, 5, 6, 2), GridShape(1, 11, 13, 2), GridShape(2, 6, 3, 2),
+              GridShape(1, 10, 7, 3)):
+        pg = pad_grid(g)
+        subseq = assignment_of(pg.padded, pattern).subseq
+        for i, coord in enumerate(iter_coords(g)):
+            assert subseq[pg.embedding[i]] == oracle(pg.padded, *coord), (g, coord)
 
 
 def test_mask_serialization_roundtrip(tmp_path):

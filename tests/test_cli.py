@@ -74,7 +74,6 @@ def test_comm_sim_counts(capsys):
         "one_shard_per_event": True,
         "volume_ratio_one_quarter": True,
     }
-    assert payload["per_rank_bytes"] == payload["per_rank_elements"] * 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,8 +262,6 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ["comm-sim", "--group-size", "-2"],
     ["comm-sim", "--blocks", "0"],
     ["comm-sim", "--chan", "0"],
-    ["comm-sim", "--elem-bytes", "0"],
-    ["comm-sim", "--elem-bytes", "-3"],
     ["attn-verify", "--chan", "0"],
     ["attn-verify", "--chan", "two"],
 ], ids=" ".join)
@@ -489,6 +486,22 @@ def test_rollout_drawing_on_ode_steps_fails_report_all(monkeypatch, capsys, tmp_
     assert capsys.readouterr().err == "FAIL: sections.sampler.empty_sde_set_is_pure_ode\n"
 
 
+def test_padding_before_the_real_tokens_fails_report_all(monkeypatch, capsys, tmp_path):
+    def pad_before(g):
+        # pads h and w to the same sizes as pad_grid, but ahead of the real rows and columns
+        padded = osp.anyres.pad_grid(g).padded
+        rows = np.arange(padded.h) >= padded.h - g.h
+        cols = np.arange(padded.w) >= padded.w - g.w
+        mask = np.tile((rows[:, None] & cols[None, :]).reshape(-1), g.t)
+        return osp.anyres.PaddedGrid(g, padded, mask, np.flatnonzero(mask))
+
+    monkeypatch.setattr(checks, "pad_grid", pad_before)
+    code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "FAIL: sections.anyres.subsequence_stable_across_resolutions\n"
+
+
 def _readme_examples() -> list[list[str]]:
     """Every `osp ...` line of the sh block under the README's CLI heading."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -564,7 +577,7 @@ _COMMANDS = {
     ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL,
                        "pattern": _words("original", "tsa", "gsa")},
     ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL, "group_size": _SMALL,
-                    "blocks": st.one_of(_SMALL, _over_cap("blocks")), "elem_bytes": _SMALL},
+                    "blocks": st.one_of(_SMALL, _over_cap("blocks"))},
     ("hif8", "enum"): {},
     ("hif8", "encode"): {"value": st.one_of(
         st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e-300", "x", ""]),

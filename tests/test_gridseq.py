@@ -59,14 +59,14 @@ def test_identity_map_is_noop():
 
 def test_swap_map_reverses_two_elements():
     x = SequenceTensor(np.array([[[1.0], [2.0]]]))
-    swap = IndexMap(1, 2, 1, 2, np.array([[1, 0]]))
+    swap = IndexMap(1, 2, np.array([[1, 0]]))
     out = swap.apply(x)
     assert out.data[0, :, 0].tolist() == [2.0, 1.0]
 
 
 def _random_bijection(batch, seq, rng):
     perm = rng.permutation(batch * seq)
-    return IndexMap(batch, seq, batch, seq, perm.reshape(batch, seq))
+    return IndexMap(batch, seq, perm.reshape(batch, seq))
 
 
 def test_composition_matches_sequential_application():
@@ -85,6 +85,25 @@ def test_invert_roundtrip():
     x = random_tensor(3, 5, 2, seed=2)
     assert np.array_equal(m.invert().apply(m.apply(x)).data, x.data)
     assert m.invert().compose(m).same_permutation(IndexMap.identity(3, 5))
+
+
+@pytest.mark.parametrize("src", [np.arange(6), np.arange(4).reshape(2, 2)],
+                         ids=["one-dimensional", "wrong-size"])
+def test_src_must_be_2d_and_hold_every_input_address(src):
+    with pytest.raises(ShapeError) as exc:
+        IndexMap(2, 3, src)
+    assert str(src.shape) in str(exc.value) and "(2, 3)" in str(exc.value)
+
+
+def test_compose_and_invert_read_their_output_shape_from_src():
+    # (2, 12) -> (6, 4) -> (24, 1): every step changes the shape
+    m = rearrange_map([("b", 2)], [("x", 3), ("y", 4)], ["b", "x"], ["y"])
+    flatten = rearrange_map([("a", 6)], [("s", 4)], ["a", "s"], [])
+    composed, inverse = flatten.compose(m), m.invert()
+    assert (composed.out_batch, composed.out_seq) == composed.src.shape == (24, 1)
+    assert (inverse.out_batch, inverse.out_seq) == inverse.src.shape == (2, 12)
+    assert (composed.in_batch, composed.in_seq) == (2, 12)
+    assert (inverse.in_batch, inverse.in_seq) == (6, 4)
 
 
 def test_apply_shape_mismatch():

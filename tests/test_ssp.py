@@ -19,7 +19,7 @@ def test_single_rank_shard_is_whole_input():
     g = GridShape(1, 4, 4, 2)
     x_tsa = _tsa_layout(g)
     group = shard_pattern_layout(x_tsa, 1)
-    assert group.size == 1
+    assert len(group.shards) == 1
     assert np.array_equal(group.shards[0].tensor.data, x_tsa.data)
 
 
@@ -74,7 +74,7 @@ def test_unequal_shard_shapes_rejected():
     t1 = SequenceTensor(np.zeros((1, 4, 2)))
     t2 = SequenceTensor(np.zeros((2, 4, 2)))
     with pytest.raises(ShardingError):
-        ProcessGroup((RankShard(0, t1), RankShard(1, t2)), CommLog())
+        ProcessGroup((RankShard(t1), RankShard(t2)), CommLog())
 
 
 SWITCH_CASES = [
@@ -239,7 +239,7 @@ def test_ssp_check_names_the_first_mismatching_block_and_rank(monkeypatch):
         calls.append(g)
         if len(calls) == 2:
             shards = list(out.shards)
-            shards[1] = RankShard(1, SequenceTensor(-shards[1].tensor.data))
+            shards[1] = RankShard(SequenceTensor(-shards[1].tensor.data))
             out = ProcessGroup(tuple(shards), out.log)
         return out
 
