@@ -164,7 +164,10 @@ class IndexMap:
                 f"map expects input ({self.in_batch}, {self.in_seq}), got ({x.batch}, {x.seq})"
             )
         flat = x.data.reshape(self.total, x.chan)
-        out = flat[self.src.reshape(-1)].reshape(self.out_batch, self.out_seq, x.chan)
+        # mode="clip" skips numpy's per-index bounds check; it cannot hide a
+        # bad address, because __post_init__ range-checks src and freezes it
+        out = np.take(flat, self.src.reshape(-1), axis=0, mode="clip")
+        out = out.reshape(self.out_batch, self.out_seq, x.chan)
         return SequenceTensor(out)
 
     def compose(self, inner: "IndexMap") -> "IndexMap":

@@ -106,6 +106,22 @@ def test_compose_and_invert_read_their_output_shape_from_src():
     assert (inverse.in_batch, inverse.in_seq) == (6, 4)
 
 
+@pytest.mark.parametrize("codes", [False, True], ids=["float64", "hif8-codes"])
+def test_apply_gathers_like_fancy_indexing_with_repeated_addresses(codes):
+    rng = np.random.Generator(np.random.PCG64(5))
+    # not a bijection: addresses repeat and some inputs are never read
+    src = np.array([[0, 0, 5], [7, 2, 7], [11, 3, 0], [9, 9, 9]])
+    m = IndexMap(3, 4, src)
+    assert not m.is_bijection()
+    data = rng.integers(0, 256, size=(3, 4, 2), dtype=np.uint8) if codes \
+        else rng.standard_normal((3, 4, 2))
+    x = SequenceTensor(data)
+    out = m.apply(x)
+    assert out.data.dtype == x.data.dtype
+    assert np.array_equal(out.data, x.data.reshape(-1, 2)[src.ravel()].reshape(4, 3, 2))
+    assert not out.data.flags.writeable
+
+
 def test_apply_shape_mismatch():
     m = IndexMap.identity(2, 4)
     with pytest.raises(ShapeError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import transpose_chunks
-from osp import checks
+from osp import checks, ssp
 from osp.checks import comm_comparison
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.skiparse import SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
@@ -65,9 +65,44 @@ def test_all_to_all_matches_transpose_oracle():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+def test_all_to_all_fills_one_buffer_equal_to_concatenation(n, dtype):
+    rng = np.random.Generator(np.random.PCG64(n))
+    if dtype == np.uint8:
+        send = [rng.integers(0, 256, size=(2 * n, 3, 2), dtype=np.uint8) for _ in range(n)]
+    else:
+        send = [rng.standard_normal((2 * n, 3, 2)) for _ in range(n)]
+    expected = transpose_chunks(send, n)
+    out = all_to_all(send, CommLog())
+    assert isinstance(out, list) and len(out) == n
+    assert all(got.base is out[0].base is not None for got in out)
+    assert not any(np.shares_memory(got, buf) for got in out for buf in send)
+    for buf in send:  # the received buffers are copies
+        buf[...] = 0
+    for got, want in zip(out, expected):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
 def test_all_to_all_unequal_chunk_error():
     with pytest.raises(CollectiveError):
         all_to_all([np.zeros((3, 1)), np.zeros((3, 1))], CommLog())
+
+
+def test_all_to_all_with_no_ranks_is_a_collective_error():
+    with pytest.raises(CollectiveError, match="got 0 send buffers"):
+        all_to_all([], CommLog())
+
+
+def test_empty_process_group_is_a_sharding_error():
+    with pytest.raises(ShardingError, match="got 0 shards"):
+        ProcessGroup((), CommLog())
+
+
+def test_zero_group_size_is_a_sharding_error():
+    with pytest.raises(ShardingError, match="group size must be at least 1, got 0"):
+        shard_pattern_layout(_tsa_layout(GridShape(1, 4, 4, 2)), 0)
 
 
 def test_unequal_shard_shapes_rejected():
@@ -137,6 +172,17 @@ def test_switch_with_multi_item_batch():
     for r in range(2):
         assert np.array_equal(switched.shards[r].tensor.data,
                               oracle.data[r * per:(r + 1) * per])
+
+
+def test_switch_plan_is_built_once_per_grid_group_and_batch():
+    g = GridShape(1, 8, 8, 2)
+    ssp._switch_plan.cache_clear()
+    group = shard_pattern_layout(_tsa_layout(g, seed=13), 4)
+    back = ssp_pattern_switch(ssp_pattern_switch(group, g), g)
+    assert np.array_equal(np.concatenate([s.tensor.data for s in back.shards]),
+                          _tsa_layout(g, seed=13).data)
+    info = ssp._switch_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_group_size_must_divide_k_squared():
