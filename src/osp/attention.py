@@ -5,13 +5,18 @@ sparse execution path and its masked dense oracle.
 with BLAS matmuls (`q @ kᵀ`, `weights @ v`) and runs the softmax in place
 on the scores it owns without normalising them: it divides the (rows × C)
 output by each row's weight sum instead, as FlashAttention does, so no
-pass over the scores divides.
+pass over the scores divides. It holds at most `SCORE_TILE_BYTES` of
+float64 scores at a time: it walks tiles of whole batch items, or of runs
+of one item's query rows when an item alone does not fit, all computed in
+one buffer allocated once per call. Every row sees all its keys in its
+tile, so the softmax needs no rescaling across tiles.
 
 Both routes over a grid run masked, on `pg` or by default `pad_grid(g)`.
 The sparse path gathers x once into the pattern layout and masks pad keys
 inside each subsequence with `anyres.subsequence_mask`. The oracle applies
-the full 2-D pattern mask on the original layout, `ORACLE_ROWS` query rows
-at a time, so its memory is O(rows·S). Query/key/value come from three
+the full 2-D pattern mask on the original layout, in blocks of as many
+query rows as one tile holds against all S keys, so each block item is
+exactly one tile and no S×S array exists. Query/key/value come from three
 fixed seeded random projections of the same input, which is all an
 equivalence check needs. They depend only on the channel width, so each
 width's matrices are drawn once per process and are read-only; a test that
@@ -21,6 +26,7 @@ changes `PROJECTION_SEED` must call `_projections.cache_clear()` first.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +36,9 @@ from .gridseq import GridShape, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
-# query rows per oracle block: at S=16384 one block's float64 scores take
-# 256 x 16384 x 8 B = 32 MiB, so every row sees all its keys at once
-ORACLE_ROWS = 256
+# the most float64 scores one dense_attention tile may hold: 256 query rows
+# against 4096 keys
+SCORE_TILE_BYTES = 8 * 2 ** 20
 # channel widths whose projections are kept: report-all uses 2
 PROJECTION_MEMO_SIZE = 8
 
@@ -77,34 +83,66 @@ def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None
     return scores, denom
 
 
+def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
+    """(batch items, query rows) of the largest score tile: as many whole
+    items as fit in SCORE_TILE_BYTES, else one item's rows in runs of the
+    most that fit, at least one. rows must be positive."""
+    rows_fit = max(1, SCORE_TILE_BYTES // (8 * keys))
+    if rows <= rows_fit:
+        return min(batch, rows_fit // rows), rows
+    return 1, rows_fit
+
+
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
                     allowed: np.ndarray | None = None) -> SequenceTensor:
     """Scaled dot-product attention per batch item: softmax(q kᵀ / √C) v,
     computed as (exp(q/√C · kᵀ - row max) @ v) / row sum.
 
     q may hold fewer query rows than k and v (a block of queries against
-    every key); batch and chan must match and k and v must share a shape.
-    allowed, when given, is a boolean (query, key) permission that
-    broadcasts to (batch, query, key); disallowed keys are excluded from the
-    softmax. Queries with no allowed key output zero vectors.
+    every key); batch and chan must match, k and v must share a shape and
+    hold at least one key. allowed, when given, is a boolean (query, key)
+    permission that broadcasts to (batch, query, key); disallowed keys are
+    excluded from the softmax. Queries with no allowed key output zero
+    vectors. The scores live in one buffer of at most SCORE_TILE_BYTES (or
+    one query row's scores, if larger), filled tile by tile, so no
+    (batch, query, key) array is built when they do not fit in it.
     """
     if (k.data.shape != v.data.shape or q.batch != k.batch or q.chan != k.chan
             or q.seq > k.seq):
         raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
                          f"v {v.data.shape}: batch and chan must match, k and v must "
                          f"share a shape and q may not have more rows than k")
+    if k.seq == 0:
+        raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
+                         f"v {v.data.shape}: there are no keys")
     # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-    scores = (q.data / np.sqrt(q.chan)) @ k.data.transpose(0, 2, 1)
+    qs = q.data / np.sqrt(q.chan)
+    score_shape = (q.batch, q.seq, k.seq)
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         try:
-            np.broadcast_to(allowed, scores.shape)
+            allowed = np.broadcast_to(allowed, score_shape)
         except ValueError:
             raise ShapeError(f"mask shape {allowed.shape} does not broadcast to "
-                             f"{scores.shape}") from None
-    weights, denom = _softmax_rows(scores, allowed)
-    out = weights @ v.data
-    out /= denom
+                             f"{score_shape}") from None
+    out = np.empty(q.data.shape)
+    if out.size == 0:  # no items, query rows or channels: no tile to walk
+        return SequenceTensor(out)
+    kt = k.data.transpose(0, 2, 1)
+    items, rows = _tile_shape(*score_shape)
+    buf = np.empty(items * rows * k.seq)
+    # a tile is whole items or a run of one item's rows, so both q[tile] and
+    # out[tile] are C-contiguous and each matmul stays on BLAS
+    for b in range(0, q.batch, items):
+        for r in range(0, q.seq, rows):
+            tile = (slice(b, b + items), slice(r, r + rows))
+            q_tile, out_tile = qs[tile], out[tile]
+            shape = (*q_tile.shape[:2], k.seq)
+            scores = buf[:math.prod(shape)].reshape(shape)
+            np.matmul(q_tile, kt[tile[0]], out=scores)
+            weights, denom = _softmax_rows(scores, None if allowed is None else allowed[tile])
+            np.matmul(weights, v.data[tile[0]], out=out_tile)
+            out_tile /= denom
     return SequenceTensor(out)
 
 
@@ -145,14 +183,18 @@ def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Oracle: dense attention over the original layout with the 2-D
     pattern mask, u and v interacting iff they share a subsequence and both
-    are real in `pg` (default pad_grid(g)). Runs in blocks of ORACLE_ROWS
-    query rows. Must match skiparse_attention to summation-order noise."""
+    are real in `pg` (default pad_grid(g)). Runs in blocks of as many query
+    rows as one score tile holds against all S keys, so each block item is
+    one dense_attention tile. Must match skiparse_attention to
+    summation-order noise."""
     pg = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x)
     subseq = assignment_of(pg.padded, pattern).subseq
     out = np.empty_like(q.data)
-    for start in range(0, pg.padded.seq_len, ORACLE_ROWS):
-        rows = slice(start, start + ORACLE_ROWS)
+    seq = pg.padded.seq_len
+    _, block = _tile_shape(1, seq, seq)
+    for start in range(0, seq, block):
+        rows = slice(start, start + block)
         allow = (subseq[rows, None] == subseq[None, :]) & pg.mask[rows, None] & pg.mask[None, :]
         out[:, rows] = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow).data
     return SequenceTensor(out)

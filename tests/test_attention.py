@@ -125,6 +125,66 @@ def test_query_row_block_matches_full_call_and_leaves_inputs_alone():
     assert (full[:, 4] == 0.0).all()
 
 
+def test_empty_key_axis_raises_and_empty_query_block_returns_empty():
+    q, k, v = _rand_qkv(2, 0, 4, seed=27)
+    with pytest.raises(ShapeError, match=r"\(2, 0, 4\).*no keys"):
+        dense_attention(q, k, v)
+    _, k, v = _rand_qkv(2, 5, 4, seed=28)
+    for allow in (None, np.ones(5, dtype=bool)):
+        out = dense_attention(q, k, v, allow)
+        assert out.data.shape == (2, 0, 4)
+
+
+def _tiling_mask(mask_shape, rng):
+    allow = rng.random(mask_shape) < 0.6
+    if len(mask_shape) == 3:
+        allow[1] = False                  # a whole item with no allowed key
+    if mask_shape[-2:] == (10, 10):
+        allow[..., 4, :] = False          # one query row with no allowed key
+    return allow
+
+
+# 3 items of 10 x 10 scores at 800 B each
+@pytest.mark.parametrize("tile_bytes,tile_shape", [
+    (1600, (2, 10)),   # two whole items, then a ragged one
+    (240, (1, 3)),     # runs of 3 rows of one item, then a ragged run of 1
+    (8, (1, 1)),       # less than one row's scores: one row per tile
+], ids=["items", "rows", "one-row"])
+@pytest.mark.parametrize("mask_shape", [(10,), (10, 10), (3, 1, 10), (3, 10, 10)], ids=str)
+def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape, monkeypatch):
+    q, k, v = _rand_qkv(3, 10, 4, seed=29)
+    allow = _tiling_mask(mask_shape, np.random.Generator(np.random.PCG64(30)))
+    before = [a.copy() for a in (q.data, k.data, v.data, allow)]
+    one_tile = dense_attention(q, k, v, allow).data
+    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", tile_bytes)
+    assert attention._tile_shape(3, 10, 10) == tile_shape
+    tiled = dense_attention(q, k, v, allow).data
+    for a, b in zip(before, (q.data, k.data, v.data, allow)):
+        assert np.array_equal(a, b)
+    full = np.broadcast_to(allow, (3, 10, 10))
+    naive = np.concatenate([naive_attention(q.data[b:b + 1], k.data[b:b + 1], v.data[b:b + 1],
+                                            allow=full[b]) for b in range(3)])
+    assert np.max(np.abs(tiled - one_tile)) < 1e-12
+    assert np.max(np.abs(tiled - naive)) < 1e-12
+    dead = ~full.any(axis=-1)
+    assert (tiled[dead] == 0.0).all()
+    assert dead.any() == (len(mask_shape) > 1)
+
+
+def test_score_memory_stays_within_one_tile():
+    # clip-attn's sparse call: 4 subsequences of 960 tokens, pad keys masked;
+    # all 4 x 960 x 960 float64 scores at once would take 28.1 MiB
+    q, k, v = _rand_qkv(4, 960, 64, seed=31)
+    allow = np.random.Generator(np.random.PCG64(32)).random((4, 1, 960)) < 0.95
+    tracemalloc.start()
+    try:
+        dense_attention(q, k, v, allow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4)])
 def test_mask_that_does_not_broadcast_raises(mask_shape):
     q, k, v = _rand_qkv(1, 4, 2, seed=7)
@@ -184,7 +244,7 @@ def test_skiparse_equals_masked_reference(g, pattern):
 @pytest.mark.parametrize("g", [GridShape(1, 8, 8, 2), GridShape(1, 5, 6, 2)], ids=str)
 def test_row_blocked_oracle_matches_unblocked_and_naive(g, pattern, subseq_fn, monkeypatch):
     # 7-row blocks: several per sequence, and a ragged last one (64 = 9*7 + 1)
-    monkeypatch.setattr(attention, "ORACLE_ROWS", 7)
+    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 64 * 8)
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=18), pg)
     ref = skiparse_reference(x, g, pattern, None if pg.trivial else pg).data
