@@ -9,8 +9,8 @@ from .skiparse import (PatternAssignment, SparsePattern, assignment_of, build_la
 from .anyres import PaddedGrid, pad_grid, pad_tensor, strip_padding, subsequence_mask
 from .attention import (FlopReport, dense_attention, flop_report, skiparse_attention,
                         skiparse_reference)
-from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, shard_pattern_layout,
-                  ssp_pattern_switch)
+from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, exchange_map,
+                  shard_pattern_layout, ssp_pattern_switch)
 from .hif8 import QuantizedTensor, decode, dequantize, encode, quantize_tensor
 from .mixflow import (OuProcess, RolloutResult, SamplerSchedule, marginal_report,
                       mixed_rollout, ode_step, sde_step, standard_ou, uniform_schedule)

@@ -121,10 +121,13 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
         try:
-            allowed = np.broadcast_to(allowed, score_shape)
+            np.broadcast_to(allowed, score_shape)
         except ValueError:
             raise ShapeError(f"mask shape {allowed.shape} does not broadcast to "
                              f"{score_shape}") from None
+        # kept at its own size: a tile slices only the axes it does not
+        # broadcast, so _softmax_rows inverts no tile-sized mask
+        allowed = allowed.reshape((1,) * (3 - allowed.ndim) + allowed.shape)
     out = np.empty(q.data.shape)
     if out.size == 0:  # no items, query rows or channels: no tile to walk
         return SequenceTensor(out)
@@ -140,7 +143,9 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
             shape = (*q_tile.shape[:2], k.seq)
             scores = buf[:math.prod(shape)].reshape(shape)
             np.matmul(q_tile, kt[tile[0]], out=scores)
-            weights, denom = _softmax_rows(scores, None if allowed is None else allowed[tile])
+            mask = None if allowed is None else allowed[tuple(
+                t if n > 1 else slice(None) for t, n in zip(tile, allowed.shape))]
+            weights, denom = _softmax_rows(scores, mask)
             np.matmul(weights, v.data[tile[0]], out=out_tile)
             out_tile /= denom
     return SequenceTensor(out)

@@ -157,18 +157,29 @@ class IndexMap:
         seen[self.src.reshape(-1)] = True
         return bool(seen.all())
 
-    def apply(self, x: SequenceTensor) -> SequenceTensor:
-        """Gather x through the map; channel vectors are copied verbatim."""
+    def apply(self, x: SequenceTensor, out: np.ndarray | None = None) -> SequenceTensor:
+        """Gather x through the map; channel vectors are copied verbatim.
+
+        With `out`, a C-contiguous (out_batch, out_seq, chan) array of x's
+        dtype, the gather writes into it (numpy's out= idiom) and the
+        result's data is a read-only view of it; `out` itself stays writable.
+        """
         if (x.batch, x.seq) != (self.in_batch, self.in_seq):
             raise ShapeError(
                 f"map expects input ({self.in_batch}, {self.in_seq}), got ({x.batch}, {x.seq})"
             )
-        flat = x.data.reshape(self.total, x.chan)
+        shape = (self.out_batch, self.out_seq, x.chan)
+        if out is None:
+            out = np.empty(shape, dtype=x.data.dtype)
+        elif out.shape != shape or out.dtype != x.data.dtype or not out.flags.c_contiguous:
+            raise ShapeError(f"out must be a C-contiguous {shape} array of {x.data.dtype}, "
+                             f"got {'' if out.flags.c_contiguous else 'non-contiguous '}"
+                             f"{out.shape} {out.dtype}")
         # mode="clip" skips numpy's per-index bounds check; it cannot hide a
         # bad address, because __post_init__ range-checks src and freezes it
-        out = np.take(flat, self.src.reshape(-1), axis=0, mode="clip")
-        out = out.reshape(self.out_batch, self.out_seq, x.chan)
-        return SequenceTensor(out)
+        np.take(x.data.reshape(self.total, x.chan), self.src.reshape(-1), axis=0, mode="clip",
+                out=out.reshape(self.total, x.chan))
+        return SequenceTensor(out.view())
 
     def compose(self, inner: "IndexMap") -> "IndexMap":
         """Map equal to applying `inner` first, then this map."""

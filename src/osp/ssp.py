@@ -8,19 +8,22 @@ collective:
   1. each rank re-splits its local subsequences with a token-wise
      rearrange on the reduced (t, h/k, w/k) grid, which groups elements
      by their target subsequence;
-  2. one all-to-all delivers chunk j of rank r to slot r of rank j; every
-     rank's received chunks land in one receive buffer, allocated once per
-     call, so the collective pays for the bytes it moves rather than for
-     N fresh buffers;
-  3. one local gather swaps the (source subsequence, target slot) nesting
-     of the received chunks and merges them with the reverse rearrange
-     into the switched layout; both are named-axis maps composed into one.
+  2. one all-to-all delivers chunk j of rank r to slot r of rank j; the
+     ranks' send buffers are the rows of one sender-major buffer, and
+     every receiver reads its chunks there in place through
+     `exchange_map`, so the collective itself copies nothing;
+  3. one gather reads the exchanged chunks, swaps their (source
+     subsequence, target slot) nesting and merges them with the reverse
+     rearrange into the switched layout, for every rank at once; the
+     exchange, swap and merge are named-axis maps composed into one.
 
 The same three steps convert token-wise to group-wise and back. The split
 and merge maps depend only on the reduced grid, N and the local batch, so
 they are built once per process and kept in a memo of the last
-PLAN_MEMO_SIZE plans; a test that swaps `rearrange_map` or the layout
-table must call `_switch_plan.cache_clear()` first.
+PLAN_MEMO_SIZE plans, each with its exchange map in a memo of the same
+size; a test that swaps `rearrange_map`, `exchange_map` or the layout
+table must call `_switch_plan.cache_clear()` and
+`_exchange_map.cache_clear()` first.
 
 Collectives are synchronous buffer exchanges with no transport model; each
 executed collective writes one event to the `CommLog` ledger with the
@@ -119,42 +122,59 @@ def shard_pattern_layout(x_pattern: SequenceTensor, group_size: int,
     return ProcessGroup(shards, log if log is not None else CommLog())
 
 
-def all_to_all(send: list[np.ndarray], log: CommLog) -> list[np.ndarray]:
-    """All-to-all collective: received[r] is the concatenation over j of
-    rank j's r-th chunk. Each send buffer must split into N equal chunks
-    along its leading axis. Every received[r] is a view of one receive
-    buffer, filled by one transposed copy per sender, and shares no memory
-    with `send`. Logs one event; the payload metric is the whole per-rank
-    buffer (self-chunk included)."""
-    n = len(send)
-    if not n:
-        raise CollectiveError("all_to_all needs at least one rank, got 0 send buffers")
-    shapes = {buf.shape for buf in send}
-    if len(shapes) > 1:
-        raise CollectiveError(f"ranks send unequal shapes: {sorted(shapes)}")
-    lead, *rest = send[0].shape
+def exchange_map(n: int, lead: int, seq: int) -> IndexMap:
+    """Routing of the all-to-all on n ranks: the rows (src, dst, c) of a
+    sender-major (n·lead, seq) buffer, whose chunk dst of sender src is
+    bound for rank dst, read as (dst, src, c). Row block r of the result is
+    what rank r receives: chunk r of every sender, in sender order. Raises
+    CollectiveError unless n is at least 1 and divides lead. The map is
+    built once per (n, lead, seq) and shared."""
+    _check_chunks(n, lead)
+    # a plain function, so a tracer that wraps module functions sees the call
+    return _exchange_map(n, lead, seq)
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _exchange_map(n: int, lead: int, seq: int) -> IndexMap:
+    return rearrange_map([("src", n), ("dst", n), ("c", lead // n)], [("s", seq)],
+                         ["dst", "src", "c"], ["s"])
+
+
+def all_to_all(send: np.ndarray, log: CommLog) -> None:
+    """All-to-all collective over the sender-major buffer `send`, shaped
+    (n, lead, seq, chan): rank j sends send[j], whose r-th of n equal
+    chunks along lead is bound for rank r. In process the exchange moves
+    nothing: every receiver reads its chunks in place through
+    `exchange_map(n, lead, seq)`. Logs one event; the payload metric is the
+    whole per-rank buffer (self-chunk included)."""
+    _check_chunks(len(send), send.shape[1])
+    log.record("all_to_all", send[0].size)
+
+
+def _check_chunks(n: int, lead: int) -> None:
+    if n < 1:
+        raise CollectiveError(f"all_to_all needs at least one rank, got {n}")
     if lead % n:
         raise CollectiveError(f"leading axis {lead} not divisible into {n} chunks")
-    # received[r, j] is rank j's r-th chunk; the dtype is concatenate's
-    received = np.empty((n, n, lead // n, *rest), dtype=np.result_type(*send))
-    for j, buf in enumerate(send):
-        received[:, j] = buf.reshape(n, lead // n, *rest)
-    log.record("all_to_all", send[0].size)
-    return list(received.reshape(n, lead, *rest))
 
 
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
 def _switch_plan(reduced: GridShape, n: int, b: int) -> tuple[IndexMap, IndexMap]:
     """(split, merge) maps of a switch on n ranks, each holding the
-    G = k^2 / n subsequences of b batch items on the reduced grid."""
+    G = k^2 / n subsequences of b batch items on the reduced grid. split
+    runs on each rank; merge reads the whole sender-major buffer through
+    the exchange and writes every rank's switched rows, rank r's in block r."""
     g_per_rank = reduced.k * reduced.k // n
     split = orig_to_tsa(reduced, batch=g_per_rank * b)
     # received chunks nest (source rank, target slot, source subsequence,
     # batch item); the merge wants the source subsequences outermost
     swap = rearrange_map([("n", n), ("dst", g_per_rank), ("src", g_per_rank), ("b", b)],
                          [("s", split.out_seq)], ["n", "src", "dst", "b"], ["s"])
-    merge = tsa_to_orig(reduced, batch=g_per_rank * b).compose(swap)
-    return split, merge
+    local = tsa_to_orig(reduced, batch=g_per_rank * b).compose(swap)
+    # block-diagonal over ranks: rank r's merge reads row block r
+    blocks = local.src + np.arange(0, n * local.total, local.total)[:, None, None]
+    merge = IndexMap(n * local.in_batch, local.in_seq, blocks.reshape(-1, local.out_seq))
+    return split, merge.compose(exchange_map(n, split.out_batch, split.out_seq))
 
 
 def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
@@ -182,13 +202,21 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
 
     split, merge = _switch_plan(reduced, n, b)
 
-    # 1. local rearrangement: group local elements by target subsequence
-    send = [split.apply(s.tensor).data for s in group.shards]
-    # 2. one all-to-all delivers each target block to its owner rank; the
-    # send buffers are dropped as soon as the received ones own the data
-    received = all_to_all(send, group.log)
-    del send
-    # 3. one local gather per rank into the switched layout; the receive
-    # buffer lives until every rank is merged and is freed on return
-    out_shards = tuple(RankShard(merge.apply(SequenceTensor(buf))) for buf in received)
+    # the output is allocated first: the send buffer above it, freed on
+    # return, is then reused by the next switch's output rather than left as
+    # a hole below it that the next plan's tables split
+    chan, dtype = group.shards[0].tensor.chan, group.shards[0].tensor.data.dtype
+    out = np.empty((merge.out_batch, merge.out_seq, chan), dtype=dtype)
+    send = np.empty((n, split.out_batch, split.out_seq, chan), dtype=dtype)
+    # 1. local rearrangement: each rank groups its elements by target
+    # subsequence into its row of the sender-major buffer
+    for j, shard in enumerate(group.shards):
+        split.apply(shard.tensor, out=send[j])
+    # 2. one all-to-all delivers each target block to its owner rank
+    all_to_all(send, group.log)
+    # 3. one gather through the exchange and every rank's merge; rank r's
+    # shard is row block r of the output
+    merged = merge.apply(SequenceTensor(send.reshape(merge.in_batch, merge.in_seq, chan)),
+                         out=out).data
+    out_shards = tuple(RankShard(SequenceTensor(rows)) for rows in np.split(merged, n))
     return ProcessGroup(out_shards, group.log)

@@ -108,6 +108,30 @@ def test_double_traffic_fails_the_ledger_checks(argv, monkeypatch, capsys, tmp_p
     assert "switches_match_oracle" not in err
 
 
+def test_exchange_with_ranks_reversed_fails_report_all(monkeypatch, capsys, tmp_path):
+    real = osp.ssp.exchange_map
+
+    def reversed_ranks(n, lead, seq):
+        # every receiver gets the right amount of data, but rank n-1-r's
+        m = real(n, lead, seq)
+        return osp.gridseq.IndexMap(m.in_batch, m.in_seq,
+                                    m.src.reshape(n, -1)[::-1].reshape(m.src.shape))
+
+    def clear_memos():
+        osp.ssp._switch_plan.cache_clear()
+        osp.ssp._exchange_map.cache_clear()
+
+    monkeypatch.setattr(osp.ssp, "exchange_map", reversed_ranks)
+    clear_memos()
+    try:
+        code = main(["report-all", "--seed", "7", "--out", str(tmp_path / "report.json")])
+    finally:
+        clear_memos()
+    assert code == 1
+    assert capsys.readouterr().err == "FAIL: " + ", ".join(
+        f"sections.ssp.cases.{i}.switches_match_oracle" for i in range(3)) + "\n"
+
+
 def test_hif8_enum_rows(capsys):
     code = main(["hif8", "enum"])
     assert code == 0

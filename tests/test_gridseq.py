@@ -122,6 +122,36 @@ def test_apply_gathers_like_fancy_indexing_with_repeated_addresses(codes):
     assert not out.data.flags.writeable
 
 
+def _map_and_input(codes):
+    rng = np.random.Generator(np.random.PCG64(6))
+    data = rng.integers(0, 256, size=(3, 4, 2), dtype=np.uint8) if codes \
+        else rng.standard_normal((3, 4, 2))
+    return _random_bijection(3, 4, rng), SequenceTensor(data)
+
+
+@pytest.mark.parametrize("codes", [False, True], ids=["float64", "hif8-codes"])
+def test_apply_into_out_writes_the_callers_array(codes):
+    m, x = _map_and_input(codes)
+    out = np.empty((3, 4, 2), dtype=x.data.dtype)
+    got = m.apply(x, out=out)
+    assert np.array_equal(got.data, m.apply(x).data)
+    assert got.data.dtype == x.data.dtype
+    assert np.shares_memory(got.data, out)
+    assert not got.data.flags.writeable and out.flags.writeable
+
+
+@pytest.mark.parametrize("codes", [False, True], ids=["float64", "hif8-codes"])
+@pytest.mark.parametrize("bad", ["shape", "dtype", "non-contiguous"])
+def test_apply_rejects_an_out_it_cannot_fill(bad, codes):
+    m, x = _map_and_input(codes)
+    other = np.float64 if codes else np.uint8
+    out = {"shape": np.empty((4, 3, 2), dtype=x.data.dtype),
+           "dtype": np.empty((3, 4, 2), dtype=other),
+           "non-contiguous": np.empty((3, 4, 4), dtype=x.data.dtype)[:, :, ::2]}[bad]
+    with pytest.raises(ShapeError, match="C-contiguous"):
+        m.apply(x, out=out)
+
+
 def test_apply_shape_mismatch():
     m = IndexMap.identity(2, 4)
     with pytest.raises(ShapeError):

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import transpose_chunks
 from osp import checks, ssp
 from osp.checks import comm_comparison
-from osp.gridseq import GridShape, SequenceTensor, random_tensor
+from osp.gridseq import GridShape, IndexMap, SequenceTensor, random_tensor
 from osp.skiparse import SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
 from osp.ssp import (CollectiveError, CommLog, ProcessGroup, ProtocolError, RankShard,
-                     ShardingError, all_to_all, shard_pattern_layout, ssp_pattern_switch)
+                     ShardingError, all_to_all, exchange_map, shard_pattern_layout,
+                     ssp_pattern_switch)
 
 
 def _tsa_layout(g, chan=4, seed=0, batch=1):
@@ -38,31 +41,43 @@ def test_shard_divisibility_error():
         shard_pattern_layout(_tsa_layout(g), 3)
 
 
+def _received(send):
+    """What each rank reads after all_to_all(send): its block of the
+    sender-major buffer read through exchange_map."""
+    n, lead, seq, chan = send.shape
+    flat = SequenceTensor(send.reshape(n * lead, seq, chan))
+    return np.split(exchange_map(n, lead, seq).apply(flat).data, n)
+
+
 def test_all_to_all_single_rank_identity():
     log = CommLog()
-    buf = np.arange(6.0).reshape(3, 2)
-    out = all_to_all([buf], log)
-    assert np.array_equal(out[0], buf)
+    send = np.arange(6.0).reshape(1, 3, 2, 1)
+    assert all_to_all(send, log) is None
+    assert exchange_map(1, 3, 2).same_permutation(IndexMap.identity(3, 2))
+    assert np.array_equal(_received(send)[0], send[0])
     assert log.count("all_to_all") == 1
 
 
 def test_all_to_all_two_rank_transpose():
     # send[0] = [A, B], send[1] = [C, D]  ->  recv[0] = [A, C], recv[1] = [B, D]
-    a, b, c, d = (np.full((1, 2), v) for v in (1.0, 2.0, 3.0, 4.0))
+    a, b, c, d = (np.full((1, 2, 1), v) for v in (1.0, 2.0, 3.0, 4.0))
+    send = np.stack([np.concatenate([a, b]), np.concatenate([c, d])])
     log = CommLog()
-    out = all_to_all([np.concatenate([a, b]), np.concatenate([c, d])], log)
-    assert np.array_equal(out[0], np.concatenate([a, c]))
-    assert np.array_equal(out[1], np.concatenate([b, d]))
+    all_to_all(send, log)
+    recv = _received(send)
+    assert np.array_equal(recv[0], np.concatenate([a, c]))
+    assert np.array_equal(recv[1], np.concatenate([b, d]))
     assert log.events[0].payload_per_rank == 4
 
 
 def test_all_to_all_matches_transpose_oracle():
-    rng = np.random.Generator(np.random.PCG64(3))
-    send = [rng.standard_normal((8, 3)) for _ in range(4)]
-    out = all_to_all(send, CommLog())
-    expected = transpose_chunks(send, 4)
-    for got, want in zip(out, expected):
-        assert np.array_equal(got, want)
+    # the routing itself: each address of the sender-major buffer is read
+    # once, where transpose_chunks puts it
+    n, lead, seq = 4, 8, 3
+    addresses = np.arange(n * lead * seq).reshape(n, lead, seq)
+    m = exchange_map(n, lead, seq)
+    assert m.is_bijection()
+    assert np.array_equal(m.src, np.concatenate(transpose_chunks(list(addresses), n)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -70,29 +85,44 @@ def test_all_to_all_matches_transpose_oracle():
 def test_all_to_all_fills_one_buffer_equal_to_concatenation(n, dtype):
     rng = np.random.Generator(np.random.PCG64(n))
     if dtype == np.uint8:
-        send = [rng.integers(0, 256, size=(2 * n, 3, 2), dtype=np.uint8) for _ in range(n)]
+        send = rng.integers(0, 256, size=(n, 2 * n, 3, 2), dtype=np.uint8)
     else:
-        send = [rng.standard_normal((2 * n, 3, 2)) for _ in range(n)]
-    expected = transpose_chunks(send, n)
-    out = all_to_all(send, CommLog())
-    assert isinstance(out, list) and len(out) == n
-    assert all(got.base is out[0].base is not None for got in out)
-    assert not any(np.shares_memory(got, buf) for got in out for buf in send)
-    for buf in send:  # the received buffers are copies
-        buf[...] = 0
-    for got, want in zip(out, expected):
+        send = rng.standard_normal((n, 2 * n, 3, 2))
+    expected = transpose_chunks(list(send), n)
+    before = send.copy()
+    assert all_to_all(send, CommLog()) is None
+    assert np.array_equal(send, before)
+    for got, want in zip(_received(send), expected, strict=True):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
 
+def test_all_to_all_copies_nothing():
+    send = np.zeros((4, 64, 256, 8))  # 4 MiB
+    log = CommLog()
+    all_to_all(send, log)  # warm-up
+    tracemalloc.start()
+    try:
+        all_to_all(send, log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+    assert [e.payload_per_rank for e in log.events] == [send[0].size] * 2
+
+
 def test_all_to_all_unequal_chunk_error():
-    with pytest.raises(CollectiveError):
-        all_to_all([np.zeros((3, 1)), np.zeros((3, 1))], CommLog())
+    with pytest.raises(CollectiveError, match="leading axis 3 not divisible into 2 chunks"):
+        all_to_all(np.zeros((2, 3, 1, 1)), CommLog())
+    with pytest.raises(CollectiveError, match="leading axis 3 not divisible into 2 chunks"):
+        exchange_map(2, 3, 1)
 
 
 def test_all_to_all_with_no_ranks_is_a_collective_error():
-    with pytest.raises(CollectiveError, match="got 0 send buffers"):
-        all_to_all([], CommLog())
+    with pytest.raises(CollectiveError, match="at least one rank, got 0"):
+        all_to_all(np.zeros((0, 4, 1, 1)), CommLog())
+    with pytest.raises(CollectiveError, match="at least one rank, got 0"):
+        exchange_map(0, 4, 1)
 
 
 def test_empty_process_group_is_a_sharding_error():
@@ -141,6 +171,22 @@ def test_switch_gsa_to_tsa_matches_gather_convert_reshard(g, group_size):
     for r in range(group_size):
         assert np.array_equal(switched.shards[r].tensor.data,
                               oracle.data[r * per:(r + 1) * per])
+
+
+@pytest.mark.parametrize("g,group_size", SWITCH_CASES, ids=str)
+def test_switch_ranks_read_only_their_own_chunk_of_each_sender(g, group_size):
+    group = shard_pattern_layout(_tsa_layout(g, seed=14), group_size)
+    switched = ssp_pattern_switch(group, g)
+    split, merge = ssp._switch_plan(GridShape(g.t, g.h // g.k, g.w // g.k, g.k), group_size, 1)
+    # sender-major rows (sender, chunk, row within chunk); chunk r is bound for rank r
+    lead, seq = split.out_batch, split.out_seq
+    chunk = (merge.src // seq) % lead // (lead // group_size)
+    assert merge.is_bijection()
+    for r, block in enumerate(np.split(chunk, group_size)):
+        assert np.all(block == r)
+    for out in switched.shards:
+        assert not out.tensor.data.flags.writeable
+        assert not any(np.shares_memory(out.tensor.data, s.tensor.data) for s in group.shards)
 
 
 def test_switch_logs_exactly_one_all_to_all_and_no_gathers():
