@@ -18,9 +18,9 @@ the full 2-D pattern mask on the original layout, in blocks of as many
 query rows as one tile holds against all S keys, so each block item is
 exactly one tile and no S×S array exists. Query/key/value come from three
 fixed seeded random projections of the same input, which is all an
-equivalence check needs. They depend only on the channel width, so each
-width's matrices are drawn once per process and are read-only; a test that
-changes `PROJECTION_SEED` must call `_projections.cache_clear()` first.
+equivalence check needs. They depend only on the channel width and
+`PROJECTION_SEED`, so each (width, seed) pair's matrices are drawn once per
+process and are read-only.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def qkv_projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The read-only (chan, chan) q, k and v matrices, drawn once per
     process and shared."""
     # a plain function, so a tracer that wraps module functions sees the call
-    return _projections(chan)
+    return _projections(chan, PROJECTION_SEED)
 
 
 @functools.lru_cache(maxsize=PROJECTION_MEMO_SIZE)
-def _projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.Generator(np.random.PCG64(PROJECTION_SEED))
+def _projections(chan: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rng = np.random.Generator(np.random.PCG64(seed))
     scale = 1.0 / np.sqrt(chan)
     mats = tuple(rng.standard_normal((chan, chan)) * scale for _ in range(3))
     for m in mats:

@@ -244,15 +244,14 @@ def ssp_check(g: GridShape, group_size: int, seed: int, chan: int = 4,
     convert = (tsa_to_gsa(g), gsa_to_tsa(g))
     log = CommLog()
     group = shard_pattern_layout(x_tsa, group_size, log)
-    shard_elements, per = group.local_elements, x_tsa.batch // group_size
+    shard_elements = group.local_elements
     oracle, mismatch = x_tsa, None
     for block in range(blocks):
         group = ssp_pattern_switch(group, g)
         oracle = convert[block % 2].apply(oracle)
-        bad = [r for r, shard in enumerate(group.shards)
-               if not np.array_equal(shard.tensor.data, oracle.data[r * per:(r + 1) * per])]
-        if bad and mismatch is None:
-            mismatch = [block, bad[0]]
+        bad = (group.tensor.data != oracle.data).reshape(group_size, -1).any(axis=1)
+        if bad.any() and mismatch is None:
+            mismatch = [block, int(bad.argmax())]
     comm = comm_comparison(log, group_size, shard_elements, blocks)
 
     checks = {

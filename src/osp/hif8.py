@@ -152,9 +152,12 @@ def encode_array(x: np.ndarray) -> np.ndarray:
 
 
 def decode_array(codes: np.ndarray) -> np.ndarray:
-    """Total over all 256 bit patterns."""
+    """Total over all 256 bit patterns; codes of any dtype but uint8 are a
+    ValueError, as an out-of-range code is for `decode`."""
     codes = np.asarray(codes)
-    return VALUES[codes.astype(np.int64)]
+    if codes.dtype != np.uint8:
+        raise ValueError(f"HiF8 codes must be uint8, got {codes.dtype}")
+    return VALUES[codes]
 
 
 def encode(x: float) -> int:

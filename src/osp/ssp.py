@@ -20,10 +20,11 @@ collective:
 The same three steps convert token-wise to group-wise and back. The split
 and merge maps depend only on the reduced grid, N and the local batch, so
 they are built once per process and kept in a memo of the last
-PLAN_MEMO_SIZE plans, each with its exchange map in a memo of the same
-size; a test that swaps `rearrange_map`, `exchange_map` or the layout
-table must call `_switch_plan.cache_clear()` and
-`_exchange_map.cache_clear()` first.
+PLAN_MEMO_SIZE plans; a test that swaps `rearrange_map`, `exchange_map` or
+the layout table must call `_switch_plan.cache_clear()` first.
+
+A process group is one rank-major tensor: rank r holds row block r, so
+every rank holds the same number of whole subsequences.
 
 Collectives are synchronous buffer exchanges with no transport model; each
 executed collective writes one event to the `CommLog` ledger with the
@@ -85,41 +86,37 @@ class RankShard:
 
 @dataclass(frozen=True)
 class ProcessGroup:
-    """Rank r holds shards[r]; a shard's rank is its index."""
+    """`ranks` ranks over one rank-major tensor: rank r holds row block r."""
 
-    shards: tuple[RankShard, ...]
+    tensor: SequenceTensor
+    ranks: int
     log: CommLog
 
     def __post_init__(self) -> None:
-        if not self.shards:
-            raise ShardingError("a process group needs at least one rank, got 0 shards")
-        shapes = {s.tensor.data.shape for s in self.shards}
-        if len(shapes) > 1:
-            raise ShardingError(f"ranks hold unequal shapes: {sorted(shapes)}")
+        if self.ranks < 1:
+            raise ShardingError(f"group size must be at least 1, got {self.ranks}")
+        if self.tensor.batch % self.ranks:
+            raise ShardingError(
+                f"batch {self.tensor.batch} not divisible by group size {self.ranks}"
+            )
+
+    @property
+    def shards(self) -> tuple[RankShard, ...]:
+        """Read-only views of the row blocks, rank r's at index r."""
+        return tuple(RankShard(SequenceTensor(rows)) for rows in np.split(self.tensor.data, self.ranks))
 
     @property
     def local_elements(self) -> int:
-        return self.shards[0].tensor.data.size
+        return self.tensor.data.size // self.ranks
 
 
 def shard_pattern_layout(x_pattern: SequenceTensor, group_size: int,
                          log: CommLog | None = None) -> ProcessGroup:
-    """Slice a pattern-layout tensor along its enlarged batch axis into
-    equal contiguous shards; rank r holds batch rows [r*B/N, (r+1)*B/N).
-    Slicing along the batch axis always respects subsequence boundaries
-    because each batch row is one whole subsequence."""
-    if group_size < 1:
-        raise ShardingError(f"group size must be at least 1, got {group_size}")
-    if x_pattern.batch % group_size:
-        raise ShardingError(
-            f"batch {x_pattern.batch} not divisible by group size {group_size}"
-        )
-    per = x_pattern.batch // group_size
-    shards = tuple(
-        RankShard(SequenceTensor(x_pattern.data[r * per:(r + 1) * per]))
-        for r in range(group_size)
-    )
-    return ProcessGroup(shards, log if log is not None else CommLog())
+    """Shard a pattern-layout tensor along its enlarged batch axis; rank r
+    holds batch rows [r*B/N, (r+1)*B/N). Slicing along the batch axis always
+    respects subsequence boundaries because each batch row is one whole
+    subsequence."""
+    return ProcessGroup(x_pattern, group_size, log if log is not None else CommLog())
 
 
 def exchange_map(n: int, lead: int, seq: int) -> IndexMap:
@@ -127,15 +124,8 @@ def exchange_map(n: int, lead: int, seq: int) -> IndexMap:
     sender-major (n·lead, seq) buffer, whose chunk dst of sender src is
     bound for rank dst, read as (dst, src, c). Row block r of the result is
     what rank r receives: chunk r of every sender, in sender order. Raises
-    CollectiveError unless n is at least 1 and divides lead. The map is
-    built once per (n, lead, seq) and shared."""
+    CollectiveError unless n is at least 1 and divides lead."""
     _check_chunks(n, lead)
-    # a plain function, so a tracer that wraps module functions sees the call
-    return _exchange_map(n, lead, seq)
-
-
-@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def _exchange_map(n: int, lead: int, seq: int) -> IndexMap:
     return rearrange_map([("src", n), ("dst", n), ("c", lead // n)], [("s", seq)],
                          ["dst", "src", "c"], ["s"])
 
@@ -166,57 +156,52 @@ def _switch_plan(reduced: GridShape, n: int, b: int) -> tuple[IndexMap, IndexMap
     the exchange and writes every rank's switched rows, rank r's in block r."""
     g_per_rank = reduced.k * reduced.k // n
     split = orig_to_tsa(reduced, batch=g_per_rank * b)
-    # received chunks nest (source rank, target slot, source subsequence,
-    # batch item); the merge wants the source subsequences outermost
-    swap = rearrange_map([("n", n), ("dst", g_per_rank), ("src", g_per_rank), ("b", b)],
-                         [("s", split.out_seq)], ["n", "src", "dst", "b"], ["s"])
-    local = tsa_to_orig(reduced, batch=g_per_rank * b).compose(swap)
-    # block-diagonal over ranks: rank r's merge reads row block r
-    blocks = local.src + np.arange(0, n * local.total, local.total)[:, None, None]
-    merge = IndexMap(n * local.in_batch, local.in_seq, blocks.reshape(-1, local.out_seq))
+    # received rows nest (dst rank, src rank, target slot, src subsequence,
+    # batch item); the merge reads the source subsequences outermost and
+    # writes rank-major rows (dst, slot, b)
+    order = rearrange_map([("dst", n), ("src", n), ("slot", g_per_rank), ("sub", g_per_rank),
+                           ("b", b)], [("s", split.out_seq)],
+                          ["src", "sub", "dst", "slot", "b"], ["s"])
+    merge = tsa_to_orig(reduced, batch=n * g_per_rank * b).compose(order)
     return split, merge.compose(exchange_map(n, split.out_batch, split.out_seq))
 
 
 def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
-    """Switch every rank's shards between the token-wise and group-wise
+    """Switch every rank's rows between the token-wise and group-wise
     layouts with exactly one all-to-all. The routine is its own inverse:
-    applied to token-wise shards it yields group-wise shards and vice
-    versa. The result equals gathering all shards, converting with the
+    applied to token-wise rows it yields group-wise rows and vice versa.
+    The result equals gathering all shards, converting with the
     single-process direct map, and resharding."""
-    n = len(group.shards)
+    x, n = group.tensor, group.ranks
     k2 = g.k * g.k
     if k2 % n:
         raise ShardingError(f"k^2={k2} not divisible by group size {n}")
     g_per_rank = k2 // n
-    local_batch = group.shards[0].tensor.batch
+    local_batch = x.batch // n
     if local_batch % g_per_rank:
         raise ProtocolError(
             f"local batch {local_batch} not divisible by G={g_per_rank}"
         )
     b = local_batch // g_per_rank
     reduced = GridShape(g.t, g.h // g.k, g.w // g.k, g.k)
-    if group.shards[0].tensor.seq != reduced.seq_len:
-        raise ProtocolError(
-            f"shard seq {group.shards[0].tensor.seq} != subsequence length {reduced.seq_len}"
-        )
+    if x.seq != reduced.seq_len:
+        raise ProtocolError(f"shard seq {x.seq} != subsequence length {reduced.seq_len}")
 
     split, merge = _switch_plan(reduced, n, b)
 
     # the output is allocated first: the send buffer above it, freed on
     # return, is then reused by the next switch's output rather than left as
     # a hole below it that the next plan's tables split
-    chan, dtype = group.shards[0].tensor.chan, group.shards[0].tensor.data.dtype
-    out = np.empty((merge.out_batch, merge.out_seq, chan), dtype=dtype)
-    send = np.empty((n, split.out_batch, split.out_seq, chan), dtype=dtype)
-    # 1. local rearrangement: each rank groups its elements by target
+    out = np.empty((merge.out_batch, merge.out_seq, x.chan), dtype=x.data.dtype)
+    send = np.empty((n, split.out_batch, split.out_seq, x.chan), dtype=x.data.dtype)
+    # 1. local rearrangement: each rank groups its own rows by target
     # subsequence into its row of the sender-major buffer
-    for j, shard in enumerate(group.shards):
-        split.apply(shard.tensor, out=send[j])
+    for j, rows in enumerate(np.split(x.data, n)):
+        split.apply(SequenceTensor(rows), out=send[j])
     # 2. one all-to-all delivers each target block to its owner rank
     all_to_all(send, group.log)
     # 3. one gather through the exchange and every rank's merge; rank r's
-    # shard is row block r of the output
-    merged = merge.apply(SequenceTensor(send.reshape(merge.in_batch, merge.in_seq, chan)),
-                         out=out).data
-    out_shards = tuple(RankShard(SequenceTensor(rows)) for rows in np.split(merged, n))
-    return ProcessGroup(out_shards, group.log)
+    # rows are row block r of the output
+    merged = merge.apply(SequenceTensor(send.reshape(merge.in_batch, merge.in_seq, x.chan)),
+                         out=out)
+    return ProcessGroup(merged, n, group.log)

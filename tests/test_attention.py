@@ -215,6 +215,15 @@ def test_projections_are_drawn_once_and_read_only():
     assert all(np.array_equal(a, b) for a, b in zip(rebuilt, cached))
 
 
+def test_projections_are_keyed_on_the_seed(monkeypatch):
+    cached = attention.qkv_projections(8)
+    monkeypatch.setattr(attention, "PROJECTION_SEED", attention.PROJECTION_SEED + 1)
+    reseeded = attention.qkv_projections(8)
+    assert not any(np.array_equal(a, b) for a, b in zip(reseeded, cached))
+    monkeypatch.undo()
+    assert attention.qkv_projections(8) is cached
+
+
 @pytest.mark.parametrize("pattern,subseq_fn", [
     (SparsePattern.TOKEN_WISE, tsa_subseq),
     (SparsePattern.GROUP_WISE, gsa_subseq),

@@ -79,6 +79,14 @@ def test_encode_decode_fixpoint_all_codes():
     assert np.array_equal(codes, np.arange(256, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("codes", [np.array([-1]), np.array([1.7]), np.array([256])],
+                         ids=["int64-minus-one", "float", "int64-256"])
+def test_decode_array_takes_uint8_codes_only(codes):
+    # neither wraps -1 to code 255, truncates 1.7 to code 1 nor escapes as IndexError
+    with pytest.raises(ValueError, match="HiF8 codes must be uint8"):
+        decode_array(codes)
+
+
 def test_saturation():
     assert encode(1e9) == 255
     assert encode(-1e9) == 0

@@ -8,9 +8,8 @@ from osp import checks, ssp
 from osp.checks import comm_comparison
 from osp.gridseq import GridShape, IndexMap, SequenceTensor, random_tensor
 from osp.skiparse import SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
-from osp.ssp import (CollectiveError, CommLog, ProcessGroup, ProtocolError, RankShard,
-                     ShardingError, all_to_all, exchange_map, shard_pattern_layout,
-                     ssp_pattern_switch)
+from osp.ssp import (CollectiveError, CommLog, ProcessGroup, ProtocolError, ShardingError,
+                     all_to_all, exchange_map, shard_pattern_layout, ssp_pattern_switch)
 
 
 def _tsa_layout(g, chan=4, seed=0, batch=1):
@@ -126,8 +125,8 @@ def test_all_to_all_with_no_ranks_is_a_collective_error():
 
 
 def test_empty_process_group_is_a_sharding_error():
-    with pytest.raises(ShardingError, match="got 0 shards"):
-        ProcessGroup((), CommLog())
+    with pytest.raises(ShardingError, match="group size must be at least 1, got 0"):
+        ProcessGroup(SequenceTensor(np.zeros((4, 4, 2))), 0, CommLog())
 
 
 def test_zero_group_size_is_a_sharding_error():
@@ -135,11 +134,19 @@ def test_zero_group_size_is_a_sharding_error():
         shard_pattern_layout(_tsa_layout(GridShape(1, 4, 4, 2)), 0)
 
 
-def test_unequal_shard_shapes_rejected():
-    t1 = SequenceTensor(np.zeros((1, 4, 2)))
-    t2 = SequenceTensor(np.zeros((2, 4, 2)))
-    with pytest.raises(ShardingError):
-        ProcessGroup((RankShard(t1), RankShard(t2)), CommLog())
+def test_process_group_batch_must_divide_by_ranks():
+    with pytest.raises(ShardingError, match="batch 4 not divisible by group size 3"):
+        ProcessGroup(SequenceTensor(np.zeros((4, 4, 2))), 3, CommLog())
+
+
+def test_shards_are_read_only_views_of_row_blocks():
+    group = shard_pattern_layout(_tsa_layout(GridShape(1, 8, 8, 2)), 2)
+    blocks = np.split(group.tensor.data, 2)
+    for shard, block in zip(group.shards, blocks, strict=True):
+        assert not shard.tensor.data.flags.writeable
+        assert np.shares_memory(shard.tensor.data, block)
+        assert np.array_equal(shard.tensor.data, block)
+    assert not np.shares_memory(group.shards[0].tensor.data, blocks[1])
 
 
 SWITCH_CASES = [
@@ -330,9 +337,10 @@ def test_ssp_check_names_the_first_mismatching_block_and_rank(monkeypatch):
         out = ssp_pattern_switch(group, g)
         calls.append(g)
         if len(calls) == 2:
-            shards = list(out.shards)
-            shards[1] = RankShard(SequenceTensor(-shards[1].tensor.data))
-            out = ProcessGroup(tuple(shards), out.log)
+            data = out.tensor.data.copy()
+            per = data.shape[0] // out.ranks
+            data[per:2 * per] *= -1
+            out = ProcessGroup(SequenceTensor(data), out.ranks, out.log)
         return out
 
     monkeypatch.setattr(checks, "ssp_pattern_switch", corrupt_second_switch)
