@@ -113,11 +113,21 @@ _INNER_CODE.flags.writeable = _HEAD_CODE.flags.writeable = False
 _ENCODE_STEP = 1 << 15
 
 
+def _code_index(code: int) -> int:
+    """A scalar code as a table index. Only an int or numpy integer in
+    [0, 255] is a code; a bool, float or string is a ValueError rather than
+    a truncated or coerced index."""
+    if isinstance(code, bool) or not isinstance(code, (int, np.integer)):
+        raise ValueError(f"HiF8 code must be an integer, got {code!r}")
+    if not 0 <= code <= 255:
+        raise ValueError(f"code {code} out of range")
+    return int(code)
+
+
 def code_fields(code: int) -> dict:
     """Sign / exponent / mantissa metadata for one code (the zero code
     reports sign 0 and no exponent)."""
-    if not 0 <= code <= 255:
-        raise ValueError(f"code {code} out of range")
+    code = _code_index(code)
     if code == ZERO_CODE:
         return {"code": code, "sign": 0, "exponent": None, "mantissa_width": None,
                 "fraction": None, "value": 0.0}
@@ -165,9 +175,7 @@ def encode(x: float) -> int:
 
 
 def decode(code: int) -> float:
-    if not 0 <= int(code) <= 255:
-        raise ValueError(f"code {code} out of range")
-    return float(VALUES[int(code)])
+    return float(VALUES[_code_index(code)])
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ _LAYOUTS = {
     SparsePattern.GROUP_WISE: (("p1", "q1", "b"), ("txh", "p2", "wg", "q2")),
 }
 
-# maps kept by the layout_map memo: one report-all builds 56 distinct maps
+# maps kept by the layout_map memo: one report-all builds 57 distinct maps
 LAYOUT_MEMO_SIZE = 64
 
 

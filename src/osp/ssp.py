@@ -7,29 +7,29 @@ collective:
 
   1. each rank re-splits its local subsequences with a token-wise
      rearrange on the reduced (t, h/k, w/k) grid, which groups elements
-     by their target subsequence;
-  2. one all-to-all delivers chunk j of rank r to slot r of rank j; the
-     ranks' send buffers are the rows of one sender-major buffer, and
-     every receiver reads its chunks there in place through
-     `exchange_map`, so the collective itself copies nothing;
-  3. one gather reads the exchanged chunks, swaps their (source
-     subsequence, target slot) nesting and merges them with the reverse
-     rearrange into the switched layout, for every rank at once; the
-     exchange, swap and merge are named-axis maps composed into one.
+     by their target subsequence into its row of a sender-major buffer;
+  2. one all-to-all delivers chunk j of rank r to slot r of rank j;
+     `exchange_map` is its routing on that buffer;
+  3. each rank swaps the (source subsequence, target slot) nesting of
+     its received chunks and merges them with the reverse rearrange into
+     the switched layout.
 
-The same three steps convert token-wise to group-wise and back. The split
-and merge maps depend only on the reduced grid, N and the local batch, so
-they are built once per process and kept in a memo of the last
-PLAN_MEMO_SIZE plans; a test that swaps `rearrange_map`, `exchange_map` or
-the layout table must call `_switch_plan.cache_clear()` first.
+All three steps are named-axis permutations, so they compose into one
+gather: a switch runs as one read of the whole rank-major group and one
+write of its switched rows, and the sender-major buffer is never
+materialised. The same plan converts token-wise to group-wise and back.
+It depends only on the reduced grid, N and the local batch, so it is
+composed once per process and kept in a memo of the last PLAN_MEMO_SIZE
+plans; a test that swaps `rearrange_map`, `exchange_map` or the layout
+table must call `_switch_plan.cache_clear()` first.
 
 A process group is one rank-major tensor: rank r holds row block r, so
 every rank holds the same number of whole subsequences.
 
-Collectives are synchronous buffer exchanges with no transport model; each
-executed collective writes one event to the `CommLog` ledger with the
-exact scalar elements it moved per rank. `checks.comm_comparison` reads
-that ledger and sets it beside the baselines.
+Collectives have no transport model; each executed collective writes one
+event to the `CommLog` ledger with the exact scalar elements it moves per
+rank. `checks.comm_comparison` reads that ledger and sets it beside the
+baselines.
 """
 
 from __future__ import annotations
@@ -130,15 +130,16 @@ def exchange_map(n: int, lead: int, seq: int) -> IndexMap:
                          ["dst", "src", "c"], ["s"])
 
 
-def all_to_all(send: np.ndarray, log: CommLog) -> None:
-    """All-to-all collective over the sender-major buffer `send`, shaped
-    (n, lead, seq, chan): rank j sends send[j], whose r-th of n equal
-    chunks along lead is bound for rank r. In process the exchange moves
-    nothing: every receiver reads its chunks in place through
-    `exchange_map(n, lead, seq)`. Logs one event; the payload metric is the
-    whole per-rank buffer (self-chunk included)."""
-    _check_chunks(len(send), send.shape[1])
-    log.record("all_to_all", send[0].size)
+def all_to_all(shape: tuple[int, int, int, int], log: CommLog) -> None:
+    """All-to-all collective over a sender-major buffer of `shape`
+    (n, lead, seq, chan): rank j sends its row j, whose r-th of n equal
+    chunks along lead is bound for rank r. The switch reads its routing
+    through `exchange_map(n, lead, seq)` inside its one gather, so the
+    collective moves nothing itself. Logs one event; the payload metric is
+    the whole per-rank buffer (self-chunk included)."""
+    n, lead, seq, chan = shape
+    _check_chunks(n, lead)
+    log.record("all_to_all", lead * seq * chan)
 
 
 def _check_chunks(n: int, lead: int) -> None:
@@ -148,22 +149,35 @@ def _check_chunks(n: int, lead: int) -> None:
         raise CollectiveError(f"leading axis {lead} not divisible into {n} chunks")
 
 
-@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def _switch_plan(reduced: GridShape, n: int, b: int) -> tuple[IndexMap, IndexMap]:
-    """(split, merge) maps of a switch on n ranks, each holding the
+def _switch_stages(reduced: GridShape, n: int, b: int) -> tuple[IndexMap, IndexMap]:
+    """(split, merge) stages of a switch on n ranks, each holding the
     G = k^2 / n subsequences of b batch items on the reduced grid. split
-    runs on each rank; merge reads the whole sender-major buffer through
-    the exchange and writes every rank's switched rows, rank r's in block r."""
+    reads every rank's rows and writes the sender-major buffer, rank j's
+    split into row block j; merge reads that buffer through the exchange
+    and writes every rank's switched rows, rank r's in block r."""
     g_per_rank = reduced.k * reduced.k // n
-    split = orig_to_tsa(reduced, batch=g_per_rank * b)
+    rows = n * g_per_rank * b
+    # the full-batch split nests its rows (target subsequence, rank, local
+    # row); the sender-major buffer holds them rank-outermost
+    full = orig_to_tsa(reduced, batch=rows)
+    senders = rearrange_map([("sub", reduced.k * reduced.k), ("rank", n), ("row", g_per_rank * b)],
+                            [("s", full.out_seq)], ["rank", "sub", "row"], ["s"])
+    split = senders.compose(full)
     # received rows nest (dst rank, src rank, target slot, src subsequence,
     # batch item); the merge reads the source subsequences outermost and
     # writes rank-major rows (dst, slot, b)
     order = rearrange_map([("dst", n), ("src", n), ("slot", g_per_rank), ("sub", g_per_rank),
                            ("b", b)], [("s", split.out_seq)],
                           ["src", "sub", "dst", "slot", "b"], ["s"])
-    merge = tsa_to_orig(reduced, batch=n * g_per_rank * b).compose(order)
-    return split, merge.compose(exchange_map(n, split.out_batch, split.out_seq))
+    merge = tsa_to_orig(reduced, batch=rows).compose(order)
+    return split, merge.compose(exchange_map(n, split.out_batch // n, split.out_seq))
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _switch_plan(reduced: GridShape, n: int, b: int) -> IndexMap:
+    """The whole switch as one gather: merge ∘ exchange ∘ split."""
+    split, merge = _switch_stages(reduced, n, b)
+    return merge.compose(split)
 
 
 def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
@@ -182,26 +196,11 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
         raise ProtocolError(
             f"local batch {local_batch} not divisible by G={g_per_rank}"
         )
-    b = local_batch // g_per_rank
     reduced = GridShape(g.t, g.h // g.k, g.w // g.k, g.k)
     if x.seq != reduced.seq_len:
         raise ProtocolError(f"shard seq {x.seq} != subsequence length {reduced.seq_len}")
 
-    split, merge = _switch_plan(reduced, n, b)
-
-    # the output is allocated first: the send buffer above it, freed on
-    # return, is then reused by the next switch's output rather than left as
-    # a hole below it that the next plan's tables split
-    out = np.empty((merge.out_batch, merge.out_seq, x.chan), dtype=x.data.dtype)
-    send = np.empty((n, split.out_batch, split.out_seq, x.chan), dtype=x.data.dtype)
-    # 1. local rearrangement: each rank groups its own rows by target
-    # subsequence into its row of the sender-major buffer
-    for j, rows in enumerate(np.split(x.data, n)):
-        split.apply(SequenceTensor(rows), out=send[j])
-    # 2. one all-to-all delivers each target block to its owner rank
-    all_to_all(send, group.log)
-    # 3. one gather through the exchange and every rank's merge; rank r's
-    # rows are row block r of the output
-    merged = merge.apply(SequenceTensor(send.reshape(merge.in_batch, merge.in_seq, x.chan)),
-                         out=out)
-    return ProcessGroup(merged, n, group.log)
+    plan = _switch_plan(reduced, n, local_batch // g_per_rank)
+    # each rank sends its k^2 split subsequences per local row
+    all_to_all((n, k2 * local_batch, x.seq // k2, x.chan), group.log)
+    return ProcessGroup(plan.apply(x), n, group.log)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import resource
 import shlex
@@ -94,10 +95,10 @@ def test_comm_sim_impossible_configuration_is_usage_error(argv, capsys):
 def test_double_traffic_fails_the_ledger_checks(argv, monkeypatch, capsys, tmp_path):
     real = osp.ssp.all_to_all
 
-    def all_to_all(send, log):
+    def all_to_all(shape, log):
         # the right buffers arrive, but every one is shipped twice
-        received = real(send, osp.ssp.CommLog())
-        log.record("all_to_all", 2 * send[0].size)
+        received = real(shape, osp.ssp.CommLog())
+        log.record("all_to_all", 2 * math.prod(shape[1:]))
         return received
 
     monkeypatch.setattr(osp.ssp, "all_to_all", all_to_all)

@@ -87,6 +87,30 @@ def test_decode_array_takes_uint8_codes_only(codes):
         decode_array(codes)
 
 
+@pytest.mark.parametrize("fn", [decode, code_fields], ids=["decode", "code_fields"])
+@pytest.mark.parametrize("code", [1.7, 2.0, True, np.True_, "1"],
+                         ids=["float", "integral-float", "bool", "numpy-bool", "str"])
+def test_scalar_codes_must_be_integers(fn, code):
+    # decode neither truncates 1.7 nor reads True as code 1; code_fields
+    # raises no TypeError
+    with pytest.raises(ValueError, match=f"HiF8 code must be an integer, got {code!r}"):
+        fn(code)
+
+
+@pytest.mark.parametrize("code", [np.uint8(200), np.int64(3)], ids=["uint8", "int64"])
+def test_scalar_codes_take_numpy_integers(code):
+    assert decode(code) == decode(int(code))
+    assert code_fields(code) == code_fields(int(code))
+
+
+def test_scalar_code_out_of_range():
+    for fn in (decode, code_fields):
+        with pytest.raises(ValueError, match="code 256 out of range"):
+            fn(256)
+        with pytest.raises(ValueError, match="code -1 out of range"):
+            fn(-1)
+
+
 def test_saturation():
     assert encode(1e9) == 255
     assert encode(-1e9) == 0

@@ -51,7 +51,7 @@ def _received(send):
 def test_all_to_all_single_rank_identity():
     log = CommLog()
     send = np.arange(6.0).reshape(1, 3, 2, 1)
-    assert all_to_all(send, log) is None
+    assert all_to_all(send.shape, log) is None
     assert exchange_map(1, 3, 2).same_permutation(IndexMap.identity(3, 2))
     assert np.array_equal(_received(send)[0], send[0])
     assert log.count("all_to_all") == 1
@@ -62,7 +62,7 @@ def test_all_to_all_two_rank_transpose():
     a, b, c, d = (np.full((1, 2, 1), v) for v in (1.0, 2.0, 3.0, 4.0))
     send = np.stack([np.concatenate([a, b]), np.concatenate([c, d])])
     log = CommLog()
-    all_to_all(send, log)
+    all_to_all(send.shape, log)
     recv = _received(send)
     assert np.array_equal(recv[0], np.concatenate([a, c]))
     assert np.array_equal(recv[1], np.concatenate([b, d]))
@@ -89,37 +89,39 @@ def test_all_to_all_fills_one_buffer_equal_to_concatenation(n, dtype):
         send = rng.standard_normal((n, 2 * n, 3, 2))
     expected = transpose_chunks(list(send), n)
     before = send.copy()
-    assert all_to_all(send, CommLog()) is None
+    assert all_to_all(send.shape, CommLog()) is None
     assert np.array_equal(send, before)
     for got, want in zip(_received(send), expected, strict=True):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
 
-def test_all_to_all_copies_nothing():
-    send = np.zeros((4, 64, 256, 8))  # 4 MiB
-    log = CommLog()
-    all_to_all(send, log)  # warm-up
+def test_switch_allocates_only_its_output():
+    # one gather from the group into the output: no sender-major buffer
+    g = GridShape(1, 64, 64, 2)
+    group = shard_pattern_layout(_tsa_layout(g, chan=128, seed=15), 4)
+    assert group.tensor.data.nbytes >= 4 * 2 ** 20
+    ssp_pattern_switch(group, g)  # warm-up: builds and memoizes the plan
     tracemalloc.start()
     try:
-        all_to_all(send, log)
+        switched = ssp_pattern_switch(group, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 10
-    assert [e.payload_per_rank for e in log.events] == [send[0].size] * 2
+    assert peak <= switched.tensor.data.nbytes + 64 * 2 ** 10
+    assert [e.payload_per_rank for e in group.log.events] == [group.local_elements] * 2
 
 
 def test_all_to_all_unequal_chunk_error():
     with pytest.raises(CollectiveError, match="leading axis 3 not divisible into 2 chunks"):
-        all_to_all(np.zeros((2, 3, 1, 1)), CommLog())
+        all_to_all((2, 3, 1, 1), CommLog())
     with pytest.raises(CollectiveError, match="leading axis 3 not divisible into 2 chunks"):
         exchange_map(2, 3, 1)
 
 
 def test_all_to_all_with_no_ranks_is_a_collective_error():
     with pytest.raises(CollectiveError, match="at least one rank, got 0"):
-        all_to_all(np.zeros((0, 4, 1, 1)), CommLog())
+        all_to_all((0, 4, 1, 1), CommLog())
     with pytest.raises(CollectiveError, match="at least one rank, got 0"):
         exchange_map(0, 4, 1)
 
@@ -184,13 +186,20 @@ def test_switch_gsa_to_tsa_matches_gather_convert_reshard(g, group_size):
 def test_switch_ranks_read_only_their_own_chunk_of_each_sender(g, group_size):
     group = shard_pattern_layout(_tsa_layout(g, seed=14), group_size)
     switched = ssp_pattern_switch(group, g)
-    split, merge = ssp._switch_plan(GridShape(g.t, g.h // g.k, g.w // g.k, g.k), group_size, 1)
+    reduced = GridShape(g.t, g.h // g.k, g.w // g.k, g.k)
+    split, merge = ssp._switch_stages(reduced, group_size, 1)
     # sender-major rows (sender, chunk, row within chunk); chunk r is bound for rank r
-    lead, seq = split.out_batch, split.out_seq
+    lead, seq = split.out_batch // group_size, split.out_seq
     chunk = (merge.src // seq) % lead // (lead // group_size)
     assert merge.is_bijection()
     for r, block in enumerate(np.split(chunk, group_size)):
         assert np.all(block == r)
+    # sender j's rows of the buffer hold only rank j's input rows
+    rank = split.src // split.in_seq // (split.in_batch // group_size)
+    assert split.is_bijection()
+    for j, block in enumerate(np.split(rank, group_size)):
+        assert np.all(block == j)
+    assert ssp._switch_plan(reduced, group_size, 1).same_permutation(merge.compose(split))
     for out in switched.shards:
         assert not out.tensor.data.flags.writeable
         assert not any(np.shares_memory(out.tensor.data, s.tensor.data) for s in group.shards)
