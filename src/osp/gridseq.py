@@ -64,14 +64,6 @@ class GridShape:
             raise CoordinateError(f"coordinate ({t}, {h}, {w}) outside grid {self.t}x{self.h}x{self.w}")
         return (t * self.h + h) * self.w + w
 
-    def unflatten_index(self, s: int) -> tuple[int, int, int]:
-        """Inverse of flatten_index."""
-        if not 0 <= s < self.seq_len:
-            raise CoordinateError(f"flat index {s} outside sequence of length {self.seq_len}")
-        w = s % self.w
-        rest = s // self.w
-        return rest // self.h, rest % self.h, w
-
 
 @dataclass(frozen=True)
 class SequenceTensor:
@@ -157,29 +149,18 @@ class IndexMap:
         seen[self.src.reshape(-1)] = True
         return bool(seen.all())
 
-    def apply(self, x: SequenceTensor, out: np.ndarray | None = None) -> SequenceTensor:
-        """Gather x through the map; channel vectors are copied verbatim.
-
-        With `out`, a C-contiguous (out_batch, out_seq, chan) array of x's
-        dtype, the gather writes into it (numpy's out= idiom) and the
-        result's data is a read-only view of it; `out` itself stays writable.
-        """
+    def apply(self, x: SequenceTensor) -> SequenceTensor:
+        """Gather x through the map; channel vectors are copied verbatim."""
         if (x.batch, x.seq) != (self.in_batch, self.in_seq):
             raise ShapeError(
                 f"map expects input ({self.in_batch}, {self.in_seq}), got ({x.batch}, {x.seq})"
             )
-        shape = (self.out_batch, self.out_seq, x.chan)
-        if out is None:
-            out = np.empty(shape, dtype=x.data.dtype)
-        elif out.shape != shape or out.dtype != x.data.dtype or not out.flags.c_contiguous:
-            raise ShapeError(f"out must be a C-contiguous {shape} array of {x.data.dtype}, "
-                             f"got {'' if out.flags.c_contiguous else 'non-contiguous '}"
-                             f"{out.shape} {out.dtype}")
+        out = np.empty((self.out_batch, self.out_seq, x.chan), dtype=x.data.dtype)
         # mode="clip" skips numpy's per-index bounds check; it cannot hide a
         # bad address, because __post_init__ range-checks src and freezes it
         np.take(x.data.reshape(self.total, x.chan), self.src.reshape(-1), axis=0, mode="clip",
                 out=out.reshape(self.total, x.chan))
-        return SequenceTensor(out.view())
+        return SequenceTensor(out)
 
     def compose(self, inner: "IndexMap") -> "IndexMap":
         """Map equal to applying `inner` first, then this map."""

@@ -18,10 +18,13 @@ All three steps are named-axis permutations, so they compose into one
 gather: a switch runs as one read of the whole rank-major group and one
 write of its switched rows, and the sender-major buffer is never
 materialised. The same plan converts token-wise to group-wise and back.
-It depends only on the reduced grid, N and the local batch, so it is
-composed once per process and kept in a memo of the last PLAN_MEMO_SIZE
-plans; a test that swaps `rearrange_map`, `exchange_map` or the layout
-table must call `_switch_plan.cache_clear()` first.
+It depends only on the grid, N and the local batch, so it is composed
+once per process and kept in a memo of the last PLAN_MEMO_SIZE plans.
+Building a plan is also where a switch's preconditions are checked
+(N divides k^2, G divides the local batch, the group-wise layout holds
+the grid), once per plan and not per switch. A test that swaps
+`rearrange_map`, `exchange_map` or the layout table must call
+`_switch_plan.cache_clear()` first.
 
 A process group is one rank-major tensor: rank r holds row block r, so
 every rank holds the same number of whole subsequences.
@@ -40,10 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridseq import GridShape, IndexMap, SequenceTensor, rearrange_map
-from .skiparse import orig_to_tsa, tsa_to_orig
+from .skiparse import orig_to_tsa, tsa_to_gsa, tsa_to_orig
 
-# switch plans kept by the memo, one per (reduced grid, N, batch items);
-# one report-all builds 3
+# switch plans kept by the memo, one per (grid, N, local batch), each
+# checked once when it is built; one report-all builds 3
 PLAN_MEMO_SIZE = 16
 
 
@@ -174,10 +177,23 @@ def _switch_stages(reduced: GridShape, n: int, b: int) -> tuple[IndexMap, IndexM
 
 
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def _switch_plan(reduced: GridShape, n: int, b: int) -> IndexMap:
-    """The whole switch as one gather: merge ∘ exchange ∘ split."""
-    split, merge = _switch_stages(reduced, n, b)
-    return merge.compose(split)
+def _switch_plan(g: GridShape, n: int, local_batch: int) -> tuple[IndexMap, tuple[int, int, int]]:
+    """The whole switch on grid g as one gather, merge ∘ exchange ∘ split,
+    for n ranks of local_batch rows each, and the sender-major (n, lead,
+    seq) of its all-to-all. Raises ShardingError unless n divides k^2,
+    ProtocolError unless G = k^2 / n divides local_batch, and PatternError
+    unless the group-wise layout holds g."""
+    k2 = g.k * g.k
+    if k2 % n:
+        raise ShardingError(f"k^2={k2} not divisible by group size {n}")
+    g_per_rank = k2 // n
+    if local_batch % g_per_rank:
+        raise ProtocolError(f"local batch {local_batch} not divisible by G={g_per_rank}")
+    tsa_to_gsa(g)  # PatternError naming g unless g has a group-wise layout
+    reduced = GridShape(g.t, g.h // g.k, g.w // g.k, g.k)
+    split, merge = _switch_stages(reduced, n, local_batch // g_per_rank)
+    # each rank sends its k^2 split subsequences per local row
+    return merge.compose(split), (n, k2 * local_batch, split.out_seq)
 
 
 def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
@@ -187,20 +203,8 @@ def ssp_pattern_switch(group: ProcessGroup, g: GridShape) -> ProcessGroup:
     The result equals gathering all shards, converting with the
     single-process direct map, and resharding."""
     x, n = group.tensor, group.ranks
-    k2 = g.k * g.k
-    if k2 % n:
-        raise ShardingError(f"k^2={k2} not divisible by group size {n}")
-    g_per_rank = k2 // n
-    local_batch = x.batch // n
-    if local_batch % g_per_rank:
-        raise ProtocolError(
-            f"local batch {local_batch} not divisible by G={g_per_rank}"
-        )
-    reduced = GridShape(g.t, g.h // g.k, g.w // g.k, g.k)
-    if x.seq != reduced.seq_len:
-        raise ProtocolError(f"shard seq {x.seq} != subsequence length {reduced.seq_len}")
-
-    plan = _switch_plan(reduced, n, local_batch // g_per_rank)
-    # each rank sends its k^2 split subsequences per local row
-    all_to_all((n, k2 * local_batch, x.seq // k2, x.chan), group.log)
+    plan, sender_major = _switch_plan(g, n, x.batch // n)
+    if x.seq != plan.in_seq:
+        raise ProtocolError(f"shard seq {x.seq} != subsequence length {plan.in_seq}")
+    all_to_all((*sender_major, x.chan), group.log)
     return ProcessGroup(plan.apply(x), n, group.log)

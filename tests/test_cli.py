@@ -129,6 +129,17 @@ def test_exchange_with_ranks_reversed_fails_report_all(monkeypatch, capsys, tmp_
         f"sections.ssp.cases.{i}.switches_match_oracle" for i in range(3)) + "\n"
 
 
+def test_second_report_all_misses_no_memo():
+    # an overflowing memo would silently rebuild maps on every report-all
+    memos = (osp.skiparse._build_layout_map, osp.ssp._switch_plan, osp.attention._projections)
+    for memo in memos:
+        memo.cache_clear()
+    checks.build_full_report(7)
+    misses = [memo.cache_info().misses for memo in memos]
+    checks.build_full_report(7)
+    assert [memo.cache_info().misses for memo in memos] == misses
+
+
 def test_hif8_enum_rows(capsys):
     code = main(["hif8", "enum"])
     assert code == 0

@@ -7,7 +7,7 @@ from oracles import transpose_chunks
 from osp import checks, ssp
 from osp.checks import comm_comparison
 from osp.gridseq import GridShape, IndexMap, SequenceTensor, random_tensor
-from osp.skiparse import SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
+from osp.skiparse import PatternError, SparsePattern, gsa_to_tsa, pattern_map, tsa_to_gsa
 from osp.ssp import (CollectiveError, CommLog, ProcessGroup, ProtocolError, ShardingError,
                      all_to_all, exchange_map, shard_pattern_layout, ssp_pattern_switch)
 
@@ -199,7 +199,9 @@ def test_switch_ranks_read_only_their_own_chunk_of_each_sender(g, group_size):
     assert split.is_bijection()
     for j, block in enumerate(np.split(rank, group_size)):
         assert np.all(block == j)
-    assert ssp._switch_plan(reduced, group_size, 1).same_permutation(merge.compose(split))
+    plan, sender_major = ssp._switch_plan(g, group_size, g.k * g.k // group_size)
+    assert plan.same_permutation(merge.compose(split))
+    assert sender_major == (group_size, lead, seq)
     for out in switched.shards:
         assert not out.tensor.data.flags.writeable
         assert not any(np.shares_memory(out.tensor.data, s.tensor.data) for s in group.shards)
@@ -252,6 +254,15 @@ def test_group_size_must_divide_k_squared():
     x_tsa = _tsa_layout(g, batch=3)
     group = shard_pattern_layout(x_tsa, 3)  # divides batch 12, not k^2 = 4
     with pytest.raises(ShardingError):
+        ssp_pattern_switch(group, g)
+
+
+def test_switch_grid_error_names_the_callers_grid():
+    # token-wise fits 6x6 at k=2, group-wise does not; the error names the
+    # grid the caller passed, not the plan's reduced 3x3 grid
+    g = GridShape(1, 6, 6, 2)
+    group = shard_pattern_layout(_tsa_layout(g), 2)
+    with pytest.raises(PatternError, match=r"got 6x6$"):
         ssp_pattern_switch(group, g)
 
 
