@@ -11,22 +11,33 @@ of one item's query rows when an item alone does not fit, all computed in
 one buffer allocated once per call. Every row sees all its keys in its
 tile, so the softmax needs no rescaling across tiles.
 
-Both routes over a grid run masked, on `pg` or by default `pad_grid(g)`.
-The sparse path gathers x once into the pattern layout and masks pad keys
-inside each subsequence with `anyres.subsequence_mask`. The oracle applies
-the full 2-D pattern mask on the original layout, in blocks of as many
-query rows as one tile holds against all S keys, so each block item is
-exactly one tile and no S×S array exists. Query/key/value come from three
-fixed seeded random projections of the same input, which is all an
-equivalence check needs. They depend only on the channel width and
-`PROJECTION_SEED`, so each (width, seed) pair's matrices are drawn once per
-process and are read-only.
+The softmax takes one of two routes per call. By Cauchy–Schwarz every
+score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
+most `SCORE_BOUND` (and the weighted sum of v cannot overflow), the scores
+are exponentiated as they are, with no row max, no shift and no −inf fill,
+and a mask is applied by multiplying the weights by it. Any other call
+(large-norm or non-finite inputs) runs the max-shifted softmax with −inf on
+disallowed keys.
+
+Both routes over a grid run masked, on `pg` or by default `pad_grid(g)`,
+and set the q, k and v rows of pad tokens to zero by assignment, so no pad
+content, not even inf or NaN, reaches a score or a value. The sparse path
+gathers x once into the pattern layout and masks pad keys inside each
+subsequence with `anyres.subsequence_mask`. The oracle applies the full
+2-D pattern mask on the original layout, in blocks of as many query rows
+as one tile holds against all S keys, so each block item is exactly one
+tile and no S×S array exists. Query/key/value come from three fixed seeded
+random projections of the same input, which is all an equivalence check
+needs. They depend only on the channel width and `PROJECTION_SEED`, so each
+(width, seed) pair's matrices are drawn once per process and are
+read-only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +52,11 @@ PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 SCORE_TILE_BYTES = 8 * 2 ** 20
 # channel widths whose projections are kept: report-all uses 2
 PROJECTION_MEMO_SIZE = 8
+# the largest score bound B for which the softmax skips its row max: every
+# weight exp(s), |s| <= B, lies in [e^-64, e^64] ~ [1.6e-28, 6.2e27], far
+# inside float64's normal range [2.2e-308, 1.8e308], so none overflows or
+# goes subnormal and an allowed key never rounds to weight 0
+SCORE_BOUND = 64.0
 
 
 def qkv_projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,24 +76,54 @@ def _projections(chan: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return mats
 
 
-def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
+def project_qkv(x: SequenceTensor, real: np.ndarray | None = None
+                ) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
+    """q, k and v of x. real, when given, is a (seq,) or (batch, seq)
+    boolean that marks the real tokens: the rows of every other token are
+    set to exactly zero by assignment, not by multiplying, so inf or NaN pad
+    content leaves nothing behind (inf · 0 is NaN)."""
     wq, wk, wv = qkv_projections(x.chan)
-    return (SequenceTensor(x.data @ wq), SequenceTensor(x.data @ wk), SequenceTensor(x.data @ wv))
+    if real is None:
+        return tuple(SequenceTensor(x.data @ w) for w in (wq, wk, wv))
+    # a pad row of inf or NaN projects to inf or NaN in that row alone, and
+    # the assignment below overwrites it, so its warning says nothing
+    with np.errstate(invalid="ignore", over="ignore"):
+        mats = tuple(x.data @ w for w in (wq, wk, wv))
+    pad = ~real
+    for m in mats:
+        m[..., pad, :] = 0.0
+    return tuple(SequenceTensor(m) for m in mats)
 
 
-def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None
+def _max_row_norm(a: np.ndarray) -> float:
+    """The largest Euclidean norm of a's last-axis rows (0 if it has none);
+    inf or NaN if a holds either."""
+    return math.sqrt(np.einsum("...c,...c->...", a, a).max(initial=0.0))
+
+
+def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None, shift: bool
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stable unnormalised softmax over the last axis, in place on
-    `scores`, which the caller owns: returns exp(score - row max) and each
-    row's sum of them (keepdims). Disallowed keys get weight 0; a row with
-    no allowed key is all-zero and its sum reads 1, so dividing by it
-    leaves zeros."""
-    if allowed is not None:
-        np.copyto(scores, -np.inf, where=~allowed)
-    row_max = np.max(scores, axis=-1, keepdims=True)
-    row_max[~np.isfinite(row_max)] = 0.0
-    scores -= row_max
-    np.exp(scores, out=scores)
+    """Unnormalised softmax over the last axis, in place on `scores`, which
+    the caller owns: returns the weights and each row's sum of them
+    (keepdims). Disallowed keys get weight 0; a row with no allowed key is
+    all-zero and its sum reads 1, so dividing by it leaves zeros.
+
+    With shift the weights are exp(score - row max), disallowed keys
+    filled with -inf first, which is stable for any finite scores. Without
+    it they are exp(score) times the mask, which the caller may ask for
+    only when every |score| <= SCORE_BOUND: then no weight overflows, and
+    every score, allowed or not, is finite, as the multiply needs."""
+    if shift:
+        if allowed is not None:
+            np.copyto(scores, -np.inf, where=~allowed)
+        row_max = np.max(scores, axis=-1, keepdims=True)
+        row_max[~np.isfinite(row_max)] = 0.0
+        scores -= row_max
+        np.exp(scores, out=scores)
+    else:
+        np.exp(scores, out=scores)
+        if allowed is not None:
+            np.multiply(scores, allowed, out=scores)
     denom = np.sum(scores, axis=-1, keepdims=True)
     denom[denom == 0] = 1.0
     return scores, denom
@@ -96,7 +142,13 @@ def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
                     allowed: np.ndarray | None = None) -> SequenceTensor:
     """Scaled dot-product attention per batch item: softmax(q kᵀ / √C) v,
-    computed as (exp(q/√C · kᵀ - row max) @ v) / row sum.
+    computed as (exp(q/√C · kᵀ - shift) @ v) / row sum.
+
+    The shift is 0 when the Cauchy–Schwarz bound on the scores,
+    B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
+    keys · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
+    stays below float64's maximum; it is each row's max otherwise, and
+    then disallowed keys are filled with -inf before it is taken.
 
     q may hold fewer query rows than k and v (a block of queries against
     every key); batch and chan must match, k and v must share a shape and
@@ -131,6 +183,10 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     out = np.empty(q.data.shape)
     if out.size == 0:  # no items, query rows or channels: no tile to walk
         return SequenceTensor(out)
+    bound = _max_row_norm(qs) * _max_row_norm(k.data)
+    # False for inf or NaN bounds too; exp(bound) runs only when it is finite
+    shift = not (bound <= SCORE_BOUND and k.seq * math.exp(bound) * _max_row_norm(v.data)
+                 < sys.float_info.max)
     kt = k.data.transpose(0, 2, 1)
     items, rows = _tile_shape(*score_shape)
     buf = np.empty(items * rows * k.seq)
@@ -145,7 +201,7 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
             np.matmul(q_tile, kt[tile[0]], out=scores)
             mask = None if allowed is None else allowed[tuple(
                 t if n > 1 else slice(None) for t, n in zip(tile, allowed.shape))]
-            weights, denom = _softmax_rows(scores, mask)
+            weights, denom = _softmax_rows(scores, mask, shift)
             np.matmul(weights, v.data[tile[0]], out=out_tile)
             out_tile /= denom
     return SequenceTensor(out)
@@ -170,14 +226,15 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     there (projection is per token, so it commutes with the gather), run
     dense attention per subsequence and gather back. ORIGINAL is full
     attention. x lives on the padded grid of `pg` (default pad_grid(g)); pad
-    keys are excluded from the softmax and pad query rows come back zero.
+    keys are excluded from the softmax, pad rows of q, k and v are zeroed,
+    and pad query rows come back zero.
     """
     pg = _attention_grid(x, g, pg)
     fwd = pattern_map(pg.padded, pattern, batch=x.batch)
-    q, k, v = project_qkv(fwd.apply(x))
     # layout rows nest the batch item innermost, so each subsequence's row
     # of validity repeats once per item
     sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
+    q, k, v = project_qkv(fwd.apply(x), sub_valid)
     out = dense_attention(q, k, v, sub_valid[:, None, :]).data.copy()
     out[~sub_valid] = 0.0
     back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
@@ -188,19 +245,22 @@ def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Oracle: dense attention over the original layout with the 2-D
     pattern mask, u and v interacting iff they share a subsequence and both
-    are real in `pg` (default pad_grid(g)). Runs in blocks of as many query
-    rows as one score tile holds against all S keys, so each block item is
-    one dense_attention tile. Must match skiparse_attention to
-    summation-order noise."""
+    are real in `pg` (default pad_grid(g)); pad rows of q, k and v are
+    zeroed. Runs in blocks of as many query rows as one score tile holds
+    against all S keys, so each block item is one dense_attention tile.
+    Must match skiparse_attention to summation-order noise."""
     pg = _attention_grid(x, g, pg)
-    q, k, v = project_qkv(x)
+    q, k, v = project_qkv(x, pg.mask)
     subseq = assignment_of(pg.padded, pattern).subseq
+    # subsequence ids that no pad token shares: -1 for a pad key and, per
+    # block, -2 for a pad query, so one compare builds each block's mask
+    key_id = np.where(pg.mask, subseq, -1)
     out = np.empty_like(q.data)
     seq = pg.padded.seq_len
     _, block = _tile_shape(1, seq, seq)
     for start in range(0, seq, block):
         rows = slice(start, start + block)
-        allow = (subseq[rows, None] == subseq[None, :]) & pg.mask[rows, None] & pg.mask[None, :]
+        allow = np.where(pg.mask[rows], subseq[rows], -2)[:, None] == key_id
         out[:, rows] = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow).data
     return SequenceTensor(out)
 

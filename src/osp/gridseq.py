@@ -128,7 +128,10 @@ class IndexMap:
             raise ShapeError(f"src shape {src.shape} must be 2-D and hold the "
                              f"{total} addresses of input ({self.in_batch}, {self.in_seq})")
         if src.size and (src.min() < 0 or src.max() >= total):
-            raise ShapeError("source addresses out of range")
+            b, s = (int(i) for i in np.argwhere((src < 0) | (src >= total))[0])
+            raise ShapeError(f"src shape {src.shape} reads address {int(src[b, s])} at output "
+                             f"({b}, {s}), outside the {total} addresses of input "
+                             f"({self.in_batch}, {self.in_seq})")
         src.flags.writeable = False
         object.__setattr__(self, "src", src)
 

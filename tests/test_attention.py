@@ -71,17 +71,68 @@ def test_query_block_matches_naive_double_loop(chan, mask):
 
 def test_softmax_rows_returns_unnormalised_weights_and_their_row_sums():
     rng = np.random.Generator(np.random.PCG64(22))
-    scores = rng.standard_normal((2, 5, 7)) * 10
+    original = rng.standard_normal((2, 5, 7)) * 10
     allowed = rng.random((5, 7)) < 0.5
     allowed[1] = False
-    weights, denom = attention._softmax_rows(scores, allowed)
-    assert weights is scores and denom.shape == (2, 5, 1)
     live = allowed.any(axis=1)
-    assert np.array_equal(weights.sum(axis=-1, keepdims=True)[:, live], denom[:, live])
-    # the row maximum has weight exp(0) = 1: nothing was divided
-    assert (weights.max(axis=-1)[:, live] == 1.0).all()
-    assert (weights[:, ~allowed] == 0.0).all()
-    assert (denom[:, ~live] == 1.0).all()
+    for shift in (True, False):
+        scores = original.copy()
+        weights, denom = attention._softmax_rows(scores, allowed, shift)
+        assert weights is scores and denom.shape == (2, 5, 1)
+        assert np.array_equal(weights.sum(axis=-1, keepdims=True)[:, live], denom[:, live])
+        if shift:
+            # the row maximum has weight exp(0) = 1: nothing was divided
+            assert (weights.max(axis=-1)[:, live] == 1.0).all()
+        else:
+            # each allowed weight is exp(score) itself: nothing was shifted
+            assert np.array_equal(weights[:, allowed], np.exp(original[:, allowed]))
+        assert (weights[:, ~allowed] == 0.0).all()
+        assert (denom[:, ~live] == 1.0).all()
+
+
+def _spy_shift(monkeypatch) -> list:
+    """Record the shift flag of every _softmax_rows call."""
+    flags, softmax = [], attention._softmax_rows
+
+    def spy(scores, allowed, shift):
+        flags.append(shift)
+        return softmax(scores, allowed, shift)
+
+    monkeypatch.setattr(attention, "_softmax_rows", spy)
+    return flags
+
+
+def _score_bound(q, k):
+    return (np.linalg.norm(q.data, axis=-1).max() / np.sqrt(q.chan)
+            * np.linalg.norm(k.data, axis=-1).max())
+
+
+def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch):
+    q, k, v = _rand_qkv(2, 9, 3, seed=23)
+    q = SequenceTensor(q.data * 100)
+    assert _score_bound(q, k) > attention.SCORE_BOUND
+    allow = np.random.Generator(np.random.PCG64(24)).random((9, 9)) < 0.6
+    allow[3] = False
+    flags = _spy_shift(monkeypatch)
+    for mask in (None, allow):
+        out = dense_attention(q, k, v, mask).data
+        naive = naive_attention(q.data, k.data, v.data, allow=mask)
+        assert np.max(np.abs(out - naive)) < 1e-12
+    assert flags == [True, True]
+
+
+def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
+    q, k, v = _rand_qkv(2, 16, 64, seed=25)
+    # scale q so that the bound sits just inside SCORE_BOUND
+    q = SequenceTensor(q.data * (attention.SCORE_BOUND * (1 - 1e-6) / _score_bound(q, k)))
+    allow = np.random.Generator(np.random.PCG64(26)).random((16, 16)) < 0.5
+    flags = _spy_shift(monkeypatch)
+    inside = dense_attention(q, k, v, allow).data
+    monkeypatch.setattr(attention, "SCORE_BOUND", attention.SCORE_BOUND * (1 - 2e-6))
+    outside = dense_attention(q, k, v, allow).data
+    assert flags == [False, True]
+    assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
+    assert np.max(np.abs(inside - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
 
 
 def test_all_keys_masked_outputs_zeros():
@@ -313,10 +364,16 @@ def test_pad_content_never_leaks_into_real_outputs():
     pg = pad_grid(g)
     x = random_tensor(1, g.seq_len, 4, seed=13)
     rng = np.random.Generator(np.random.PCG64(99))
-    junk = rng.standard_normal((int((~pg.mask).sum()), 4)) * 1e9
-    clean = skiparse_attention(pad_tensor(x, pg), g, SparsePattern.TOKEN_WISE, pg)
-    dirty = skiparse_attention(pad_tensor(x, pg, pad_fill=junk), g, SparsePattern.TOKEN_WISE, pg)
-    assert np.array_equal(clean.data[:, pg.mask], dirty.data[:, pg.mask])
+    fills = {"large": rng.standard_normal((int((~pg.mask).sum()), 4)) * 1e9,
+             "inf": np.inf, "nan": np.nan}
+    for pattern in (SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE):
+        for fn in (skiparse_attention, skiparse_reference):
+            clean = fn(pad_tensor(x, pg), g, pattern, pg).data[:, pg.mask]
+            for fill, junk in fills.items():
+                dirty = fn(pad_tensor(x, pg, pad_fill=junk), g, pattern, pg).data[:, pg.mask]
+                case = f"{fn.__name__} {pattern.value} {fill} fill"
+                assert np.isfinite(dirty).all(), case
+                assert np.array_equal(clean, dirty), case
 
 
 def test_permutation_equivariance_within_subsequence():

@@ -83,8 +83,11 @@ def test_invert_roundtrip():
     assert m.invert().compose(m).same_permutation(IndexMap.identity(3, 5))
 
 
-@pytest.mark.parametrize("src", [np.arange(6), np.arange(4).reshape(2, 2)],
-                         ids=["one-dimensional", "wrong-size"])
+@pytest.mark.parametrize("src", [np.arange(6), np.arange(4).reshape(2, 2),
+                                 np.array([[0, 1, 2], [3, 4, 6]]),
+                                 np.array([[0, 1, 2], [-1, 4, 5]])],
+                         ids=["one-dimensional", "wrong-size", "address-equals-total",
+                              "negative-address"])
 def test_src_must_be_2d_and_hold_every_input_address(src):
     with pytest.raises(ShapeError) as exc:
         IndexMap(2, 3, src)
