@@ -1,36 +1,34 @@
 """One dense attention kernel in 64-bit precision, plus the per-subsequence
-sparse execution path and its masked dense oracle.
+sparse execution path and its dense oracle.
 
-`dense_attention` scales q by 1/√C, computes scores and the weighted sum
-with BLAS matmuls (`q @ kᵀ`, `weights @ v`) and runs the softmax in place
-on the scores it owns without normalising them: it divides the (rows × C)
-output by each row's weight sum instead, as FlashAttention does, so no
-pass over the scores divides. It holds at most `SCORE_TILE_BYTES` of
-float64 scores at a time: it walks tiles of whole batch items, or of runs
-of one item's query rows when an item alone does not fit, all computed in
-one buffer allocated once per call. Every row sees all its keys in its
-tile, so the softmax needs no rescaling across tiles.
+`dense_attention` computes `q/√C @ kᵀ` and `weights @ v` with BLAS matmuls
+and runs the softmax in place on the scores it owns without normalising
+them: it divides the (rows × C) output by each row's weight sum instead,
+as FlashAttention does. It holds at most `SCORE_TILE_BYTES` of float64
+scores at a time, walking tiles of whole batch items, or of runs of one
+item's query rows, in one buffer per call, and scales q tile by tile.
+Every row sees all its keys in its tile, so no rescaling crosses tiles.
+Attention goes by membership, as the paper defines skip-sparse attention:
+a query attends exactly the keys whose group label equals its own, and
+each tile's mask is one compare of the labels' tile slices.
 
 The softmax takes one of two routes per call. By Cauchy–Schwarz every
 score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
 most `SCORE_BOUND` (and the weighted sum of v cannot overflow), the scores
 are exponentiated as they are, with no row max, no shift and no −inf fill,
-and a mask is applied by multiplying the weights by it. Any other call
-(large-norm or non-finite inputs) runs the max-shifted softmax with −inf on
-disallowed keys.
+and the weights are multiplied by the mask. Any other call (large-norm or
+non-finite inputs) runs the max-shifted softmax with −inf on masked keys.
 
-Both routes over a grid run masked, on `pg` or by default `pad_grid(g)`,
-and set the q, k and v rows of pad tokens to zero by assignment, so no pad
-content, not even inf or NaN, reaches a score or a value. The sparse path
-gathers x once into the pattern layout and masks pad keys inside each
-subsequence with `anyres.subsequence_mask`. The oracle applies the full
-2-D pattern mask on the original layout, in blocks of as many query rows
-as one tile holds against all S keys, so each block item is exactly one
-tile and no S×S array exists. Query/key/value come from three fixed seeded
-random projections of the same input, which is all an equivalence check
-needs. They depend only on the channel width and `PROJECTION_SEED`, so each
-(width, seed) pair's matrices are drawn once per process and are
-read-only.
+Both routes over a grid run on `pg` or by default `pad_grid(g)`, set the q,
+k and v rows of pad tokens to zero by assignment, so no pad content, not
+even inf or NaN, reaches a score or a value, and label pad tokens with
+groups no real token has. The sparse path gathers x once into the pattern
+layout and labels pad keys from `anyres.subsequence_mask`. The oracle is
+one kernel call on the original layout labelled by subsequence id; it runs
+in no blocks of its own, and no S×S array exists. Query/key/value come
+from three fixed seeded random projections of the same input, which is all
+an equivalence check needs, drawn once per (width, `PROJECTION_SEED`)
+pair per process and read-only.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 # the most float64 scores one dense_attention tile may hold: 256 query rows
-# against 4096 keys
+# against 4096 keys; the tile's mask and scaled q rows are held beside it
 SCORE_TILE_BYTES = 8 * 2 ** 20
 # channel widths whose projections are kept: report-all uses 2
 PROJECTION_MEMO_SIZE = 8
@@ -139,8 +137,27 @@ def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
     return 1, rows_fit
 
 
+def _group_labels(labels, batch: int, n: int, axis: int) -> np.ndarray:
+    """labels, which must broadcast to (batch, n), at their own size with a
+    length-1 axis inserted at `axis`: 2 for queries, 1 for keys, so labels by
+    key alone give (items, 1, keys) tile masks."""
+    labels = np.asarray(labels)
+    try:
+        np.broadcast_to(labels, (batch, n))
+    except ValueError:
+        raise ShapeError(f"group labels of shape {labels.shape} do not broadcast to "
+                         f"{(batch, n)}") from None
+    return np.expand_dims(np.atleast_2d(labels), axis)
+
+
+def _tile_of(a: np.ndarray, tile: tuple[slice, slice]) -> np.ndarray:
+    """a's part of a (items, rows) tile, slicing only axes it does not broadcast."""
+    return a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
+
+
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
-                    allowed: np.ndarray | None = None) -> SequenceTensor:
+                    groups: tuple[np.ndarray | int, np.ndarray | int] = (0, 0)
+                    ) -> SequenceTensor:
     """Scaled dot-product attention per batch item: softmax(q kᵀ / √C) v,
     computed as (exp(q/√C · kᵀ - shift) @ v) / row sum.
 
@@ -148,16 +165,16 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
     keys · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
     stays below float64's maximum; it is each row's max otherwise, and
-    then disallowed keys are filled with -inf before it is taken.
+    then masked keys are filled with -inf before it is taken.
 
     q may hold fewer query rows than k and v (a block of queries against
     every key); batch and chan must match, k and v must share a shape and
-    hold at least one key. allowed, when given, is a boolean (query, key)
-    permission that broadcasts to (batch, query, key); disallowed keys are
-    excluded from the softmax. Queries with no allowed key output zero
-    vectors. The scores live in one buffer of at most SCORE_TILE_BYTES (or
-    one query row's scores, if larger), filled tile by tile, so no
-    (batch, query, key) array is built when they do not fit in it.
+    hold at least one key. groups is (query_groups, key_groups), integer
+    labels that broadcast to (batch, query) and (batch, key); by default
+    all are 0. Query i of item b attends key j exactly when their labels
+    are equal, and a query whose label no key shares outputs zeros. The
+    scores live in one buffer of at most SCORE_TILE_BYTES (or one query
+    row's scores, if larger), filled tile by tile.
     """
     if (k.data.shape != v.data.shape or q.batch != k.batch or q.chan != k.chan
             or q.seq > k.seq):
@@ -167,41 +184,32 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     if k.seq == 0:
         raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
                          f"v {v.data.shape}: there are no keys")
-    # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-    qs = q.data / np.sqrt(q.chan)
-    score_shape = (q.batch, q.seq, k.seq)
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        try:
-            np.broadcast_to(allowed, score_shape)
-        except ValueError:
-            raise ShapeError(f"mask shape {allowed.shape} does not broadcast to "
-                             f"{score_shape}") from None
-        # kept at its own size: a tile slices only the axes it does not
-        # broadcast, so _softmax_rows inverts no tile-sized mask
-        allowed = allowed.reshape((1,) * (3 - allowed.ndim) + allowed.shape)
+    q_groups = _group_labels(groups[0], q.batch, q.seq, axis=2)
+    k_groups = _group_labels(groups[1], k.batch, k.seq, axis=1)
     out = np.empty(q.data.shape)
     if out.size == 0:  # no items, query rows or channels: no tile to walk
         return SequenceTensor(out)
-    bound = _max_row_norm(qs) * _max_row_norm(k.data)
+    root_c = np.sqrt(q.chan)
+    bound = _max_row_norm(q.data) / root_c * _max_row_norm(k.data)
     # False for inf or NaN bounds too; exp(bound) runs only when it is finite
     shift = not (bound <= SCORE_BOUND and k.seq * math.exp(bound) * _max_row_norm(v.data)
                  < sys.float_info.max)
     kt = k.data.transpose(0, 2, 1)
-    items, rows = _tile_shape(*score_shape)
+    items, rows = _tile_shape(q.batch, q.seq, k.seq)
     buf = np.empty(items * rows * k.seq)
     # a tile is whole items or a run of one item's rows, so both q[tile] and
     # out[tile] are C-contiguous and each matmul stays on BLAS
     for b in range(0, q.batch, items):
         for r in range(0, q.seq, rows):
             tile = (slice(b, b + items), slice(r, r + rows))
-            q_tile, out_tile = qs[tile], out[tile]
+            # scaling q, not the scores, is exact when √C is a power of two (C = 64)
+            q_tile, out_tile = q.data[tile] / root_c, out[tile]
             shape = (*q_tile.shape[:2], k.seq)
             scores = buf[:math.prod(shape)].reshape(shape)
             np.matmul(q_tile, kt[tile[0]], out=scores)
-            mask = None if allowed is None else allowed[tuple(
-                t if n > 1 else slice(None) for t, n in zip(tile, allowed.shape))]
-            weights, denom = _softmax_rows(scores, mask, shift)
+            # the tile's mask lives only for this call, so no two masks coexist
+            weights, denom = _softmax_rows(
+                scores, _tile_of(q_groups, tile) == _tile_of(k_groups, tile), shift)
             np.matmul(weights, v.data[tile[0]], out=out_tile)
             out_tile /= denom
     return SequenceTensor(out)
@@ -235,7 +243,7 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     # of validity repeats once per item
     sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
     q, k, v = project_qkv(fwd.apply(x), sub_valid)
-    out = dense_attention(q, k, v, sub_valid[:, None, :]).data.copy()
+    out = dense_attention(q, k, v, (0, np.where(sub_valid, 0, -1))).data.copy()
     out[~sub_valid] = 0.0
     back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
     return back.apply(SequenceTensor(out))
@@ -243,26 +251,17 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
 
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
-    """Oracle: dense attention over the original layout with the 2-D
-    pattern mask, u and v interacting iff they share a subsequence and both
-    are real in `pg` (default pad_grid(g)); pad rows of q, k and v are
-    zeroed. Runs in blocks of as many query rows as one score tile holds
-    against all S keys, so each block item is one dense_attention tile.
-    Must match skiparse_attention to summation-order noise."""
+    """Oracle: one dense_attention call over the original layout, u and v
+    interacting iff they share a subsequence and both are real in `pg`
+    (default pad_grid(g)); pad rows of q, k and v are zeroed. The kernel's
+    score tiles are its only blocks, so no S×S array exists. Must match
+    skiparse_attention to summation-order noise."""
     pg = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x, pg.mask)
     subseq = assignment_of(pg.padded, pattern).subseq
-    # subsequence ids that no pad token shares: -1 for a pad key and, per
-    # block, -2 for a pad query, so one compare builds each block's mask
-    key_id = np.where(pg.mask, subseq, -1)
-    out = np.empty_like(q.data)
-    seq = pg.padded.seq_len
-    _, block = _tile_shape(1, seq, seq)
-    for start in range(0, seq, block):
-        rows = slice(start, start + block)
-        allow = np.where(pg.mask[rows], subseq[rows], -2)[:, None] == key_id
-        out[:, rows] = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow).data
-    return SequenceTensor(out)
+    # labels no real token has: -2 for a pad query, -1 for a pad key
+    return dense_attention(q, k, v, (np.where(pg.mask, subseq, -2),
+                                     np.where(pg.mask, subseq, -1)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import gsa_subseq, naive_attention, pattern_allow, tsa_subseq
+from oracles import gsa_subseq, iter_coords, naive_attention, pattern_allow, tsa_subseq
 from osp import attention
 from osp.anyres import pad_grid, pad_tensor
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
@@ -17,6 +17,22 @@ def _rand_qkv(batch, seq, chan, seed):
     return (random_tensor(batch, seq, chan, seed),
             random_tensor(batch, seq, chan, seed + 1),
             random_tensor(batch, seq, chan, seed + 2))
+
+
+def _allow(groups, shape):
+    """The boolean (..., query, key) mask that (query, key) group labels
+    make, broadcast to shape, as naive_attention takes it."""
+    q_groups, k_groups = (np.atleast_1d(a) for a in groups)
+    return np.broadcast_to(q_groups[..., :, None] == k_groups[..., None, :], shape)
+
+
+def _pair_groups(seed, n, dead=()):
+    """Random labels 0 or 1 for n queries and n keys; the queries in dead
+    get label 2, which no key has."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q_groups, k_groups = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    q_groups[list(dead)] = 2
+    return q_groups, k_groups
 
 
 def test_single_key_returns_value():
@@ -45,8 +61,8 @@ def test_softmax_rows_sum_to_one_over_unmasked_keys():
     # with all-ones values the output is exactly the row weight sum
     q, k, _ = _rand_qkv(1, 6, 4, seed=4)
     ones = SequenceTensor(np.ones((1, 6, 4)))
-    valid = np.array([True, True, False, True, False, True])
-    out = dense_attention(q, k, ones, valid)
+    k_groups = np.array([0, 0, -1, 0, -1, 0])
+    out = dense_attention(q, k, ones, (0, k_groups))
     assert np.allclose(out.data, 1.0, atol=1e-12)
 
 
@@ -55,15 +71,15 @@ def test_softmax_rows_sum_to_one_over_unmasked_keys():
 def test_query_block_matches_naive_double_loop(chan, mask):
     # C=64: scaling q by 1/8 is exact; C=5: 1/sqrt(5) rounds
     q, k, v = _rand_qkv(2, 12, chan, seed=20)
-    rng = np.random.Generator(np.random.PCG64(21))
     if mask == "keys":
-        allow = np.broadcast_to(rng.random(12) < 0.6, (12, 12))
+        rng = np.random.Generator(np.random.PCG64(21))
+        q_groups, k_groups = np.zeros(12, dtype=int), np.where(rng.random(12) < 0.6, 0, -1)
     else:
-        allow = rng.random((12, 12)) < 0.6
-        allow[4] = False
+        q_groups, k_groups = _pair_groups(21, 12, dead=(4,))
+    allow = _allow((q_groups, k_groups), (12, 12))
     naive = naive_attention(q.data, k.data, v.data, allow=allow)
     rows = slice(2, 9)
-    out = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow[rows]).data
+    out = dense_attention(SequenceTensor(q.data[:, rows]), k, v, (q_groups[rows], k_groups)).data
     assert out.shape == (2, 7, chan)
     assert np.max(np.abs(out - naive[:, rows])) < 1e-12
     assert (out[:, ~allow[rows].any(axis=1)] == 0.0).all()
@@ -111,12 +127,10 @@ def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch)
     q, k, v = _rand_qkv(2, 9, 3, seed=23)
     q = SequenceTensor(q.data * 100)
     assert _score_bound(q, k) > attention.SCORE_BOUND
-    allow = np.random.Generator(np.random.PCG64(24)).random((9, 9)) < 0.6
-    allow[3] = False
     flags = _spy_shift(monkeypatch)
-    for mask in (None, allow):
-        out = dense_attention(q, k, v, mask).data
-        naive = naive_attention(q.data, k.data, v.data, allow=mask)
+    for groups in ((0, 0), _pair_groups(24, 9, dead=(3,))):
+        out = dense_attention(q, k, v, groups).data
+        naive = naive_attention(q.data, k.data, v.data, allow=_allow(groups, (9, 9)))
         assert np.max(np.abs(out - naive)) < 1e-12
     assert flags == [True, True]
 
@@ -125,11 +139,12 @@ def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
     q, k, v = _rand_qkv(2, 16, 64, seed=25)
     # scale q so that the bound sits just inside SCORE_BOUND
     q = SequenceTensor(q.data * (attention.SCORE_BOUND * (1 - 1e-6) / _score_bound(q, k)))
-    allow = np.random.Generator(np.random.PCG64(26)).random((16, 16)) < 0.5
+    groups = _pair_groups(26, 16)
+    allow = _allow(groups, (16, 16))
     flags = _spy_shift(monkeypatch)
-    inside = dense_attention(q, k, v, allow).data
+    inside = dense_attention(q, k, v, groups).data
     monkeypatch.setattr(attention, "SCORE_BOUND", attention.SCORE_BOUND * (1 - 2e-6))
-    outside = dense_attention(q, k, v, allow).data
+    outside = dense_attention(q, k, v, groups).data
     assert flags == [False, True]
     assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
     assert np.max(np.abs(inside - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
@@ -137,15 +152,14 @@ def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
 
 def test_all_keys_masked_outputs_zeros():
     q, k, v = _rand_qkv(1, 3, 2, seed=5)
-    out = dense_attention(q, k, v, np.zeros(3, dtype=bool))
+    out = dense_attention(q, k, v, (0, np.full(3, -1)))
     assert (out.data == 0.0).all()
 
 
 def test_masked_dense_zeroes_blocked_queries():
     q, k, v = _rand_qkv(1, 4, 2, seed=6)
-    allow = np.ones((4, 4), dtype=bool)
-    allow[2, :] = False
-    out = dense_attention(q, k, v, allow)
+    # query 2 is alone in group 1, which no key has
+    out = dense_attention(q, k, v, (np.array([0, 0, 1, 0]), 0))
     assert (out.data[0, 2] == 0.0).all()
     assert not (out.data[0, 0] == 0.0).all()
 
@@ -163,14 +177,13 @@ def test_shape_mismatch_raises():
 
 def test_query_row_block_matches_full_call_and_leaves_inputs_alone():
     q, k, v = _rand_qkv(2, 9, 3, seed=16)
-    allow = np.random.Generator(np.random.PCG64(17)).random((9, 9)) < 0.5
-    allow[4] = False
-    before = [a.copy() for a in (q.data, k.data, v.data, allow)]
-    full = dense_attention(q, k, v, allow).data
-    for a, b in zip(before, (q.data, k.data, v.data, allow)):
+    q_groups, k_groups = _pair_groups(17, 9, dead=(4,))
+    before = [a.copy() for a in (q.data, k.data, v.data, q_groups, k_groups)]
+    full = dense_attention(q, k, v, (q_groups, k_groups)).data
+    for a, b in zip(before, (q.data, k.data, v.data, q_groups, k_groups)):
         assert np.array_equal(a, b)
     rows = slice(2, 6)
-    part = dense_attention(SequenceTensor(q.data[:, rows]), k, v, allow[rows]).data
+    part = dense_attention(SequenceTensor(q.data[:, rows]), k, v, (q_groups[rows], k_groups)).data
     assert part.shape == (2, 4, 3)
     assert np.max(np.abs(part - full[:, rows])) < 1e-12
     assert (full[:, 4] == 0.0).all()
@@ -181,18 +194,23 @@ def test_empty_key_axis_raises_and_empty_query_block_returns_empty():
     with pytest.raises(ShapeError, match=r"\(2, 0, 4\).*no keys"):
         dense_attention(q, k, v)
     _, k, v = _rand_qkv(2, 5, 4, seed=28)
-    for allow in (None, np.ones(5, dtype=bool)):
-        out = dense_attention(q, k, v, allow)
+    for groups in ((0, 0), (np.zeros((2, 0), dtype=int), np.zeros(5, dtype=int))):
+        out = dense_attention(q, k, v, groups)
         assert out.data.shape == (2, 0, 4)
 
 
-def _tiling_mask(mask_shape, rng):
-    allow = rng.random(mask_shape) < 0.6
-    if len(mask_shape) == 3:
-        allow[1] = False                  # a whole item with no allowed key
-    if mask_shape[-2:] == (10, 10):
-        allow[..., 4, :] = False          # one query row with no allowed key
-    return allow
+def _tiling_groups(mask_shape, rng):
+    """(query, key) labels whose mask has mask_shape: labels by key alone,
+    0 or -1, for a 1-D or (items, 1, key) shape, random pair labels else."""
+    lead, keys = mask_shape[:-2], mask_shape[-1:]
+    if mask_shape[-2:-1] in ((), (1,)):
+        q_groups, k_groups = 0, np.where(rng.random(lead + keys) < 0.6, 0, -1)
+    else:
+        q_groups, k_groups = rng.integers(0, 2, mask_shape[:-1]), rng.integers(0, 2, lead + keys)
+        q_groups[..., 4] = 2              # one query row in a group no key has
+    if lead:
+        k_groups[1] = -1                  # a whole item whose keys share no query's group
+    return q_groups, k_groups
 
 
 # 3 items of 10 x 10 scores at 800 B each
@@ -204,15 +222,15 @@ def _tiling_mask(mask_shape, rng):
 @pytest.mark.parametrize("mask_shape", [(10,), (10, 10), (3, 1, 10), (3, 10, 10)], ids=str)
 def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape, monkeypatch):
     q, k, v = _rand_qkv(3, 10, 4, seed=29)
-    allow = _tiling_mask(mask_shape, np.random.Generator(np.random.PCG64(30)))
-    before = [a.copy() for a in (q.data, k.data, v.data, allow)]
-    one_tile = dense_attention(q, k, v, allow).data
+    groups = _tiling_groups(mask_shape, np.random.Generator(np.random.PCG64(30)))
+    before = [np.copy(a) for a in (q.data, k.data, v.data, *groups)]
+    one_tile = dense_attention(q, k, v, groups).data
     monkeypatch.setattr(attention, "SCORE_TILE_BYTES", tile_bytes)
     assert attention._tile_shape(3, 10, 10) == tile_shape
-    tiled = dense_attention(q, k, v, allow).data
-    for a, b in zip(before, (q.data, k.data, v.data, allow)):
+    tiled = dense_attention(q, k, v, groups).data
+    for a, b in zip(before, (q.data, k.data, v.data, *groups)):
         assert np.array_equal(a, b)
-    full = np.broadcast_to(allow, (3, 10, 10))
+    full = _allow(groups, (3, 10, 10))
     naive = np.concatenate([naive_attention(q.data[b:b + 1], k.data[b:b + 1], v.data[b:b + 1],
                                             allow=full[b]) for b in range(3)])
     assert np.max(np.abs(tiled - one_tile)) < 1e-12
@@ -223,26 +241,30 @@ def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape
 
 
 def test_score_memory_stays_within_one_tile():
-    # clip-attn's sparse call: 4 subsequences of 960 tokens, pad keys masked;
-    # all 4 x 960 x 960 float64 scores at once would take 28.1 MiB. One
-    # 7.0 MiB score tile, scaled q and the output take 10.78 MiB; a mask
-    # inverted at tile size would add 0.88 MiB more
+    # clip-attn's sparse call: 4 subsequences of 960 tokens, pad keys in
+    # group -1; all 4 x 960 x 960 float64 scores at once would take
+    # 28.1 MiB. One 7.0 MiB score tile, the 1.9 MiB output and the scaled q
+    # rows of a tile take 9.86 MiB; a full-size scaled copy of q would add
+    # 1.0 MiB and a mask inverted at tile size 0.88 MiB more
     q, k, v = _rand_qkv(4, 960, 64, seed=31)
-    allow = np.random.Generator(np.random.PCG64(32)).random((4, 1, 960)) < 0.95
+    k_groups = np.where(np.random.Generator(np.random.PCG64(32)).random((4, 960)) < 0.95, 0, -1)
     tracemalloc.start()
     try:
-        dense_attention(q, k, v, allow)
+        dense_attention(q, k, v, (0, k_groups))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 11.25 * 2 ** 20
 
 
-@pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4)])
+@pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4), (5, 4)])
 def test_mask_that_does_not_broadcast_raises(mask_shape):
+    # labels shaped to make a mask of mask_shape, for 1 item of 4 queries and 4 keys
     q, k, v = _rand_qkv(1, 4, 2, seed=7)
-    with pytest.raises(ShapeError):
-        dense_attention(q, k, v, np.ones(mask_shape, dtype=bool))
+    groups = (np.zeros(mask_shape[:-1], dtype=int),
+              np.zeros(mask_shape[:-2] + mask_shape[-1:], dtype=int))
+    with pytest.raises(ShapeError, match="group labels of shape"):
+        dense_attention(q, k, v, groups)
 
 
 def test_original_pattern_equals_dense():
@@ -299,22 +321,68 @@ def test_skiparse_equals_masked_reference(g, pattern):
     assert np.max(np.abs(out.data - ref.data)) < 1e-10
 
 
+def _oracle_groups(pg, subseq_fn):
+    """(query, key) labels by a tests/oracles.py subsequence formula on the
+    padded grid, with -2 for pad queries and -1 for pad keys."""
+    ids = np.array([subseq_fn(pg.padded, *coord) for coord in iter_coords(pg.padded)])
+    return np.where(pg.mask, ids, -2), np.where(pg.mask, ids, -1)
+
+
+@pytest.mark.parametrize("subseq_fn", [tsa_subseq, gsa_subseq], ids=["tsa", "gsa"])
+def test_group_labels_match_naive_on_a_padded_grid(subseq_fn):
+    g = GridShape(1, 5, 6, 2)
+    pg = pad_grid(g)
+    q, k, v = project_qkv(pad_tensor(random_tensor(2, g.seq_len, 4, seed=33), pg))
+    groups = _oracle_groups(pg, subseq_fn)
+    allow = pattern_allow(pg.padded, subseq_fn, real=pg.mask)
+    assert np.array_equal(_allow(groups, allow.shape), allow)
+    out = dense_attention(q, k, v, groups).data
+    assert np.max(np.abs(out - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
+    # pad queries share no key's label, so they come out exactly zero
+    assert (out[:, ~pg.mask] == 0.0).all()
+
+
+def test_oracle_is_one_kernel_call_however_many_tiles(monkeypatch):
+    g = GridShape(1, 5, 6, 2)
+    pg = pad_grid(g)
+    x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=34), pg)
+    expected = skiparse_reference(x, g, SparsePattern.TOKEN_WISE, pg).data
+    # 7 rows of 64 keys per tile: 10 tiles for each of the 2 items
+    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 64 * 8)
+    calls = {"dense_attention": 0, "_max_row_norm": 0, "_softmax_rows": 0}
+
+    def counted(name):
+        real = getattr(attention, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(attention, name, counted(name))
+    out = skiparse_reference(x, g, SparsePattern.TOKEN_WISE, pg).data
+    assert calls == {"dense_attention": 1, "_max_row_norm": 3, "_softmax_rows": 20}
+    assert np.max(np.abs(out - expected)) < 1e-12
+
+
 @pytest.mark.parametrize("pattern,subseq_fn", [
     (SparsePattern.TOKEN_WISE, tsa_subseq),
     (SparsePattern.GROUP_WISE, gsa_subseq),
 ])
 @pytest.mark.parametrize("g", [GridShape(1, 8, 8, 2), GridShape(1, 5, 6, 2)], ids=str)
 def test_row_blocked_oracle_matches_unblocked_and_naive(g, pattern, subseq_fn, monkeypatch):
-    # 7-row blocks: several per sequence, and a ragged last one (64 = 9*7 + 1)
-    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 64 * 8)
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=18), pg)
-    ref = skiparse_reference(x, g, pattern, None if pg.trivial else pg).data
     q, k, v = project_qkv(x)
+    one_tile = dense_attention(q, k, v, _oracle_groups(pg, subseq_fn)).data
+    # 7-row tiles: several per sequence, and a ragged last one (64 = 9*7 + 1)
+    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 64 * 8)
+    ref = skiparse_reference(x, g, pattern, None if pg.trivial else pg).data
     allow = pattern_allow(pg.padded, subseq_fn, real=None if pg.trivial else pg.mask)
     naive = naive_attention(q.data, k.data, v.data, allow=allow)
     assert np.max(np.abs(ref - naive)) < 1e-10
-    assert np.max(np.abs(ref - dense_attention(q, k, v, allow).data)) < 1e-12
+    assert np.max(np.abs(ref - one_tile)) < 1e-12
     # pad query rows are the fully masked rows, and they come out exactly zero
     assert np.array_equal(~allow.any(axis=1), ~pg.mask)
     assert (ref[:, ~pg.mask] == 0.0).all()

@@ -673,3 +673,14 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
         with guarded("ssp_pattern_switch"), guarded("mixed_rollout"):
             code = _run_code(argv)
     assert code in (0, 1, 2), argv
+
+
+def test_report_all_leaves_numpy_ma_unimported():
+    # numpy.ma costs every cold report-all about 19 ms of import
+    script = ("import sys\nfrom osp.checks import build_full_report\n"
+              "assert build_full_report(7)['pass']\nprint('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
