@@ -99,12 +99,13 @@ def _max_row_norm(a: np.ndarray) -> float:
     return math.sqrt(np.einsum("...c,...c->...", a, a).max(initial=0.0))
 
 
-def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None, shift: bool
+def _softmax_rows(scores: np.ndarray, allowed: np.ndarray, shift: bool
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalised softmax over the last axis, in place on `scores`, which
     the caller owns: returns the weights and each row's sum of them
-    (keepdims). Disallowed keys get weight 0; a row with no allowed key is
-    all-zero and its sum reads 1, so dividing by it leaves zeros.
+    (keepdims). Keys where the boolean mask `allowed` is False get weight 0;
+    a row with no allowed key is all-zero and its sum reads 1, so dividing
+    by it leaves zeros.
 
     With shift the weights are exp(score - row max), disallowed keys
     filled with -inf first, which is stable for any finite scores. Without
@@ -112,16 +113,14 @@ def _softmax_rows(scores: np.ndarray, allowed: np.ndarray | None, shift: bool
     only when every |score| <= SCORE_BOUND: then no weight overflows, and
     every score, allowed or not, is finite, as the multiply needs."""
     if shift:
-        if allowed is not None:
-            np.copyto(scores, -np.inf, where=~allowed)
+        np.copyto(scores, -np.inf, where=~allowed)
         row_max = np.max(scores, axis=-1, keepdims=True)
         row_max[~np.isfinite(row_max)] = 0.0
         scores -= row_max
         np.exp(scores, out=scores)
     else:
         np.exp(scores, out=scores)
-        if allowed is not None:
-            np.multiply(scores, allowed, out=scores)
+        np.multiply(scores, allowed, out=scores)
     denom = np.sum(scores, axis=-1, keepdims=True)
     denom[denom == 0] = 1.0
     return scores, denom

@@ -4,6 +4,8 @@ parses arguments, formats output and maps verdicts to exit codes.
 
 Exit codes: 0 all embedded assertions pass, 1 an assertion failed (the
 failing invariant is named on stderr), 2 usage or configuration error.
+report-all takes only a checked seed, so a report-all section that raises
+fails as that section, with exit 1.
 The OSP_SEED environment variable overrides --seed; an optional flat
 key=value config file supplies defaults that flags override.
 """
@@ -73,11 +75,14 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _failures(node, prefix: str = "") -> list[str]:
-    """Dotted paths of every check that is False, depth first."""
+    """Dotted paths of every check that is False, depth first; a report-all
+    section that raised is named with its exception."""
     if isinstance(node, list):
         return [name for i, item in enumerate(node) for name in _failures(item, f"{prefix}{i}.")]
     if not isinstance(node, dict):
         return []
+    if "raised" in node:
+        return [f"{prefix.removesuffix('.')} raised {node['raised']}"]
     names = [prefix + name for name, ok in node.get("checks", {}).items() if ok is False]
     for key, value in node.items():
         if key != "checks":
