@@ -1,34 +1,40 @@
 """One dense attention kernel in 64-bit precision, plus the per-subsequence
 sparse execution path and its dense oracle.
 
-`dense_attention` computes `q/√C @ kᵀ` and `weights @ v` with BLAS matmuls
-and runs the softmax in place on the scores it owns without normalising
-them: it divides the (rows × C) output by each row's weight sum instead,
-as FlashAttention does. It holds at most `SCORE_TILE_BYTES` of float64
-scores at a time, walking tiles of whole batch items, or of runs of one
-item's query rows, in one buffer per call, and scales q tile by tile.
-Every row sees all its keys in its tile, so no rescaling crosses tiles.
 Attention goes by membership, as the paper defines skip-sparse attention:
-a query attends exactly the keys whose group label equals its own, and
-each tile's mask is one compare of the labels' tile slices.
+a query attends exactly the keys whose group label equals its own, so no
+mask is built. `dense_attention` splits each batch item's queries and keys
+by label and runs every group as plain attention over its own members:
+an item whose tokens all share one label is read in place, and runs of
+such items are batched; any other group's rows are gathered, and groups of
+equal size are stacked into one tile walk. A query whose label no key has
+outputs zeros. The kernel computes `q/√C @ kᵀ` and `weights @ v` with BLAS
+matmuls and runs the softmax in place on the scores it owns without
+normalising them: it divides the (rows × C) output by each row's weight
+sum instead, as FlashAttention does. It holds at most `SCORE_TILE_BYTES`
+of float64 scores at a time, in one buffer per call, walking tiles of
+whole items or groups, or of runs of one's query rows, and scales q tile
+by tile. Every row sees all its keys in its tile, so no rescaling crosses
+tiles.
 
 The softmax takes one of two routes per call. By Cauchy–Schwarz every
 score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
 most `SCORE_BOUND` (and the weighted sum of v cannot overflow), the scores
-are exponentiated as they are, with no row max, no shift and no −inf fill,
-and the weights are multiplied by the mask. Any other call (large-norm or
-non-finite inputs) runs the max-shifted softmax with −inf on masked keys.
+are exponentiated as they are, with no row max and no shift. Any other call
+(large-norm or non-finite inputs) runs the max-shifted softmax.
 
 Both routes over a grid run on `pg` or by default `pad_grid(g)`, set the q,
 k and v rows of pad tokens to zero by assignment, so no pad content, not
-even inf or NaN, reaches a score or a value, and label pad tokens with
-groups no real token has. The sparse path gathers x once into the pattern
-layout and labels pad keys from `anyres.subsequence_mask`. The oracle is
-one kernel call on the original layout labelled by subsequence id; it runs
-in no blocks of its own, and no S×S array exists. Query/key/value come
-from three fixed seeded random projections of the same input, which is all
-an equivalence check needs, drawn once per (width, `PROJECTION_SEED`)
-pair per process and read-only.
+even inf or NaN, reaches a score or a value, and label pad queries -2 and
+pad keys -1, labels no real token has, so pad rows are never computed and
+come out zero. The sparse path gathers x once into the pattern layout and
+labels its pad tokens from `anyres.subsequence_mask`. The oracle is one
+kernel call on the original layout labelled by subsequence id, so it
+scores only the pairs within a subsequence and no S×S array exists; both
+routes then run the same groups. Query/key/value come from three fixed
+seeded random projections of the same input, which is all an equivalence
+check needs, drawn once per (width, `PROJECTION_SEED`) pair per process
+and read-only.
 """
 
 from __future__ import annotations
@@ -46,14 +52,15 @@ from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 # the most float64 scores one dense_attention tile may hold: 256 query rows
-# against 4096 keys; the tile's mask and scaled q rows are held beside it
+# against 4096 keys; the tile's scaled q rows and its k or v rows are held
+# beside it
 SCORE_TILE_BYTES = 8 * 2 ** 20
 # channel widths whose projections are kept: report-all uses 2
 PROJECTION_MEMO_SIZE = 8
 # the largest score bound B for which the softmax skips its row max: every
 # weight exp(s), |s| <= B, lies in [e^-64, e^64] ~ [1.6e-28, 6.2e27], far
 # inside float64's normal range [2.2e-308, 1.8e308], so none overflows or
-# goes subnormal and an allowed key never rounds to weight 0
+# goes subnormal and no key rounds to weight 0
 SCORE_BOUND = 64.0
 
 
@@ -99,31 +106,18 @@ def _max_row_norm(a: np.ndarray) -> float:
     return math.sqrt(np.einsum("...c,...c->...", a, a).max(initial=0.0))
 
 
-def _softmax_rows(scores: np.ndarray, allowed: np.ndarray, shift: bool
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_rows(scores: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalised softmax over the last axis, in place on `scores`, which
     the caller owns: returns the weights and each row's sum of them
-    (keepdims). Keys where the boolean mask `allowed` is False get weight 0;
-    a row with no allowed key is all-zero and its sum reads 1, so dividing
-    by it leaves zeros.
+    (keepdims). Every key of a row counts, so every sum is positive.
 
-    With shift the weights are exp(score - row max), disallowed keys
-    filled with -inf first, which is stable for any finite scores. Without
-    it they are exp(score) times the mask, which the caller may ask for
-    only when every |score| <= SCORE_BOUND: then no weight overflows, and
-    every score, allowed or not, is finite, as the multiply needs."""
+    With shift the weights are exp(score - row max), which is stable for any
+    finite scores. Without it they are exp(score), which the caller may ask
+    for only when every |score| <= SCORE_BOUND: then no weight overflows."""
     if shift:
-        np.copyto(scores, -np.inf, where=~allowed)
-        row_max = np.max(scores, axis=-1, keepdims=True)
-        row_max[~np.isfinite(row_max)] = 0.0
-        scores -= row_max
-        np.exp(scores, out=scores)
-    else:
-        np.exp(scores, out=scores)
-        np.multiply(scores, allowed, out=scores)
-    denom = np.sum(scores, axis=-1, keepdims=True)
-    denom[denom == 0] = 1.0
-    return scores, denom
+        scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores, np.sum(scores, axis=-1, keepdims=True)
 
 
 def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
@@ -136,44 +130,107 @@ def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
     return 1, rows_fit
 
 
-def _group_labels(labels, batch: int, n: int, axis: int) -> np.ndarray:
-    """labels, which must broadcast to (batch, n), at their own size with a
-    length-1 axis inserted at `axis`: 2 for queries, 1 for keys, so labels by
-    key alone give (items, 1, keys) tile masks."""
+def _group_labels(labels, batch: int, n: int) -> np.ndarray:
+    """labels, which must broadcast to (batch, n), at their own size as a
+    (1 or batch, 1 or n) array."""
     labels = np.asarray(labels)
-    try:
-        np.broadcast_to(labels, (batch, n))
-    except ValueError:
+    if labels.ndim > 2 or any(m not in (1, size)
+                              for m, size in zip(labels.shape[::-1], (n, batch))):
         raise ShapeError(f"group labels of shape {labels.shape} do not broadcast to "
-                         f"{(batch, n)}") from None
-    return np.expand_dims(np.atleast_2d(labels), axis)
+                         f"{(batch, n)}")
+    return labels.reshape((1,) * (2 - labels.ndim) + labels.shape)
 
 
-def _tile_of(a: np.ndarray, tile: tuple[slice, slice]) -> np.ndarray:
-    """a's part of a (items, rows) tile, slicing only axes it does not broadcast."""
-    return a[tuple(t if n > 1 else slice(None) for t, n in zip(tile, a.shape))]
+def _members(labels: np.ndarray, batch: int, n: int) -> dict[tuple[int, int], np.ndarray]:
+    """The flat (item * n + position) rows of each (item, label) pair among
+    n tokens per item labelled by `labels`, which broadcast to (batch, n);
+    rows ascend within each pair."""
+    if labels.shape != (batch, n):
+        labels = np.broadcast_to(labels, (batch, n))
+    rows = labels.argsort(axis=1, kind="stable")
+    rows += np.arange(0, batch * n, n)[:, None]
+    ranked = labels.ravel()[rows]
+    # a pair starts at each item's first token and wherever the label changes
+    first = np.ones((batch, n), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    starts = first.ravel().nonzero()[0].tolist()
+    rows, ranked = rows.ravel(), ranked.ravel()
+    return {(a // n, label): rows[a:b]
+            for a, b, label in zip(starts, [*starts[1:], batch * n], ranked[starts].tolist())}
+
+
+def _partition(q_labels: np.ndarray, k_labels: np.ndarray, batch: int, queries: int,
+               keys: int) -> tuple[list[list[int]], list[tuple[np.ndarray, np.ndarray]]]:
+    """Each item's queries and keys split by label. Returns the runs
+    [first, end) of consecutive items whose queries and keys all share one
+    label, and, for every other label that a query and a key of one item
+    both hold, its query and key rows, flat as in _members, stacked with
+    every other such group of the same size. Queries whose label no key of
+    their item holds are in neither."""
+    # one label on every token, as in full attention and the sparse path on
+    # an unpadded grid: every item is whole, and no label needs sorting
+    if (q_labels == k_labels.flat[0]).all() and (k_labels == k_labels.flat[0]).all():
+        return [[0, batch]], []
+    k_sets = _members(k_labels, batch, keys)
+    runs, parts = [], {}
+    for (b, label), q_rows in _members(q_labels, batch, queries).items():
+        k_rows = k_sets.get((b, label))
+        if k_rows is None:
+            continue
+        if len(q_rows) < queries or len(k_rows) < keys:
+            parts.setdefault((len(q_rows), len(k_rows)), []).append((q_rows, k_rows))
+        elif runs and runs[-1][1] == b:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, b + 1])
+    return runs, [tuple(map(np.array, zip(*groups))) for groups in parts.values()]
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, rows, keys, root_c: float,
+            buf: np.ndarray, shift: bool) -> np.ndarray:
+    """softmax(q[rows]/√C · k[keys]ᵀ) v[keys] for one tile of (items, rows)
+    queries against (items, keys) keys, with the scores in the front of buf.
+    A selection is a view of whole items or a gathered copy of flat rows;
+    k's copy is freed before v's is made, so at most one is alive."""
+    # scaling q, not the scores, is exact when √C is a power of two (C = 64)
+    q_tile = q[rows] / root_c
+    k_tile = k[keys]
+    shape = (*q_tile.shape[:2], k_tile.shape[1])
+    scores = buf[:math.prod(shape)].reshape(shape)
+    np.matmul(q_tile, k_tile.transpose(0, 2, 1), out=scores)
+    del k_tile
+    weights, denom = _softmax_rows(scores, shift)
+    np.matmul(weights, v[keys], out=q_tile)
+    q_tile /= denom
+    return q_tile
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
                     groups: tuple[np.ndarray | int, np.ndarray | int] = (0, 0)
                     ) -> SequenceTensor:
-    """Scaled dot-product attention per batch item: softmax(q kᵀ / √C) v,
-    computed as (exp(q/√C · kᵀ - shift) @ v) / row sum.
+    """Scaled dot-product attention per batch item and label group:
+    softmax(q kᵀ / √C) v over only the group's own keys, computed as
+    (exp(q/√C · kᵀ - shift) @ v) / row sum.
+
+    groups is (query_groups, key_groups), integer labels that broadcast to
+    (batch, query) and (batch, key); by default all are 0. Query i of item b
+    attends key j exactly when their labels are equal, and a query whose
+    label no key shares outputs zeros. No mask is built: each item's queries
+    and keys are split by label and every group runs as plain attention
+    over its own members. An item whose queries and keys all share one
+    label is read in place, and runs of such items are batched; any other
+    group is gathered, and groups of equal size are stacked.
 
     The shift is 0 when the Cauchy–Schwarz bound on the scores,
     B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
     keys · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
-    stays below float64's maximum; it is each row's max otherwise, and
-    then masked keys are filled with -inf before it is taken.
+    stays below float64's maximum; it is each row's max otherwise.
 
     q may hold fewer query rows than k and v (a block of queries against
     every key); batch and chan must match, k and v must share a shape and
-    hold at least one key. groups is (query_groups, key_groups), integer
-    labels that broadcast to (batch, query) and (batch, key); by default
-    all are 0. Query i of item b attends key j exactly when their labels
-    are equal, and a query whose label no key shares outputs zeros. The
-    scores live in one buffer of at most SCORE_TILE_BYTES (or one query
-    row's scores, if larger), filled tile by tile.
+    hold at least one key. The scores live in one buffer, sized to the
+    largest tile of whole items, whole groups or runs of one's query rows
+    that fits SCORE_TILE_BYTES (or one query row's scores, if larger).
     """
     if (k.data.shape != v.data.shape or q.batch != k.batch or q.chan != k.chan
             or q.seq > k.seq):
@@ -183,9 +240,9 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     if k.seq == 0:
         raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
                          f"v {v.data.shape}: there are no keys")
-    q_groups = _group_labels(groups[0], q.batch, q.seq, axis=2)
-    k_groups = _group_labels(groups[1], k.batch, k.seq, axis=1)
-    out = np.empty(q.data.shape)
+    q_labels = _group_labels(groups[0], q.batch, q.seq)
+    k_labels = _group_labels(groups[1], k.batch, k.seq)
+    out = np.zeros(q.data.shape)
     if out.size == 0:  # no items, query rows or channels: no tile to walk
         return SequenceTensor(out)
     root_c = np.sqrt(q.chan)
@@ -193,24 +250,27 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     # False for inf or NaN bounds too; exp(bound) runs only when it is finite
     shift = not (bound <= SCORE_BOUND and k.seq * math.exp(bound) * _max_row_norm(v.data)
                  < sys.float_info.max)
-    kt = k.data.transpose(0, 2, 1)
-    items, rows = _tile_shape(q.batch, q.seq, k.seq)
-    buf = np.empty(items * rows * k.seq)
-    # a tile is whole items or a run of one item's rows, so both q[tile] and
-    # out[tile] are C-contiguous and each matmul stays on BLAS
-    for b in range(0, q.batch, items):
-        for r in range(0, q.seq, rows):
-            tile = (slice(b, b + items), slice(r, r + rows))
-            # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-            q_tile, out_tile = q.data[tile] / root_c, out[tile]
-            shape = (*q_tile.shape[:2], k.seq)
-            scores = buf[:math.prod(shape)].reshape(shape)
-            np.matmul(q_tile, kt[tile[0]], out=scores)
-            # the tile's mask lives only for this call, so no two masks coexist
-            weights, denom = _softmax_rows(
-                scores, _tile_of(q_groups, tile) == _tile_of(k_groups, tile), shift)
-            np.matmul(weights, v.data[tile[0]], out=out_tile)
-            out_tile /= denom
+    runs, stacks = _partition(q_labels, k_labels, q.batch, q.seq, k.seq)
+    whole = (q.data, k.data, v.data, out)
+    flat = tuple(a.reshape(-1, q.chan) for a in whole) if stacks else whole
+    # every tile as (arrays, query rows, key rows): whole items or a run of
+    # one item's rows, read in place, so each matmul stays on BLAS; or a
+    # stack of equal-size groups, or a run of their rows, gathered
+    tiles, size = [], 0
+    for b0, b1 in runs:
+        items, rows = _tile_shape(b1 - b0, q.seq, k.seq)
+        size = max(size, items * rows * k.seq)
+        for b in range(b0, b1, items):
+            kv = slice(b, min(b + items, b1))
+            tiles += [(whole, (kv, slice(r, r + rows)), kv) for r in range(0, q.seq, rows)]
+    for q_rows, k_rows in stacks:
+        items, rows = _tile_shape(*q_rows.shape, k_rows.shape[1])
+        size = max(size, items * rows * k_rows.shape[1])
+        tiles += [(flat, q_rows[g:g + items, r:r + rows], k_rows[g:g + items])
+                  for g in range(0, len(q_rows), items) for r in range(0, q_rows.shape[1], rows)]
+    buf = np.empty(size)
+    for arrays, rows, keys in tiles:
+        arrays[3][rows] = _attend(*arrays[:3], rows, keys, root_c, buf, shift)
     return SequenceTensor(out)
 
 
@@ -233,8 +293,9 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     there (projection is per token, so it commutes with the gather), run
     dense attention per subsequence and gather back. ORIGINAL is full
     attention. x lives on the padded grid of `pg` (default pad_grid(g)); pad
-    keys are excluded from the softmax, pad rows of q, k and v are zeroed,
-    and pad query rows come back zero.
+    rows of q, k and v are zeroed, and pad tokens are labelled apart from
+    every real one, so pad keys are left out of the softmax and pad query
+    rows are never computed and come back zero.
     """
     pg = _attention_grid(x, g, pg)
     fwd = pattern_map(pg.padded, pattern, batch=x.batch)
@@ -242,18 +303,19 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     # of validity repeats once per item
     sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
     q, k, v = project_qkv(fwd.apply(x), sub_valid)
-    out = dense_attention(q, k, v, (0, np.where(sub_valid, 0, -1))).data.copy()
-    out[~sub_valid] = 0.0
+    # labels no real token has: -2 for a pad query, -1 for a pad key
+    out = dense_attention(q, k, v, (np.where(sub_valid, 0, -2), np.where(sub_valid, 0, -1)))
     back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
-    return back.apply(SequenceTensor(out))
+    return back.apply(out)
 
 
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Oracle: one dense_attention call over the original layout, u and v
     interacting iff they share a subsequence and both are real in `pg`
-    (default pad_grid(g)); pad rows of q, k and v are zeroed. The kernel's
-    score tiles are its only blocks, so no S×S array exists. Must match
+    (default pad_grid(g)); pad rows of q, k and v are zeroed. The kernel
+    runs each subsequence's real tokens as one group, so it scores only the
+    pairs within a subsequence and no S×S array exists. Must match
     skiparse_attention to summation-order noise."""
     pg = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x, pg.mask)

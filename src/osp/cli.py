@@ -3,9 +3,12 @@ machine-readable output. Verdicts come from `osp.checks`; this module only
 parses arguments, formats output and maps verdicts to exit codes.
 
 Exit codes: 0 all embedded assertions pass, 1 an assertion failed (the
-failing invariant is named on stderr), 2 usage or configuration error.
-report-all takes only a checked seed, so a report-all section that raises
-fails as that section, with exit 1.
+failing invariant is named on stderr), 2 usage or configuration error: a
+ValueError or OSError, or running out of memory. Any other exception is a
+broken mechanism, not bad input, and fails with exit 1 and one
+`FAIL: <command> raised <Type>: <message>` line; in report-all, whose
+only input is a checked seed, the section that raised fails as that
+section.
 The OSP_SEED environment variable overrides --seed; an optional flat
 key=value config file supplies defaults that flags override.
 """
@@ -376,6 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not an input error, so a broken mechanism: named, as report-all names a section
+        command = " ".join(filter(None, (args.command, getattr(args, "hif8_command", None))))
+        print(f"FAIL: {command} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

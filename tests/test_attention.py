@@ -5,7 +5,7 @@ import pytest
 
 from oracles import gsa_subseq, iter_coords, naive_attention, pattern_allow, tsa_subseq
 from osp import attention
-from osp.anyres import pad_grid, pad_tensor
+from osp.anyres import pad_grid, pad_tensor, subsequence_mask
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
                            skiparse_reference)
 from osp.checks import ATTN_TOLERANCE
@@ -88,31 +88,26 @@ def test_query_block_matches_naive_double_loop(chan, mask):
 def test_softmax_rows_returns_unnormalised_weights_and_their_row_sums():
     rng = np.random.Generator(np.random.PCG64(22))
     original = rng.standard_normal((2, 5, 7)) * 10
-    allowed = rng.random((5, 7)) < 0.5
-    allowed[1] = False
-    live = allowed.any(axis=1)
     for shift in (True, False):
         scores = original.copy()
-        weights, denom = attention._softmax_rows(scores, allowed, shift)
+        weights, denom = attention._softmax_rows(scores, shift)
         assert weights is scores and denom.shape == (2, 5, 1)
-        assert np.array_equal(weights.sum(axis=-1, keepdims=True)[:, live], denom[:, live])
+        assert np.array_equal(weights.sum(axis=-1, keepdims=True), denom)
         if shift:
             # the row maximum has weight exp(0) = 1: nothing was divided
-            assert (weights.max(axis=-1)[:, live] == 1.0).all()
+            assert (weights.max(axis=-1) == 1.0).all()
         else:
-            # each allowed weight is exp(score) itself: nothing was shifted
-            assert np.array_equal(weights[:, allowed], np.exp(original[:, allowed]))
-        assert (weights[:, ~allowed] == 0.0).all()
-        assert (denom[:, ~live] == 1.0).all()
+            # each weight is exp(score) itself: nothing was shifted
+            assert np.array_equal(weights, np.exp(original))
 
 
 def _spy_shift(monkeypatch) -> list:
     """Record the shift flag of every _softmax_rows call."""
     flags, softmax = [], attention._softmax_rows
 
-    def spy(scores, allowed, shift):
+    def spy(scores, shift):
         flags.append(shift)
-        return softmax(scores, allowed, shift)
+        return softmax(scores, shift)
 
     monkeypatch.setattr(attention, "_softmax_rows", spy)
     return flags
@@ -132,7 +127,8 @@ def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch)
         out = dense_attention(q, k, v, groups).data
         naive = naive_attention(q.data, k.data, v.data, allow=_allow(groups, (9, 9)))
         assert np.max(np.abs(out - naive)) < 1e-12
-    assert flags == [True, True]
+    # one score tile for the whole items, several for the label groups
+    assert len(flags) > 2 and all(flags)
 
 
 def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
@@ -143,9 +139,11 @@ def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
     allow = _allow(groups, (16, 16))
     flags = _spy_shift(monkeypatch)
     inside = dense_attention(q, k, v, groups).data
+    assert flags and not any(flags)
+    flags.clear()
     monkeypatch.setattr(attention, "SCORE_BOUND", attention.SCORE_BOUND * (1 - 2e-6))
     outside = dense_attention(q, k, v, groups).data
-    assert flags == [False, True]
+    assert flags and all(flags)
     assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
     assert np.max(np.abs(inside - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
 
@@ -243,9 +241,11 @@ def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape
 def test_score_memory_stays_within_one_tile():
     # clip-attn's sparse call: 4 subsequences of 960 tokens, pad keys in
     # group -1; all 4 x 960 x 960 float64 scores at once would take
-    # 28.1 MiB. One 7.0 MiB score tile, the 1.9 MiB output and the scaled q
-    # rows of a tile take 9.86 MiB; a full-size scaled copy of q would add
-    # 1.0 MiB and a mask inverted at tile size 0.88 MiB more
+    # 28.1 MiB. One 6.7 MiB score tile (960 queries against the item with
+    # the most keys, 915), the 1.9 MiB output and one tile's scaled q rows
+    # beside its gathered k or v rows (0.9 MiB) take 9.57 MiB; a full-size
+    # scaled copy of q would add 1.9 MiB, and gathering every item's keys
+    # and values at once 3.6 MiB
     q, k, v = _rand_qkv(4, 960, 64, seed=31)
     k_groups = np.where(np.random.Generator(np.random.PCG64(32)).random((4, 960)) < 0.95, 0, -1)
     tracemalloc.start()
@@ -347,8 +347,11 @@ def test_oracle_is_one_kernel_call_however_many_tiles(monkeypatch):
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=34), pg)
     expected = skiparse_reference(x, g, SparsePattern.TOKEN_WISE, pg).data
-    # 7 rows of 64 keys per tile: 10 tiles for each of the 2 items
-    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 64 * 8)
+    # TSA splits the 30 real tokens of each of the 2 items into subsequences
+    # of 9, 9, 6 and 6. At 4 rows of 9 keys per tile, the four groups of 9
+    # run in 3 row runs each (4 + 4 + 1) and the four groups of 6 one per
+    # tile: 16 tiles
+    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 4 * 9 * 8)
     calls = {"dense_attention": 0, "_max_row_norm": 0, "_softmax_rows": 0}
 
     def counted(name):
@@ -362,8 +365,33 @@ def test_oracle_is_one_kernel_call_however_many_tiles(monkeypatch):
     for name in calls:
         monkeypatch.setattr(attention, name, counted(name))
     out = skiparse_reference(x, g, SparsePattern.TOKEN_WISE, pg).data
-    assert calls == {"dense_attention": 1, "_max_row_norm": 3, "_softmax_rows": 20}
+    assert calls == {"dense_attention": 1, "_max_row_norm": 3, "_softmax_rows": 16}
     assert np.max(np.abs(out - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("pattern,subseq_fn", [
+    (SparsePattern.TOKEN_WISE, tsa_subseq),
+    (SparsePattern.GROUP_WISE, gsa_subseq),
+], ids=["tsa", "gsa"])
+def test_oracle_scores_only_pairs_within_a_subsequence(pattern, subseq_fn, monkeypatch):
+    # the clip-attn grid: 60 x 62 pads to 60 x 64 (S = 3840, 3720 real). A
+    # real token scores exactly the real tokens of its own subsequence, so
+    # the oracle fills sum_s real_s^2 score entries: fewer than the S^2 / 4
+    # of the padded subsequences, and not the S^2 of a masked pass over the
+    # whole sequence
+    g = GridShape(1, 60, 62, 2)
+    pg = pad_grid(g)
+    ids = np.array([subseq_fn(pg.padded, *coord) for coord in iter_coords(pg.padded)])
+    real = np.bincount(ids[pg.mask])
+    entries, softmax = [], attention._softmax_rows
+
+    def spy(scores, *args):
+        entries.append(scores.size)
+        return softmax(scores, *args)
+
+    monkeypatch.setattr(attention, "_softmax_rows", spy)
+    skiparse_reference(pad_tensor(random_tensor(1, g.seq_len, 4, seed=35), pg), g, pattern, pg)
+    assert sum(entries) == int((real ** 2).sum()) < pg.padded.seq_len ** 2 // 4
 
 
 @pytest.mark.parametrize("pattern,subseq_fn", [
@@ -376,8 +404,10 @@ def test_row_blocked_oracle_matches_unblocked_and_naive(g, pattern, subseq_fn, m
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=18), pg)
     q, k, v = project_qkv(x)
     one_tile = dense_attention(q, k, v, _oracle_groups(pg, subseq_fn)).data
-    # 7-row tiles: several per sequence, and a ragged last one (64 = 9*7 + 1)
-    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 64 * 8)
+    # 7 rows of 16 keys per tile: each subsequence of 16 runs in row runs of
+    # 7, 7 and a ragged 2; on the padded grid small groups share a tile, and
+    # GSA's group of 12 real tokens runs in rows of 9 and 3
+    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 7 * 16 * 8)
     ref = skiparse_reference(x, g, pattern, None if pg.trivial else pg).data
     allow = pattern_allow(pg.padded, subseq_fn, real=None if pg.trivial else pg.mask)
     naive = naive_attention(q.data, k.data, v.data, allow=allow)
@@ -425,6 +455,22 @@ def test_padded_skiparse_matches_real_token_oracle():
     # pad queries are defined as zero vectors on both routes
     assert (out.data[:, ~real] == 0.0).all()
     assert (expected[:, ~real] == 0.0).all()
+
+
+def test_items_read_in_place_and_gathered_in_one_call_match_naive():
+    # GSA on 1x4x6, padded to 1x4x8: with 2 batch items, 4 layout items are
+    # all real and read in place, and 4 keep 4 of their 8 tokens and are
+    # gathered, all in one kernel call
+    g = GridShape(1, 4, 6, 2)
+    pg = pad_grid(g)
+    assert subsequence_mask(pg, SparsePattern.GROUP_WISE).sum(axis=1).tolist() == [8, 4, 8, 4]
+    xp = pad_tensor(random_tensor(2, g.seq_len, 4, seed=36), pg)
+    out = skiparse_attention(xp, g, SparsePattern.GROUP_WISE, pg).data
+    q, k, v = project_qkv(xp)
+    allow = pattern_allow(pg.padded, gsa_subseq, real=pg.mask)
+    expected = naive_attention(q.data, k.data, v.data, allow=allow)
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert (out[:, ~pg.mask] == 0.0).all()
 
 
 def test_pad_content_never_leaks_into_real_outputs():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import osp
 from oracles import hif8_value_table
-from osp import checks
+from osp import checks, cli
 from osp.cli import MAX_BLOCKS, MAX_STEPS, main
 from osp.gridseq import SequenceTensor, random_tensor, read_ospt, write_ospt
 
@@ -397,6 +397,20 @@ def test_assertion_failure_exits_1_and_names_invariant(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "max_hops_at_most_two" in captured.err
+
+
+@pytest.mark.parametrize("argv,command,owner,name", [
+    (["reach"], "reach", checks, "reachability_hops"),
+    (["hif8", "encode", "--value", "1.5"], "hif8 encode", cli, "encode"),
+], ids=["reach", "hif8-encode"])
+def test_internal_error_fails_its_command_without_a_traceback(argv, command, owner, name,
+                                                              capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("mutant")
+
+    monkeypatch.setattr(owner, name, broken)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"FAIL: {command} raised IndexError: mutant\n"
 
 
 def test_report_all_sections_pass(tmp_path):

@@ -47,8 +47,8 @@ def _ssp_cases(*checks):
 
 
 def _unnormalised(softmax):
-    def mutant(scores, allowed, shift):
-        weights, _ = softmax(scores, allowed, shift)
+    def mutant(scores, shift):
+        weights, _ = softmax(scores, shift)
         return weights, np.ones((*weights.shape[:-1], 1))
     return mutant
 
@@ -167,6 +167,10 @@ MUTANTS = [
             "sections.sampler.empty_sde_set_is_pure_ode", id="rollout-draws-on-ode-steps"),
     _caught("osp.checks.pad_grid", _pad_before,
             "sections.anyres.subsequence_stable_across_resolutions", id="pad-before"),
+    _caught("osp.attention.dense_attention",
+            lambda real: lambda q, k, v, groups=(0, 0): real(q, k, v),
+            *(f"sections.attention.cases.{i}.skiparse_matches_masked_dense_oracle"
+              for i in range(8)), id="labels-ignored"),
     _caught("osp.skiparse.reachability_hops", _raises(IndexError("mutant")),
             "sections.reachability raised IndexError: mutant", id="reachability-raises"),
     _caught("osp.ssp.ssp_pattern_switch",
@@ -252,6 +256,7 @@ def _check_names(node, path: str = "") -> set[str]:
 # the named checks some caught row flips; a row that flips another adds it here
 COVERED = {
     "sections.anyres.subsequence_stable_across_resolutions",
+    "sections.attention.cases.skiparse_matches_masked_dense_oracle",
     "sections.hif8_format.encode_monotone_and_saturating",
     "sections.hif8_format.nearest_on_both_sides_of_every_midpoint",
     "sections.hif8_format.ties_to_even_code",
