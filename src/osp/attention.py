@@ -4,18 +4,17 @@ sparse execution path and its dense oracle.
 Attention goes by membership, as the paper defines skip-sparse attention:
 a query attends exactly the keys whose group label equals its own, so no
 mask is built. `dense_attention` splits each batch item's queries and keys
-by label and runs every group as plain attention over its own members:
-an item whose tokens all share one label is read in place, and runs of
-such items are batched; any other group's rows are gathered, and groups of
-equal size are stacked into one tile walk. A query whose label no key has
+by label, stacks groups of equal size, and runs every group as plain
+attention over its own gathered members; a query whose label no key has
 outputs zeros. The kernel computes `q/√C @ kᵀ` and `weights @ v` with BLAS
 matmuls and runs the softmax in place on the scores it owns without
 normalising them: it divides the (rows × C) output by each row's weight
 sum instead, as FlashAttention does. It holds at most `SCORE_TILE_BYTES`
-of float64 scores at a time, in one buffer per call, walking tiles of
-whole items or groups, or of runs of one's query rows, and scales q tile
-by tile. Every row sees all its keys in its tile, so no rescaling crosses
-tiles.
+of float64 scores at a time, in one buffer per call. Each stack runs in
+blocks of whole groups; as in FlashAttention's loop order, a block's keys
+and values are gathered once and its query rows walked against them in
+tiles, each tile's q rows gathered and scaled. Every row sees all its keys
+in its tile, so no rescaling crosses tiles.
 
 The softmax takes one of two routes per call. By Cauchy–Schwarz every
 score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
@@ -52,8 +51,8 @@ from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 # the most float64 scores one dense_attention tile may hold: 256 query rows
-# against 4096 keys; the tile's scaled q rows and its k or v rows are held
-# beside it
+# against 4096 keys; the tile's scaled q rows and its block's keys and
+# values (one of the two in a one-tile block) are held beside it
 SCORE_TILE_BYTES = 8 * 2 ** 20
 # channel widths whose projections are kept: report-all uses 2
 PROJECTION_MEMO_SIZE = 8
@@ -121,9 +120,10 @@ def _softmax_rows(scores: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarr
 
 
 def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
-    """(batch items, query rows) of the largest score tile: as many whole
-    items as fit in SCORE_TILE_BYTES, else one item's rows in runs of the
-    most that fit, at least one. rows must be positive."""
+    """(groups, query rows) of the largest score tile of `batch` stacked
+    groups of `rows` queries and `keys` keys: as many whole groups as fit in
+    SCORE_TILE_BYTES, else one group's query rows, the most that fit, at
+    least one. rows must be positive."""
     rows_fit = max(1, SCORE_TILE_BYTES // (8 * keys))
     if rows <= rows_fit:
         return min(batch, rows_fit // rows), rows
@@ -160,49 +160,52 @@ def _members(labels: np.ndarray, batch: int, n: int) -> dict[tuple[int, int], np
 
 
 def _partition(q_labels: np.ndarray, k_labels: np.ndarray, batch: int, queries: int,
-               keys: int) -> tuple[list[list[int]], list[tuple[np.ndarray, np.ndarray]]]:
-    """Each item's queries and keys split by label. Returns the runs
-    [first, end) of consecutive items whose queries and keys all share one
-    label, and, for every other label that a query and a key of one item
-    both hold, its query and key rows, flat as in _members, stacked with
-    every other such group of the same size. Queries whose label no key of
-    their item holds are in neither."""
+               keys: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each item's queries and keys split by label: for every label that a
+    query and a key of one item both hold, its query and key rows, flat as
+    in _members, stacked with every other such group of the same size.
+    Queries whose label no key of their item holds are in none."""
     # one label on every token, as in full attention and the sparse path on
-    # an unpadded grid: every item is whole, and no label needs sorting
+    # an unpadded grid: every item is one group, and no label needs sorting
     if (q_labels == k_labels.flat[0]).all() and (k_labels == k_labels.flat[0]).all():
-        return [[0, batch]], []
+        return [(np.arange(batch * queries).reshape(batch, queries),
+                 np.arange(batch * keys).reshape(batch, keys))]
     k_sets = _members(k_labels, batch, keys)
-    runs, parts = [], {}
+    parts = {}
     for (b, label), q_rows in _members(q_labels, batch, queries).items():
         k_rows = k_sets.get((b, label))
-        if k_rows is None:
-            continue
-        if len(q_rows) < queries or len(k_rows) < keys:
+        if k_rows is not None:
             parts.setdefault((len(q_rows), len(k_rows)), []).append((q_rows, k_rows))
-        elif runs and runs[-1][1] == b:
-            runs[-1][1] += 1
-        else:
-            runs.append([b, b + 1])
-    return runs, [tuple(map(np.array, zip(*groups))) for groups in parts.values()]
+    return [tuple(map(np.array, zip(*groups))) for groups in parts.values()]
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, rows, keys, root_c: float,
-            buf: np.ndarray, shift: bool) -> np.ndarray:
-    """softmax(q[rows]/√C · k[keys]ᵀ) v[keys] for one tile of (items, rows)
-    queries against (items, keys) keys, with the scores in the front of buf.
-    A selection is a view of whole items or a gathered copy of flat rows;
-    k's copy is freed before v's is made, so at most one is alive."""
-    # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-    q_tile = q[rows] / root_c
-    k_tile = k[keys]
-    shape = (*q_tile.shape[:2], k_tile.shape[1])
-    scores = buf[:math.prod(shape)].reshape(shape)
-    np.matmul(q_tile, k_tile.transpose(0, 2, 1), out=scores)
-    del k_tile
-    weights, denom = _softmax_rows(scores, shift)
-    np.matmul(weights, v[keys], out=q_tile)
-    q_tile /= denom
-    return q_tile
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
+            q_rows: np.ndarray, k_rows: np.ndarray, rows: int, root_c: float,
+            buf: np.ndarray, shift: bool) -> None:
+    """out[q_rows] = softmax(q[q_rows]/√C · k[k_rows]ᵀ) v[k_rows] for one
+    block of stacked groups, (items, queries) and (items, keys) flat rows of
+    the (n, C) arrays, walking `rows` query rows at a time with the scores
+    in the front of buf. The block's keys are gathered once and its values
+    after the first tile's scores, and the keys are dropped after the last
+    tile's, so a one-tile block holds only one of them at a time; all are
+    freed on return, before the next block gathers."""
+    keys, values = k[k_rows], None
+    for r in range(0, q_rows.shape[1], rows):
+        tile = q_rows[:, r:r + rows]
+        # scaling q, not the scores, is exact when √C is a power of two (C = 64)
+        q_tile = q[tile]
+        q_tile /= root_c
+        shape = (*tile.shape, k_rows.shape[1])
+        scores = buf[:math.prod(shape)].reshape(shape)
+        np.matmul(q_tile, keys.transpose(0, 2, 1), out=scores)
+        if r + rows >= q_rows.shape[1]:
+            del keys
+        if values is None:
+            values = v[k_rows]
+        weights, denom = _softmax_rows(scores, shift)
+        np.matmul(weights, values, out=q_tile)
+        q_tile /= denom
+        out[tile] = q_tile
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
@@ -216,10 +219,8 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     (batch, query) and (batch, key); by default all are 0. Query i of item b
     attends key j exactly when their labels are equal, and a query whose
     label no key shares outputs zeros. No mask is built: each item's queries
-    and keys are split by label and every group runs as plain attention
-    over its own members. An item whose queries and keys all share one
-    label is read in place, and runs of such items are batched; any other
-    group is gathered, and groups of equal size are stacked.
+    and keys are split by label, groups of equal size are stacked, and
+    every group runs as plain attention over its own gathered members.
 
     The shift is 0 when the Cauchy–Schwarz bound on the scores,
     B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
@@ -228,9 +229,11 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
 
     q may hold fewer query rows than k and v (a block of queries against
     every key); batch and chan must match, k and v must share a shape and
-    hold at least one key. The scores live in one buffer, sized to the
-    largest tile of whole items, whole groups or runs of one's query rows
-    that fits SCORE_TILE_BYTES (or one query row's scores, if larger).
+    hold at least one key. Each stack runs in blocks of whole groups, each
+    block's keys and values gathered once, and the scores live in one
+    buffer, sized to the largest tile of whole groups or of one group's
+    query rows that fits SCORE_TILE_BYTES (or one query row's scores, if
+    larger).
     """
     if (k.data.shape != v.data.shape or q.batch != k.batch or q.chan != k.chan
             or q.seq > k.seq):
@@ -250,27 +253,17 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     # False for inf or NaN bounds too; exp(bound) runs only when it is finite
     shift = not (bound <= SCORE_BOUND and k.seq * math.exp(bound) * _max_row_norm(v.data)
                  < sys.float_info.max)
-    runs, stacks = _partition(q_labels, k_labels, q.batch, q.seq, k.seq)
-    whole = (q.data, k.data, v.data, out)
-    flat = tuple(a.reshape(-1, q.chan) for a in whole) if stacks else whole
-    # every tile as (arrays, query rows, key rows): whole items or a run of
-    # one item's rows, read in place, so each matmul stays on BLAS; or a
-    # stack of equal-size groups, or a run of their rows, gathered
-    tiles, size = [], 0
-    for b0, b1 in runs:
-        items, rows = _tile_shape(b1 - b0, q.seq, k.seq)
-        size = max(size, items * rows * k.seq)
-        for b in range(b0, b1, items):
-            kv = slice(b, min(b + items, b1))
-            tiles += [(whole, (kv, slice(r, r + rows)), kv) for r in range(0, q.seq, rows)]
-    for q_rows, k_rows in stacks:
+    # every block as (query rows, key rows, query rows per tile)
+    blocks, size = [], 0
+    for q_rows, k_rows in _partition(q_labels, k_labels, q.batch, q.seq, k.seq):
         items, rows = _tile_shape(*q_rows.shape, k_rows.shape[1])
         size = max(size, items * rows * k_rows.shape[1])
-        tiles += [(flat, q_rows[g:g + items, r:r + rows], k_rows[g:g + items])
-                  for g in range(0, len(q_rows), items) for r in range(0, q_rows.shape[1], rows)]
+        blocks += [(q_rows[g:g + items], k_rows[g:g + items], rows)
+                   for g in range(0, len(q_rows), items)]
     buf = np.empty(size)
-    for arrays, rows, keys in tiles:
-        arrays[3][rows] = _attend(*arrays[:3], rows, keys, root_c, buf, shift)
+    flat = tuple(a.reshape(-1, q.chan) for a in (q.data, k.data, v.data, out))
+    for block in blocks:
+        _attend(*flat, *block, root_c, buf, shift)
     return SequenceTensor(out)
 
 

@@ -68,7 +68,9 @@ class OuProcess:
         return float(1.0 + (self.data_var - 1.0) * decay)
 
     def score(self, x: np.ndarray, t: float) -> np.ndarray:
-        return -(x - self.mean_at(t)) / self.var_at(t)
+        # subtract a full-shape mean: numpy runs (n, dim) - (dim,) as n inner
+        # loops of dim values, which for dim = 2 is slower than tiling first
+        return -(x - np.tile(self.mean_at(t), (*x.shape[:-1], 1))) / self.var_at(t)
 
 
 def standard_ou(dim: int) -> OuProcess:
