@@ -2,19 +2,20 @@
 sparse execution path and its dense oracle.
 
 Attention goes by membership, as the paper defines skip-sparse attention:
-a query attends exactly the keys whose group label equals its own, so no
-mask is built. `dense_attention` splits each batch item's queries and keys
-by label, stacks groups of equal size, and runs every group as plain
-attention over its own gathered members; a query whose label no key has
-outputs zeros. The kernel computes `q/√C @ kᵀ` and `weights @ v` with BLAS
-matmuls and runs the softmax in place on the scores it owns without
-normalising them: it divides the (rows × C) output by each row's weight
-sum instead, as FlashAttention does. It holds at most `SCORE_TILE_BYTES`
-of float64 scores at a time, in one buffer per call. Each stack runs in
-blocks of whole groups; as in FlashAttention's loop order, a block's keys
-and values are gathered once and its query rows walked against them in
-tiles, each tile's q rows gathered and scaled. Every row sees all its keys
-in its tile, so no rescaling crosses tiles.
+plain dense self-attention inside each subsequence, with no mask.
+`dense_attention` takes one integer label per token, splits each batch
+item by label, stacks groups of equal size, and runs every group as plain
+attention over its own gathered members; a token with a negative label (a
+pad token) is in no group and outputs zeros. It computes
+`q/√C @ kᵀ` and `weights @ v` with BLAS matmuls and runs the softmax in
+place on the scores it owns without normalising them: it divides the
+(rows × C) output by each row's weight sum instead, as FlashAttention
+does. It holds at most `SCORE_TILE_BYTES` of float64 scores at a time, in
+one buffer per call. Each stack runs in blocks of whole groups; as in
+FlashAttention's loop order, a block's keys and values are gathered once
+and its query rows walked against them in tiles, each tile's q rows
+gathered and scaled. Every row sees all its keys in its tile, so no
+rescaling crosses tiles.
 
 The softmax takes one of two routes per call. By Cauchy–Schwarz every
 score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
@@ -24,16 +25,15 @@ are exponentiated as they are, with no row max and no shift. Any other call
 
 Both routes over a grid run on `pg` or by default `pad_grid(g)`, set the q,
 k and v rows of pad tokens to zero by assignment, so no pad content, not
-even inf or NaN, reaches a score or a value, and label pad queries -2 and
-pad keys -1, labels no real token has, so pad rows are never computed and
-come out zero. The sparse path gathers x once into the pattern layout and
-labels its pad tokens from `anyres.subsequence_mask`. The oracle is one
-kernel call on the original layout labelled by subsequence id, so it
-scores only the pairs within a subsequence and no S×S array exists; both
-routes then run the same groups. Query/key/value come from three fixed
-seeded random projections of the same input, which is all an equivalence
-check needs, drawn once per (width, `PROJECTION_SEED`) pair per process
-and read-only.
+even inf or NaN, reaches a score or a value, and label pad tokens -1, so
+pad rows are never computed and come out zero. The sparse path gathers x
+once into the pattern layout and labels its pad tokens from
+`anyres.subsequence_mask`. The oracle is one kernel call on the original
+layout labelled by subsequence id, so it scores only the pairs within a
+subsequence and no S×S array exists; both routes then run the same groups.
+Query/key/value come from three fixed seeded random projections of the
+same input, which is all an equivalence check needs, drawn once per
+(width, `PROJECTION_SEED`) pair per process and read-only.
 """
 
 from __future__ import annotations
@@ -119,147 +119,125 @@ def _softmax_rows(scores: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarr
     return scores, np.sum(scores, axis=-1, keepdims=True)
 
 
-def _tile_shape(batch: int, rows: int, keys: int) -> tuple[int, int]:
+def _tile_shape(batch: int, size: int) -> tuple[int, int]:
     """(groups, query rows) of the largest score tile of `batch` stacked
-    groups of `rows` queries and `keys` keys: as many whole groups as fit in
+    groups of `size` tokens: as many whole groups as fit in
     SCORE_TILE_BYTES, else one group's query rows, the most that fit, at
-    least one. rows must be positive."""
-    rows_fit = max(1, SCORE_TILE_BYTES // (8 * keys))
-    if rows <= rows_fit:
-        return min(batch, rows_fit // rows), rows
+    least one. size must be positive."""
+    rows_fit = max(1, SCORE_TILE_BYTES // (8 * size))
+    if size <= rows_fit:
+        return min(batch, rows_fit // size), size
     return 1, rows_fit
 
 
-def _group_labels(labels, batch: int, n: int) -> np.ndarray:
-    """labels, which must broadcast to (batch, n), at their own size as a
-    (1 or batch, 1 or n) array."""
+def _token_labels(labels, batch: int, seq: int) -> np.ndarray:
+    """labels, which must broadcast to (batch, seq), at their own size as a
+    (1 or batch, 1 or seq) array."""
     labels = np.asarray(labels)
     if labels.ndim > 2 or any(m not in (1, size)
-                              for m, size in zip(labels.shape[::-1], (n, batch))):
-        raise ShapeError(f"group labels of shape {labels.shape} do not broadcast to "
-                         f"{(batch, n)}")
+                              for m, size in zip(labels.shape[::-1], (seq, batch))):
+        raise ShapeError(f"labels of shape {labels.shape} do not broadcast to {(batch, seq)}")
     return labels.reshape((1,) * (2 - labels.ndim) + labels.shape)
 
 
-def _members(labels: np.ndarray, batch: int, n: int) -> dict[tuple[int, int], np.ndarray]:
-    """The flat (item * n + position) rows of each (item, label) pair among
-    n tokens per item labelled by `labels`, which broadcast to (batch, n);
-    rows ascend within each pair."""
-    if labels.shape != (batch, n):
-        labels = np.broadcast_to(labels, (batch, n))
-    rows = labels.argsort(axis=1, kind="stable")
-    rows += np.arange(0, batch * n, n)[:, None]
-    ranked = labels.ravel()[rows]
-    # a pair starts at each item's first token and wherever the label changes
-    first = np.ones((batch, n), dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
-    starts = first.ravel().nonzero()[0].tolist()
-    rows, ranked = rows.ravel(), ranked.ravel()
-    return {(a // n, label): rows[a:b]
-            for a, b, label in zip(starts, [*starts[1:], batch * n], ranked[starts].tolist())}
-
-
-def _partition(q_labels: np.ndarray, k_labels: np.ndarray, batch: int, queries: int,
-               keys: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each item's queries and keys split by label: for every label that a
-    query and a key of one item both hold, its query and key rows, flat as
-    in _members, stacked with every other such group of the same size.
-    Queries whose label no key of their item holds are in none."""
+def _partition(labels: np.ndarray, batch: int, seq: int) -> list[np.ndarray]:
+    """Each item's tokens split by label: for every non-negative label of
+    an item, the flat (item * seq + position) rows of its tokens, ascending,
+    stacked with every other such group of the same size into one
+    (groups, size) array. Tokens with a negative label are in none."""
     # one label on every token, as in full attention and the sparse path on
     # an unpadded grid: every item is one group, and no label needs sorting
-    if (q_labels == k_labels.flat[0]).all() and (k_labels == k_labels.flat[0]).all():
-        return [(np.arange(batch * queries).reshape(batch, queries),
-                 np.arange(batch * keys).reshape(batch, keys))]
-    k_sets = _members(k_labels, batch, keys)
-    parts = {}
-    for (b, label), q_rows in _members(q_labels, batch, queries).items():
-        k_rows = k_sets.get((b, label))
-        if k_rows is not None:
-            parts.setdefault((len(q_rows), len(k_rows)), []).append((q_rows, k_rows))
-    return [tuple(map(np.array, zip(*groups))) for groups in parts.values()]
+    first = labels.flat[0]
+    if first >= 0 and (labels == first).all():
+        return [np.arange(batch * seq).reshape(batch, seq)]
+    if labels.shape != (batch, seq):
+        labels = np.broadcast_to(labels, (batch, seq))
+    rows = labels.argsort(axis=1, kind="stable")
+    rows += np.arange(0, batch * seq, seq)[:, None]
+    ranked = labels.ravel()[rows]
+    # a group starts at each item's first token and wherever the label changes
+    starts = np.ones((batch, seq), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    starts = starts.ravel().nonzero()[0].tolist()
+    rows, ranked = rows.ravel(), ranked.ravel()
+    stacks = {}
+    for a, b, label in zip(starts, [*starts[1:], batch * seq], ranked[starts].tolist()):
+        if label >= 0:
+            stacks.setdefault(b - a, []).append(rows[a:b])
+    return [np.array(groups) for groups in stacks.values()]
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
-            q_rows: np.ndarray, k_rows: np.ndarray, rows: int, root_c: float,
-            buf: np.ndarray, shift: bool) -> None:
-    """out[q_rows] = softmax(q[q_rows]/√C · k[k_rows]ᵀ) v[k_rows] for one
-    block of stacked groups, (items, queries) and (items, keys) flat rows of
-    the (n, C) arrays, walking `rows` query rows at a time with the scores
-    in the front of buf. The block's keys are gathered once and its values
-    after the first tile's scores, and the keys are dropped after the last
-    tile's, so a one-tile block holds only one of them at a time; all are
-    freed on return, before the next block gathers."""
-    keys, values = k[k_rows], None
-    for r in range(0, q_rows.shape[1], rows):
-        tile = q_rows[:, r:r + rows]
+            rows: np.ndarray, tile: int, root_c: float, buf: np.ndarray,
+            shift: bool) -> None:
+    """out[rows] = softmax(q[rows]/√C · k[rows]ᵀ) v[rows] for one block of
+    stacked groups, (items, size) flat rows of the (n, C) arrays, walking
+    `tile` query rows at a time with the scores in the front of buf. The
+    block's keys are gathered once and its values after the first tile's
+    scores, and the keys are dropped after the last tile's, so a one-tile
+    block holds only one of them at a time; all are freed on return,
+    before the next block gathers."""
+    keys, values = k[rows], None
+    size = rows.shape[1]
+    for r in range(0, size, tile):
+        tile_rows = rows[:, r:r + tile]
         # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-        q_tile = q[tile]
+        q_tile = q[tile_rows]
         q_tile /= root_c
-        shape = (*tile.shape, k_rows.shape[1])
+        shape = (*tile_rows.shape, size)
         scores = buf[:math.prod(shape)].reshape(shape)
         np.matmul(q_tile, keys.transpose(0, 2, 1), out=scores)
-        if r + rows >= q_rows.shape[1]:
+        if r + tile >= size:
             del keys
         if values is None:
-            values = v[k_rows]
+            values = v[rows]
         weights, denom = _softmax_rows(scores, shift)
         np.matmul(weights, values, out=q_tile)
         q_tile /= denom
-        out[tile] = q_tile
+        out[tile_rows] = q_tile
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
-                    groups: tuple[np.ndarray | int, np.ndarray | int] = (0, 0)
-                    ) -> SequenceTensor:
-    """Scaled dot-product attention per batch item and label group:
-    softmax(q kᵀ / √C) v over only the group's own keys, computed as
-    (exp(q/√C · kᵀ - shift) @ v) / row sum.
+                    labels: np.ndarray | int = 0) -> SequenceTensor:
+    """Scaled dot-product self-attention per batch item and label:
+    softmax(q kᵀ / √C) v over only the tokens that share a token's label,
+    computed as (exp(q/√C · kᵀ - shift) @ v) / row sum.
 
-    groups is (query_groups, key_groups), integer labels that broadcast to
-    (batch, query) and (batch, key); by default all are 0. Query i of item b
-    attends key j exactly when their labels are equal, and a query whose
-    label no key shares outputs zeros. No mask is built: each item's queries
-    and keys are split by label, groups of equal size are stacked, and
-    every group runs as plain attention over its own gathered members.
+    labels are integers that broadcast to (batch, seq); by default all are
+    0. Tokens i and j of one item attend each other exactly when their
+    labels are equal and non-negative. A token with a negative label is a
+    pad token: it attends nothing, is attended by nothing and outputs
+    zeros. No mask is built: each item is split by label, groups of equal
+    size are stacked, and every group runs as plain attention over its own
+    gathered members.
 
     The shift is 0 when the Cauchy–Schwarz bound on the scores,
     B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
-    keys · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
+    seq · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
     stays below float64's maximum; it is each row's max otherwise.
 
-    q may hold fewer query rows than k and v (a block of queries against
-    every key); batch and chan must match, k and v must share a shape and
-    hold at least one key. Each stack runs in blocks of whole groups, each
-    block's keys and values gathered once, and the scores live in one
-    buffer, sized to the largest tile of whole groups or of one group's
-    query rows that fits SCORE_TILE_BYTES (or one query row's scores, if
-    larger).
+    q, k and v must share one shape; an empty one gives an empty output.
+    The scores live in one buffer, sized to the largest tile that fits
+    SCORE_TILE_BYTES (or to one query row's scores, if larger).
     """
-    if (k.data.shape != v.data.shape or q.batch != k.batch or q.chan != k.chan
-            or q.seq > k.seq):
-        raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
-                         f"v {v.data.shape}: batch and chan must match, k and v must "
-                         f"share a shape and q may not have more rows than k")
-    if k.seq == 0:
-        raise ShapeError(f"q {q.data.shape} cannot attend over k {k.data.shape} and "
-                         f"v {v.data.shape}: there are no keys")
-    q_labels = _group_labels(groups[0], q.batch, q.seq)
-    k_labels = _group_labels(groups[1], k.batch, k.seq)
+    if not q.data.shape == k.data.shape == v.data.shape:
+        raise ShapeError(f"q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
+                         f"must share one shape")
+    labels = _token_labels(labels, q.batch, q.seq)
     out = np.zeros(q.data.shape)
-    if out.size == 0:  # no items, query rows or channels: no tile to walk
+    if out.size == 0:  # no items, tokens or channels: no tile to walk
         return SequenceTensor(out)
     root_c = np.sqrt(q.chan)
     bound = _max_row_norm(q.data) / root_c * _max_row_norm(k.data)
     # False for inf or NaN bounds too; exp(bound) runs only when it is finite
-    shift = not (bound <= SCORE_BOUND and k.seq * math.exp(bound) * _max_row_norm(v.data)
+    shift = not (bound <= SCORE_BOUND and q.seq * math.exp(bound) * _max_row_norm(v.data)
                  < sys.float_info.max)
-    # every block as (query rows, key rows, query rows per tile)
+    # every block as (rows, query rows per tile)
     blocks, size = [], 0
-    for q_rows, k_rows in _partition(q_labels, k_labels, q.batch, q.seq, k.seq):
-        items, rows = _tile_shape(*q_rows.shape, k_rows.shape[1])
-        size = max(size, items * rows * k_rows.shape[1])
-        blocks += [(q_rows[g:g + items], k_rows[g:g + items], rows)
-                   for g in range(0, len(q_rows), items)]
+    for rows in _partition(labels, q.batch, q.seq):
+        items, tile = _tile_shape(*rows.shape)
+        size = max(size, items * tile * rows.shape[1])
+        blocks += [(rows[g:g + items], tile) for g in range(0, len(rows), items)]
     buf = np.empty(size)
     flat = tuple(a.reshape(-1, q.chan) for a in (q.data, k.data, v.data, out))
     for block in blocks:
@@ -286,9 +264,9 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     there (projection is per token, so it commutes with the gather), run
     dense attention per subsequence and gather back. ORIGINAL is full
     attention. x lives on the padded grid of `pg` (default pad_grid(g)); pad
-    rows of q, k and v are zeroed, and pad tokens are labelled apart from
-    every real one, so pad keys are left out of the softmax and pad query
-    rows are never computed and come back zero.
+    rows of q, k and v are zeroed and pad tokens labelled -1, so they are
+    left out of every softmax and their rows are never computed and come
+    back zero.
     """
     pg = _attention_grid(x, g, pg)
     fwd = pattern_map(pg.padded, pattern, batch=x.batch)
@@ -296,8 +274,7 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     # of validity repeats once per item
     sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
     q, k, v = project_qkv(fwd.apply(x), sub_valid)
-    # labels no real token has: -2 for a pad query, -1 for a pad key
-    out = dense_attention(q, k, v, (np.where(sub_valid, 0, -2), np.where(sub_valid, 0, -1)))
+    out = dense_attention(q, k, v, np.where(sub_valid, 0, -1))
     back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
     return back.apply(out)
 
@@ -313,9 +290,7 @@ def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     pg = _attention_grid(x, g, pg)
     q, k, v = project_qkv(x, pg.mask)
     subseq = assignment_of(pg.padded, pattern).subseq
-    # labels no real token has: -2 for a pad query, -1 for a pad key
-    return dense_attention(q, k, v, (np.where(pg.mask, subseq, -2),
-                                     np.where(pg.mask, subseq, -1)))
+    return dense_attention(q, k, v, np.where(pg.mask, subseq, -1))
 
 
 @dataclass(frozen=True)
@@ -332,8 +307,11 @@ class FlopReport:
 
 
 def flop_report(g: GridShape, pattern: SparsePattern, chan: int = 1) -> FlopReport:
-    """Exact MAC counts: full attention costs 2 * seq^2 * chan; the pattern
-    runs k^2 subsequences of length seq / k^2 each."""
+    """MAC counts by formula on the grid g it is given, pad tokens
+    included: full attention costs 2 * seq^2 * chan, and the pattern runs
+    its subsequences (k^2, or 1 for ORIGINAL) of equal length. On a padded
+    grid the kernel computes no pad row, so it executes fewer:
+    2 * chan * Σₛ realₛ², where realₛ counts subsequence s's real tokens."""
     seq = g.seq_len
     full = 2 * seq * seq * chan
     n_sub = pattern_map(g, pattern, batch=1).out_batch

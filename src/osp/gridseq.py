@@ -242,10 +242,10 @@ def read_ospt(path: str | Path) -> SequenceTensor:
         header = f.read(17)
         if header[:4] != OSPT_MAGIC:
             raise ValueError(f"bad magic {header[:4]!r}, expected {OSPT_MAGIC!r}")
-        if header[4:5] != bytes([OSPT_VERSION]):
-            raise ValueError(f"unsupported OSPT version {header[4:5]!r}")
         if len(header) < 17:
             raise ValueError(f"OSPT file of {size} bytes is shorter than its 17-byte header")
+        if header[4:5] != bytes([OSPT_VERSION]):
+            raise ValueError(f"unsupported OSPT version {header[4:5]!r}")
         batch, seq, chan = struct.unpack("<III", header[5:])
         payload = 8 * batch * seq * chan
         if size - 17 != payload:

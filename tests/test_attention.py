@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,20 +20,30 @@ def _rand_qkv(batch, seq, chan, seed):
             random_tensor(batch, seq, chan, seed + 2))
 
 
-def _allow(groups, shape):
-    """The boolean (..., query, key) mask that (query, key) group labels
-    make, broadcast to shape, as naive_attention takes it."""
-    q_groups, k_groups = (np.atleast_1d(a) for a in groups)
-    return np.broadcast_to(q_groups[..., :, None] == k_groups[..., None, :], shape)
+def _allow(labels, shape):
+    """The boolean (..., query, key) mask that token labels make, broadcast
+    to shape, as naive_attention takes it: equal and non-negative labels."""
+    labels = np.atleast_1d(labels)
+    same = labels[..., :, None] == labels[..., None, :]
+    return np.broadcast_to(same & (labels >= 0)[..., :, None], shape)
 
 
-def _pair_groups(seed, n, dead=()):
-    """Random labels 0 or 1 for n queries and n keys; the queries in dead
-    get label 2, which no key has."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    q_groups, k_groups = rng.integers(0, 2, n), rng.integers(0, 2, n)
-    q_groups[list(dead)] = 2
-    return q_groups, k_groups
+def _naive_by_labels(q, k, v, labels):
+    """naive_attention item by item under labels that broadcast to
+    (batch, seq)."""
+    labels = np.broadcast_to(labels, q.data.shape[:2])
+    n = q.seq
+    return np.concatenate([naive_attention(q.data[b:b + 1], k.data[b:b + 1], v.data[b:b + 1],
+                                           allow=_allow(labels[b], (n, n)))
+                           for b in range(q.batch)])
+
+
+def _random_labels(seed, shape, pad=()):
+    """Random labels 0 or 1 of shape; the tokens in pad, positions on the
+    last axis, get label -1."""
+    labels = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, shape)
+    labels[..., list(pad)] = -1
+    return labels
 
 
 def test_single_key_returns_value():
@@ -61,33 +72,10 @@ def test_softmax_rows_sum_to_one_over_unmasked_keys():
     # with all-ones values the output is exactly the row weight sum
     q, k, _ = _rand_qkv(1, 6, 4, seed=4)
     ones = SequenceTensor(np.ones((1, 6, 4)))
-    k_groups = np.array([0, 0, -1, 0, -1, 0])
-    out = dense_attention(q, k, ones, (0, k_groups))
-    assert np.allclose(out.data, 1.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("mask", ["keys", "pairs", "none"])
-@pytest.mark.parametrize("chan", [5, 64])
-def test_query_block_matches_naive_double_loop(chan, mask, monkeypatch):
-    # C=64: scaling q by 1/8 is exact; C=5: 1/sqrt(5) rounds. At 3 rows of
-    # 12 keys per tile, the 7 query rows of an item with one label run in
-    # tiles of 3, 3 and 1 rows against its keys gathered once
-    monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 3 * 12 * 8)
-    q, k, v = _rand_qkv(3, 12, chan, seed=20)
-    if mask == "none":
-        q_groups, k_groups = np.zeros(12, dtype=int), np.zeros(12, dtype=int)
-    elif mask == "keys":
-        rng = np.random.Generator(np.random.PCG64(21))
-        q_groups, k_groups = np.zeros(12, dtype=int), np.where(rng.random(12) < 0.6, 0, -1)
-    else:
-        q_groups, k_groups = _pair_groups(21, 12, dead=(4,))
-    allow = _allow((q_groups, k_groups), (12, 12))
-    naive = naive_attention(q.data, k.data, v.data, allow=allow)
-    rows = slice(2, 9)
-    out = dense_attention(SequenceTensor(q.data[:, rows]), k, v, (q_groups[rows], k_groups)).data
-    assert out.shape == (3, 7, chan)
-    assert np.max(np.abs(out - naive[:, rows])) < 1e-12
-    assert (out[:, ~allow[rows].any(axis=1)] == 0.0).all()
+    labels = np.array([0, 0, -1, 0, -1, 0])
+    out = dense_attention(q, k, ones, labels).data
+    assert np.allclose(out[:, labels == 0], 1.0, atol=1e-12)
+    assert (out[:, labels < 0] == 0.0).all()
 
 
 def test_softmax_rows_returns_unnormalised_weights_and_their_row_sums():
@@ -128,10 +116,9 @@ def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch)
     q = SequenceTensor(q.data * 100)
     assert _score_bound(q, k) > attention.SCORE_BOUND
     flags = _spy_shift(monkeypatch)
-    for groups in ((0, 0), _pair_groups(24, 9, dead=(3,))):
-        out = dense_attention(q, k, v, groups).data
-        naive = naive_attention(q.data, k.data, v.data, allow=_allow(groups, (9, 9)))
-        assert np.max(np.abs(out - naive)) < 1e-12
+    for labels in (0, _random_labels(24, (2, 9), pad=(3,))):
+        out = dense_attention(q, k, v, labels).data
+        assert np.max(np.abs(out - _naive_by_labels(q, k, v, labels))) < 1e-12
     # one score tile for the whole items, several for the label groups
     assert len(flags) > 2 and all(flags)
 
@@ -140,14 +127,14 @@ def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
     q, k, v = _rand_qkv(2, 16, 64, seed=25)
     # scale q so that the bound sits just inside SCORE_BOUND
     q = SequenceTensor(q.data * (attention.SCORE_BOUND * (1 - 1e-6) / _score_bound(q, k)))
-    groups = _pair_groups(26, 16)
-    allow = _allow(groups, (16, 16))
+    labels = _random_labels(26, 16)
+    allow = _allow(labels, (16, 16))
     flags = _spy_shift(monkeypatch)
-    inside = dense_attention(q, k, v, groups).data
+    inside = dense_attention(q, k, v, labels).data
     assert flags and not any(flags)
     flags.clear()
     monkeypatch.setattr(attention, "SCORE_BOUND", attention.SCORE_BOUND * (1 - 2e-6))
-    outside = dense_attention(q, k, v, groups).data
+    outside = dense_attention(q, k, v, labels).data
     assert flags and all(flags)
     assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
     assert np.max(np.abs(inside - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
@@ -155,14 +142,14 @@ def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
 
 def test_all_keys_masked_outputs_zeros():
     q, k, v = _rand_qkv(1, 3, 2, seed=5)
-    out = dense_attention(q, k, v, (0, np.full(3, -1)))
+    out = dense_attention(q, k, v, np.full(3, -1))
     assert (out.data == 0.0).all()
 
 
 def test_masked_dense_zeroes_blocked_queries():
     q, k, v = _rand_qkv(1, 4, 2, seed=6)
-    # query 2 is alone in group 1, which no key has
-    out = dense_attention(q, k, v, (np.array([0, 0, 1, 0]), 0))
+    # token 2 is a pad token
+    out = dense_attention(q, k, v, np.array([0, 0, -1, 0]))
     assert (out.data[0, 2] == 0.0).all()
     assert not (out.data[0, 0] == 0.0).all()
 
@@ -178,42 +165,88 @@ def test_shape_mismatch_raises():
             dense_attention(*bad)
 
 
+def test_fewer_queries_than_keys_raises_naming_all_three_shapes():
+    q, (_, k, v) = random_tensor(1, 3, 2, seed=7), _rand_qkv(1, 4, 2, seed=8)
+    with pytest.raises(ShapeError) as exc:
+        dense_attention(q, k, v)
+    assert all(f"{name} {t.data.shape}" in str(exc.value)
+               for name, t in zip("qkv", (q, k, v)))
+
+
+def test_negative_labels_never_attend_each_other_or_themselves():
+    q, k, v = _rand_qkv(2, 8, 3, seed=37)
+    labels = np.array([0, -1, -7, 0, -7, -1, 1, 1])
+    pad = labels < 0
+    out = dense_attention(q, k, v, labels).data
+    assert (out[:, pad] == 0.0).all()
+    naive = naive_attention(q.data, k.data, v.data, allow=_allow(labels, (8, 8)))
+    assert np.max(np.abs(out - naive)) < 1e-12
+    # whatever the pad tokens hold, the real rows see none of it
+    junk = [a.data.copy() for a in (q, k, v)]
+    for a in junk:
+        a[:, pad] = 1e6
+    dirty = dense_attention(*map(SequenceTensor, junk), labels).data
+    # the large pad norms switch the call to the shifted softmax, which
+    # rounds differently
+    assert np.max(np.abs(dirty - out)) < 1e-12
+
+
+def test_partition_stacks_each_items_label_groups_by_size_without_pads():
+    labels = np.array([[2, -1, 0, 2, 0, -7],
+                       [1, 1, 1, -1, 3, 3]])
+    stacks = attention._partition(labels, 2, 6)
+    assert [s.tolist() for s in stacks] == [[[2, 4], [0, 3], [10, 11]], [[6, 7, 8]]]
+
+
+def test_one_non_negative_label_everywhere_is_full_attention():
+    q, k, v = _rand_qkv(2, 7, 3, seed=38)
+    full = dense_attention(q, k, v).data
+    for labels in (5, np.full((2, 7), 5), np.full(7, 0)):
+        stacks = attention._partition(attention._token_labels(labels, 2, 7), 2, 7)
+        assert [s.tolist() for s in stacks] == [np.arange(14).reshape(2, 7).tolist()]
+        assert np.array_equal(dense_attention(q, k, v, labels).data, full)
+    # one negative label everywhere is all pad tokens, not one group
+    assert attention._partition(np.full((1, 1), -1), 2, 7) == []
+    assert not dense_attention(q, k, v, -1).data.any()
+
+
 def test_query_row_block_matches_full_call_and_leaves_inputs_alone():
+    # the rows of one label are a block that attends only itself, so run
+    # alone under one label they give the full call's rows
     q, k, v = _rand_qkv(2, 9, 3, seed=16)
-    q_groups, k_groups = _pair_groups(17, 9, dead=(4,))
-    before = [a.copy() for a in (q.data, k.data, v.data, q_groups, k_groups)]
-    full = dense_attention(q, k, v, (q_groups, k_groups)).data
-    for a, b in zip(before, (q.data, k.data, v.data, q_groups, k_groups)):
+    labels = _random_labels(17, 9, pad=(4,))
+    before = [a.copy() for a in (q.data, k.data, v.data, labels)]
+    full = dense_attention(q, k, v, labels).data
+    for a, b in zip(before, (q.data, k.data, v.data, labels)):
         assert np.array_equal(a, b)
-    rows = slice(2, 6)
-    part = dense_attention(SequenceTensor(q.data[:, rows]), k, v, (q_groups[rows], k_groups)).data
-    assert part.shape == (2, 4, 3)
+    rows = np.flatnonzero(labels == 1)
+    part = dense_attention(*(SequenceTensor(a.data[:, rows]) for a in (q, k, v))).data
+    assert part.shape == (2, len(rows), 3)
     assert np.max(np.abs(part - full[:, rows])) < 1e-12
     assert (full[:, 4] == 0.0).all()
 
 
-def test_empty_key_axis_raises_and_empty_query_block_returns_empty():
+def test_empty_sequence_returns_empty():
     q, k, v = _rand_qkv(2, 0, 4, seed=27)
-    with pytest.raises(ShapeError, match=r"\(2, 0, 4\).*no keys"):
-        dense_attention(q, k, v)
-    _, k, v = _rand_qkv(2, 5, 4, seed=28)
-    for groups in ((0, 0), (np.zeros((2, 0), dtype=int), np.zeros(5, dtype=int))):
-        out = dense_attention(q, k, v, groups)
+    for labels in (0, np.zeros((2, 0), dtype=int)):
+        out = dense_attention(q, k, v, labels)
         assert out.data.shape == (2, 0, 4)
 
 
-def _tiling_groups(mask_shape, rng):
-    """(query, key) labels whose mask has mask_shape: labels by key alone,
-    0 or -1, for a 1-D or (items, 1, key) shape, random pair labels else."""
-    lead, keys = mask_shape[:-2], mask_shape[-1:]
+def _tiling_labels(mask_shape, rng):
+    """Token labels whose (query, key) mask has mask_shape before it
+    broadcasts over the items: labels of shape mask_shape[:-2] + (key,).
+    A 1-D or (items, 1, key) shape only marks pad tokens, 0 or -1; a full
+    (query, key) one holds random labels 0 and 1 and one pad token, -7."""
+    shape = mask_shape[:-2] + mask_shape[-1:]
     if mask_shape[-2:-1] in ((), (1,)):
-        q_groups, k_groups = 0, np.where(rng.random(lead + keys) < 0.6, 0, -1)
+        labels = np.where(rng.random(shape) < 0.6, 0, -1)
     else:
-        q_groups, k_groups = rng.integers(0, 2, mask_shape[:-1]), rng.integers(0, 2, lead + keys)
-        q_groups[..., 4] = 2              # one query row in a group no key has
-    if lead:
-        k_groups[1] = -1                  # a whole item whose keys share no query's group
-    return q_groups, k_groups
+        labels = rng.integers(0, 2, shape)
+        labels[..., 4] = -7
+    if len(shape) > 1:
+        labels[1] = -1                    # a whole item of pad tokens
+    return labels
 
 
 # 3 items of 10 x 10 scores at 800 B each
@@ -225,38 +258,34 @@ def _tiling_groups(mask_shape, rng):
 @pytest.mark.parametrize("mask_shape", [(10,), (10, 10), (3, 1, 10), (3, 10, 10)], ids=str)
 def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape, monkeypatch):
     q, k, v = _rand_qkv(3, 10, 4, seed=29)
-    groups = _tiling_groups(mask_shape, np.random.Generator(np.random.PCG64(30)))
-    before = [np.copy(a) for a in (q.data, k.data, v.data, *groups)]
-    one_tile = dense_attention(q, k, v, groups).data
+    labels = _tiling_labels(mask_shape, np.random.Generator(np.random.PCG64(30)))
+    before = [np.copy(a) for a in (q.data, k.data, v.data, labels)]
+    one_tile = dense_attention(q, k, v, labels).data
     monkeypatch.setattr(attention, "SCORE_TILE_BYTES", tile_bytes)
-    assert attention._tile_shape(3, 10, 10) == tile_shape
-    tiled = dense_attention(q, k, v, groups).data
-    for a, b in zip(before, (q.data, k.data, v.data, *groups)):
+    assert attention._tile_shape(3, 10) == tile_shape
+    tiled = dense_attention(q, k, v, labels).data
+    for a, b in zip(before, (q.data, k.data, v.data, labels)):
         assert np.array_equal(a, b)
-    full = _allow(groups, (3, 10, 10))
-    naive = np.concatenate([naive_attention(q.data[b:b + 1], k.data[b:b + 1], v.data[b:b + 1],
-                                            allow=full[b]) for b in range(3)])
     assert np.max(np.abs(tiled - one_tile)) < 1e-12
-    assert np.max(np.abs(tiled - naive)) < 1e-12
-    dead = ~full.any(axis=-1)
-    assert (tiled[dead] == 0.0).all()
-    assert dead.any() == (len(mask_shape) > 1)
+    assert np.max(np.abs(tiled - _naive_by_labels(q, k, v, labels))) < 1e-12
+    pad = np.broadcast_to(labels < 0, (3, 10))
+    assert pad.any() and (tiled[pad] == 0.0).all()
 
 
 def test_score_memory_stays_within_one_tile():
-    # clip-attn's sparse call: 4 subsequences of 960 tokens, pad keys in
-    # group -1; all 4 x 960 x 960 float64 scores at once would take
-    # 28.1 MiB. One 6.7 MiB score tile (960 queries against the item with
-    # the most keys, 915), the 1.9 MiB output, one tile's scaled q rows
-    # beside its block's gathered keys or values (0.9 MiB) and the label
-    # partition's row indices (0.14 MiB) take 9.63 MiB; holding a block's
-    # keys and values at once would add 0.45 MiB, and a full-size scaled
-    # copy of q 1.4 MiB
+    # clip-attn's sparse call: 4 subsequences of 960 tokens, 5% of them pad
+    # tokens labelled -1; all 4 x 960 x 960 float64 scores at once would
+    # take 28.1 MiB. One 6.4 MiB score tile (the 915 real tokens of the
+    # fullest item against each other), the 1.9 MiB output, one tile's
+    # scaled q rows beside its block's gathered keys or values (0.9 MiB)
+    # and the label partition's row indices (0.1 MiB) take 9.26 MiB;
+    # holding a block's keys and values at once would add 0.45 MiB, and a
+    # full-size scaled copy of q 1.4 MiB
     q, k, v = _rand_qkv(4, 960, 64, seed=31)
-    k_groups = np.where(np.random.Generator(np.random.PCG64(32)).random((4, 960)) < 0.95, 0, -1)
+    labels = np.where(np.random.Generator(np.random.PCG64(32)).random((4, 960)) < 0.95, 0, -1)
     tracemalloc.start()
     try:
-        dense_attention(q, k, v, (0, k_groups))
+        dense_attention(q, k, v, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,12 +294,11 @@ def test_score_memory_stays_within_one_tile():
 
 @pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4), (5, 4)])
 def test_mask_that_does_not_broadcast_raises(mask_shape):
-    # labels shaped to make a mask of mask_shape, for 1 item of 4 queries and 4 keys
+    # the labels are the kernel's whole mask; none of these shapes
+    # broadcasts to (batch, seq) = (1, 4)
     q, k, v = _rand_qkv(1, 4, 2, seed=7)
-    groups = (np.zeros(mask_shape[:-1], dtype=int),
-              np.zeros(mask_shape[:-2] + mask_shape[-1:], dtype=int))
-    with pytest.raises(ShapeError, match="group labels of shape"):
-        dense_attention(q, k, v, groups)
+    with pytest.raises(ShapeError, match=rf"labels of shape {re.escape(str(mask_shape))}"):
+        dense_attention(q, k, v, np.zeros(mask_shape, dtype=int))
 
 
 def test_original_pattern_equals_dense():
@@ -327,11 +355,11 @@ def test_skiparse_equals_masked_reference(g, pattern):
     assert np.max(np.abs(out.data - ref.data)) < 1e-10
 
 
-def _oracle_groups(pg, subseq_fn):
-    """(query, key) labels by a tests/oracles.py subsequence formula on the
-    padded grid, with -2 for pad queries and -1 for pad keys."""
+def _oracle_labels(pg, subseq_fn):
+    """Token labels by a tests/oracles.py subsequence formula on the padded
+    grid, with -1 for pad tokens."""
     ids = np.array([subseq_fn(pg.padded, *coord) for coord in iter_coords(pg.padded)])
-    return np.where(pg.mask, ids, -2), np.where(pg.mask, ids, -1)
+    return np.where(pg.mask, ids, -1)
 
 
 @pytest.mark.parametrize("subseq_fn", [tsa_subseq, gsa_subseq], ids=["tsa", "gsa"])
@@ -339,12 +367,12 @@ def test_group_labels_match_naive_on_a_padded_grid(subseq_fn):
     g = GridShape(1, 5, 6, 2)
     pg = pad_grid(g)
     q, k, v = project_qkv(pad_tensor(random_tensor(2, g.seq_len, 4, seed=33), pg))
-    groups = _oracle_groups(pg, subseq_fn)
+    labels = _oracle_labels(pg, subseq_fn)
     allow = pattern_allow(pg.padded, subseq_fn, real=pg.mask)
-    assert np.array_equal(_allow(groups, allow.shape), allow)
-    out = dense_attention(q, k, v, groups).data
+    assert np.array_equal(_allow(labels, allow.shape), allow)
+    out = dense_attention(q, k, v, labels).data
     assert np.max(np.abs(out - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
-    # pad queries share no key's label, so they come out exactly zero
+    # pad tokens carry a negative label, so they come out exactly zero
     assert (out[:, ~pg.mask] == 0.0).all()
 
 
@@ -411,7 +439,7 @@ def test_row_blocked_oracle_matches_unblocked_and_naive(g, pattern, subseq_fn, m
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=18), pg)
     q, k, v = project_qkv(x)
-    one_tile = dense_attention(q, k, v, _oracle_groups(pg, subseq_fn)).data
+    one_tile = dense_attention(q, k, v, _oracle_labels(pg, subseq_fn)).data
     # 7 rows of 16 keys per tile: each subsequence of 16 runs in tiles of 7,
     # 7 and a ragged 2 query rows; on the padded grid small groups share a
     # tile, and GSA's group of 12 real tokens runs in tiles of 9 and 3 rows

@@ -333,6 +333,19 @@ def test_quantize_rejects_inconsistent_ospt(raw, tmp_path, capsys):
     assert not (tmp_path / "xq.ospt").exists()
 
 
+def test_quantize_reports_an_ospt_shorter_than_its_header(tmp_path, capsys):
+    src = tmp_path / "x.ospt"
+    src.write_bytes(b"OSPT")
+    code = main(["hif8", "quantize", "--mode", "forward",
+                 "--input", str(src), "--output", str(tmp_path / "xq.ospt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "OSPT file of 4 bytes is shorter than its 17-byte header" in err
+    assert "version" not in err
+    assert not (tmp_path / "xq.ospt").exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
                          ids=["nan", "inf", "-inf"])
 def test_quantize_rejects_non_finite_ospt(bad, tmp_path, capsys):

@@ -191,6 +191,14 @@ def test_ospt_rejects_bad_magic(tmp_path):
         read_ospt(path)
 
 
+def test_ospt_shorter_than_its_header_names_the_header_not_the_version(tmp_path):
+    # the magic alone: the version byte is missing, not wrong
+    path = tmp_path / "short.ospt"
+    path.write_bytes(OSPT_MAGIC)
+    with pytest.raises(ValueError, match="OSPT file of 4 bytes is shorter than its 17-byte header"):
+        read_ospt(path)
+
+
 def test_random_tensor_reproducible():
     a = random_tensor(1, 4, 2, seed=5)
     b = random_tensor(1, 4, 2, seed=5)

@@ -168,7 +168,7 @@ MUTANTS = [
     _caught("osp.checks.pad_grid", _pad_before,
             "sections.anyres.subsequence_stable_across_resolutions", id="pad-before"),
     _caught("osp.attention.dense_attention",
-            lambda real: lambda q, k, v, groups=(0, 0): real(q, k, v),
+            lambda real: lambda q, k, v, labels=0: real(q, k, v),
             *(f"sections.attention.cases.{i}.skiparse_matches_masked_dense_oracle"
               for i in range(8)), id="labels-ignored"),
     _caught("osp.skiparse.reachability_hops", _raises(IndexError("mutant")),
@@ -201,8 +201,8 @@ MUTANTS = [
     _escapes("osp.attention._softmax_rows", _unnormalised,
              ["attention"], 7, id="softmax-row-sums-one"),
     _escapes("osp.attention.dense_attention",
-             lambda real: lambda q, k, v, groups=(0, 0): real(
-                 SequenceTensor(q.data / math.sqrt(q.chan)), k, v, groups),
+             lambda real: lambda q, k, v, labels=0: real(
+                 SequenceTensor(q.data / math.sqrt(q.chan)), k, v, labels),
              ["attention"], 7, id="score-scale-one-over-c"),
     _escapes("osp.anyres.pad_grid", _later_frames_real,
              ["attention", "anyres"], 7, id="later-frames-real"),
