@@ -23,11 +23,11 @@ most `SCORE_BOUND` (and the weighted sum of v cannot overflow), the scores
 are exponentiated as they are, with no row max and no shift. Any other call
 (large-norm or non-finite inputs) runs the max-shifted softmax.
 
-Both routes over a grid run on `pg` or by default `pad_grid(g)`, set the q,
-k and v rows of pad tokens to zero by assignment, so no pad content, not
-even inf or NaN, reaches a score or a value, and label pad tokens -1, so
-pad rows are never computed and come out zero. The sparse path gathers x
-once into the pattern layout and labels its pad tokens from
+Both routes over a grid run on `pg` or by default `pad_grid(g)` and label
+pad tokens -1. The kernel reads no row of a negative-labelled token, not
+even for the bound, so no pad content, not even inf or NaN, reaches a
+score, a value or the route, and pad rows come out zero. The sparse path
+gathers x once into the pattern layout and labels its pad tokens from
 `anyres.subsequence_mask`. The oracle is one kernel call on the original
 layout labelled by subsequence id, so it scores only the pairs within a
 subsequence and no S×S array exists; both routes then run the same groups.
@@ -80,29 +80,20 @@ def _projections(chan: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return mats
 
 
-def project_qkv(x: SequenceTensor, real: np.ndarray | None = None
-                ) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
-    """q, k and v of x. real, when given, is a (seq,) or (batch, seq)
-    boolean that marks the real tokens: the rows of every other token are
-    set to exactly zero by assignment, not by multiplying, so inf or NaN pad
-    content leaves nothing behind (inf · 0 is NaN)."""
+def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
+    """q, k and v of x, row by row. A pad row of inf or NaN projects to inf
+    or NaN in that row alone, which dense_attention never reads under a
+    negative label, so its floating-point warnings are silenced."""
     wq, wk, wv = qkv_projections(x.chan)
-    if real is None:
-        return tuple(SequenceTensor(x.data @ w) for w in (wq, wk, wv))
-    # a pad row of inf or NaN projects to inf or NaN in that row alone, and
-    # the assignment below overwrites it, so its warning says nothing
     with np.errstate(invalid="ignore", over="ignore"):
-        mats = tuple(x.data @ w for w in (wq, wk, wv))
-    pad = ~real
-    for m in mats:
-        m[..., pad, :] = 0.0
-    return tuple(SequenceTensor(m) for m in mats)
+        return tuple(SequenceTensor(x.data @ w) for w in (wq, wk, wv))
 
 
-def _max_row_norm(a: np.ndarray) -> float:
-    """The largest Euclidean norm of a's last-axis rows (0 if it has none);
-    inf or NaN if a holds either."""
-    return math.sqrt(np.einsum("...c,...c->...", a, a).max(initial=0.0))
+def _max_row_norm(a: np.ndarray, keep: np.ndarray) -> float:
+    """The largest Euclidean norm of the (batch, seq, C) array a's rows
+    where the (batch, seq) boolean keep is true (0 if there are none); inf
+    or NaN if one of those rows holds either."""
+    return math.sqrt(np.einsum("...c,...c->...", a, a).max(initial=0.0, where=keep))
 
 
 def _softmax_rows(scores: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -130,28 +121,18 @@ def _tile_shape(batch: int, size: int) -> tuple[int, int]:
     return 1, rows_fit
 
 
-def _token_labels(labels, batch: int, seq: int) -> np.ndarray:
-    """labels, which must broadcast to (batch, seq), at their own size as a
-    (1 or batch, 1 or seq) array."""
-    labels = np.asarray(labels)
-    if labels.ndim > 2 or any(m not in (1, size)
-                              for m, size in zip(labels.shape[::-1], (seq, batch))):
-        raise ShapeError(f"labels of shape {labels.shape} do not broadcast to {(batch, seq)}")
-    return labels.reshape((1,) * (2 - labels.ndim) + labels.shape)
-
-
-def _partition(labels: np.ndarray, batch: int, seq: int) -> list[np.ndarray]:
-    """Each item's tokens split by label: for every non-negative label of
-    an item, the flat (item * seq + position) rows of its tokens, ascending,
-    stacked with every other such group of the same size into one
-    (groups, size) array. Tokens with a negative label are in none."""
+def _partition(labels: np.ndarray) -> list[np.ndarray]:
+    """Each item's tokens split by the (batch, seq) labels: for every
+    non-negative label of an item, the flat (item * seq + position) rows of
+    its tokens, ascending, stacked with every other such group of the same
+    size into one (groups, size) array. Tokens with a negative label are in
+    none."""
     # one label on every token, as in full attention and the sparse path on
     # an unpadded grid: every item is one group, and no label needs sorting
+    batch, seq = labels.shape
     first = labels.flat[0]
     if first >= 0 and (labels == first).all():
         return [np.arange(batch * seq).reshape(batch, seq)]
-    if labels.shape != (batch, seq):
-        labels = np.broadcast_to(labels, (batch, seq))
     rows = labels.argsort(axis=1, kind="stable")
     rows += np.arange(0, batch * seq, seq)[:, None]
     ranked = labels.ravel()[rows]
@@ -214,7 +195,8 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     The shift is 0 when the Cauchy–Schwarz bound on the scores,
     B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
     seq · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
-    stays below float64's maximum; it is each row's max otherwise.
+    stays below float64's maximum; it is each row's max otherwise. All
+    three maxima skip negative-labelled rows, whatever those rows hold.
 
     q, k and v must share one shape; an empty one gives an empty output.
     The scores live in one buffer, sized to the largest tile that fits
@@ -223,18 +205,23 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     if not q.data.shape == k.data.shape == v.data.shape:
         raise ShapeError(f"q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
                          f"must share one shape")
-    labels = _token_labels(labels, q.batch, q.seq)
+    try:
+        labels = np.broadcast_to(labels, (q.batch, q.seq))
+    except ValueError:
+        raise ShapeError(f"labels of shape {np.shape(labels)} do not broadcast to "
+                         f"{(q.batch, q.seq)}") from None
     out = np.zeros(q.data.shape)
     if out.size == 0:  # no items, tokens or channels: no tile to walk
         return SequenceTensor(out)
+    keep = labels >= 0
     root_c = np.sqrt(q.chan)
-    bound = _max_row_norm(q.data) / root_c * _max_row_norm(k.data)
+    bound = _max_row_norm(q.data, keep) / root_c * _max_row_norm(k.data, keep)
     # False for inf or NaN bounds too; exp(bound) runs only when it is finite
-    shift = not (bound <= SCORE_BOUND and q.seq * math.exp(bound) * _max_row_norm(v.data)
+    shift = not (bound <= SCORE_BOUND and q.seq * math.exp(bound) * _max_row_norm(v.data, keep)
                  < sys.float_info.max)
     # every block as (rows, query rows per tile)
     blocks, size = [], 0
-    for rows in _partition(labels, q.batch, q.seq):
+    for rows in _partition(labels):
         items, tile = _tile_shape(*rows.shape)
         size = max(size, items * tile * rows.shape[1])
         blocks += [(rows[g:g + items], tile) for g in range(0, len(rows), items)]
@@ -263,17 +250,16 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     """Sparse attention: gather x once into the pattern layout, project it
     there (projection is per token, so it commutes with the gather), run
     dense attention per subsequence and gather back. ORIGINAL is full
-    attention. x lives on the padded grid of `pg` (default pad_grid(g)); pad
-    rows of q, k and v are zeroed and pad tokens labelled -1, so they are
-    left out of every softmax and their rows are never computed and come
-    back zero.
+    attention. x lives on the padded grid of `pg` (default pad_grid(g));
+    pad tokens are labelled -1, so whatever their rows hold they are left
+    out of every softmax and come back zero.
     """
     pg = _attention_grid(x, g, pg)
     fwd = pattern_map(pg.padded, pattern, batch=x.batch)
     # layout rows nest the batch item innermost, so each subsequence's row
     # of validity repeats once per item
     sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
-    q, k, v = project_qkv(fwd.apply(x), sub_valid)
+    q, k, v = project_qkv(fwd.apply(x))
     out = dense_attention(q, k, v, np.where(sub_valid, 0, -1))
     back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
     return back.apply(out)
@@ -283,12 +269,12 @@ def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
     """Oracle: one dense_attention call over the original layout, u and v
     interacting iff they share a subsequence and both are real in `pg`
-    (default pad_grid(g)); pad rows of q, k and v are zeroed. The kernel
-    runs each subsequence's real tokens as one group, so it scores only the
-    pairs within a subsequence and no S×S array exists. Must match
-    skiparse_attention to summation-order noise."""
+    (default pad_grid(g)); pad tokens are labelled -1, so the kernel reads
+    none of their rows. It runs each subsequence's real tokens as one
+    group, so it scores only the pairs within a subsequence and no S×S
+    array exists. Must match skiparse_attention to summation-order noise."""
     pg = _attention_grid(x, g, pg)
-    q, k, v = project_qkv(x, pg.mask)
+    q, k, v = project_qkv(x)
     subseq = assignment_of(pg.padded, pattern).subseq
     return dense_attention(q, k, v, np.where(pg.mask, subseq, -1))
 

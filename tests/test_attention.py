@@ -173,28 +173,29 @@ def test_fewer_queries_than_keys_raises_naming_all_three_shapes():
                for name, t in zip("qkv", (q, k, v)))
 
 
-def test_negative_labels_never_attend_each_other_or_themselves():
+def test_negative_labels_never_attend_each_other_or_themselves(monkeypatch):
     q, k, v = _rand_qkv(2, 8, 3, seed=37)
     labels = np.array([0, -1, -7, 0, -7, -1, 1, 1])
     pad = labels < 0
+    flags = _spy_shift(monkeypatch)
     out = dense_attention(q, k, v, labels).data
     assert (out[:, pad] == 0.0).all()
     naive = naive_attention(q.data, k.data, v.data, allow=_allow(labels, (8, 8)))
     assert np.max(np.abs(out - naive)) < 1e-12
-    # whatever the pad tokens hold, the real rows see none of it
-    junk = [a.data.copy() for a in (q, k, v)]
-    for a in junk:
-        a[:, pad] = 1e6
-    dirty = dense_attention(*map(SequenceTensor, junk), labels).data
-    # the large pad norms switch the call to the shifted softmax, which
-    # rounds differently
-    assert np.max(np.abs(dirty - out)) < 1e-12
+    # whatever the pad tokens hold, the real rows see none of it, not even
+    # through the softmax route
+    for fill in (1e6, np.inf, np.nan):
+        junk = [a.data.copy() for a in (q, k, v)]
+        for a in junk:
+            a[:, pad] = fill
+        assert np.array_equal(dense_attention(*map(SequenceTensor, junk), labels).data, out)
+    assert flags and not any(flags)
 
 
 def test_partition_stacks_each_items_label_groups_by_size_without_pads():
     labels = np.array([[2, -1, 0, 2, 0, -7],
                        [1, 1, 1, -1, 3, 3]])
-    stacks = attention._partition(labels, 2, 6)
+    stacks = attention._partition(labels)
     assert [s.tolist() for s in stacks] == [[[2, 4], [0, 3], [10, 11]], [[6, 7, 8]]]
 
 
@@ -202,11 +203,11 @@ def test_one_non_negative_label_everywhere_is_full_attention():
     q, k, v = _rand_qkv(2, 7, 3, seed=38)
     full = dense_attention(q, k, v).data
     for labels in (5, np.full((2, 7), 5), np.full(7, 0)):
-        stacks = attention._partition(attention._token_labels(labels, 2, 7), 2, 7)
+        stacks = attention._partition(np.broadcast_to(labels, (2, 7)))
         assert [s.tolist() for s in stacks] == [np.arange(14).reshape(2, 7).tolist()]
         assert np.array_equal(dense_attention(q, k, v, labels).data, full)
     # one negative label everywhere is all pad tokens, not one group
-    assert attention._partition(np.full((1, 1), -1), 2, 7) == []
+    assert attention._partition(np.full((2, 7), -1)) == []
     assert not dense_attention(q, k, v, -1).data.any()
 
 

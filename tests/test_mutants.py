@@ -170,7 +170,8 @@ MUTANTS = [
     _caught("osp.attention.dense_attention",
             lambda real: lambda q, k, v, labels=0: real(q, k, v),
             *(f"sections.attention.cases.{i}.skiparse_matches_masked_dense_oracle"
-              for i in range(8)), id="labels-ignored"),
+              for i in range(8)), "sections.anyres.pad_content_independent",
+            id="labels-ignored"),
     _caught("osp.skiparse.reachability_hops", _raises(IndexError("mutant")),
             "sections.reachability raised IndexError: mutant", id="reachability-raises"),
     _caught("osp.ssp.ssp_pattern_switch",
@@ -255,6 +256,7 @@ def _check_names(node, path: str = "") -> set[str]:
 
 # the named checks some caught row flips; a row that flips another adds it here
 COVERED = {
+    "sections.anyres.pad_content_independent",
     "sections.anyres.subsequence_stable_across_resolutions",
     "sections.attention.cases.skiparse_matches_masked_dense_oracle",
     "sections.hif8_format.encode_monotone_and_saturating",
