@@ -54,8 +54,6 @@ PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 # against 4096 keys; the tile's scaled q rows and its block's keys and
 # values (one of the two in a one-tile block) are held beside it
 SCORE_TILE_BYTES = 8 * 2 ** 20
-# channel widths whose projections are kept: report-all uses 2
-PROJECTION_MEMO_SIZE = 8
 # the largest score bound B for which the softmax skips its row max: every
 # weight exp(s), |s| <= B, lies in [e^-64, e^64] ~ [1.6e-28, 6.2e27], far
 # inside float64's normal range [2.2e-308, 1.8e308], so none overflows or
@@ -70,7 +68,7 @@ def qkv_projections(chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _projections(chan, PROJECTION_SEED)
 
 
-@functools.lru_cache(maxsize=PROJECTION_MEMO_SIZE)
+@functools.cache
 def _projections(chan: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
     scale = 1.0 / np.sqrt(chan)
@@ -127,12 +125,7 @@ def _partition(labels: np.ndarray) -> list[np.ndarray]:
     its tokens, ascending, stacked with every other such group of the same
     size into one (groups, size) array. Tokens with a negative label are in
     none."""
-    # one label on every token, as in full attention and the sparse path on
-    # an unpadded grid: every item is one group, and no label needs sorting
     batch, seq = labels.shape
-    first = labels.flat[0]
-    if first >= 0 and (labels == first).all():
-        return [np.arange(batch * seq).reshape(batch, seq)]
     rows = labels.argsort(axis=1, kind="stable")
     rows += np.arange(0, batch * seq, seq)[:, None]
     ranked = labels.ravel()[rows]

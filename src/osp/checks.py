@@ -237,12 +237,12 @@ def comm_comparison(log: CommLog, group_size: int, per_rank_elements: int,
     }
 
 
-def ssp_check(g: GridShape, group_size: int, seed: int, chan: int = 4,
-              blocks: int = 2) -> dict:
-    """`blocks` pattern switches, alternating TSA->GSA->TSA..., each checked
-    rank by rank against the gather/convert/reshard oracle. The collective
-    counts and volumes are read from the ledger those switches wrote."""
-    x_tsa = pattern_map(g, SparsePattern.TOKEN_WISE).apply(random_tensor(1, g.seq_len, chan, seed))
+def ssp_check(g: GridShape, group_size: int, seed: int, blocks: int = 2) -> dict:
+    """`blocks` pattern switches of a 4-channel tensor, alternating
+    TSA->GSA->TSA..., each checked rank by rank against the
+    gather/convert/reshard oracle. The collective counts and volumes are
+    read from the ledger those switches wrote."""
+    x_tsa = pattern_map(g, SparsePattern.TOKEN_WISE).apply(random_tensor(1, g.seq_len, 4, seed))
     convert = (tsa_to_gsa(g), gsa_to_tsa(g))
     log = CommLog()
     group = shard_pattern_layout(x_tsa, group_size, log)

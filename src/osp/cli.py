@@ -126,7 +126,7 @@ def _cmd_mask_dump(args) -> int:
     pg = pad_grid(g)
     if args.out:
         write_mask(args.out, pg)
-    summary = {
+    return _finish(None, {
         "grid": [g.t, g.h, g.w],
         "k": g.k,
         "padded_grid": [pg.padded.t, pg.padded.h, pg.padded.w],
@@ -134,9 +134,7 @@ def _cmd_mask_dump(args) -> int:
         "pad_tokens": int((~pg.mask).sum()),
         "trivial": pg.trivial,
         "pass": True,
-    }
-    sys.stdout.write(_dump_json(summary))
-    return 0
+    })
 
 
 def _cmd_attn_verify(args) -> int:
@@ -147,7 +145,7 @@ def _cmd_attn_verify(args) -> int:
 
 def _cmd_comm_sim(args) -> int:
     return _finish(args.out, checks.ssp_check(GridShape(*args.grid, args.k), args.group_size,
-                                              args.seed, chan=args.chan, blocks=args.blocks))
+                                              args.seed, blocks=args.blocks))
 
 
 def _cmd_hif8_enum(args) -> int:
@@ -178,15 +176,12 @@ def _cmd_hif8_quantize(args) -> int:
     x = read_ospt(args.input)
     q = quantize_tensor(x, args.mode)
     write_ospt(args.output, dequantize(q))
-    sidecar_path = args.sidecar or (args.output + ".json")
-    Path(sidecar_path).write_text(_dump_json({
-        "scale": q.scale, "mode": q.mode, "amax": q.amax,
-    }))
-    sys.stdout.write(_dump_json({
-        "input": args.input, "output": args.output, "sidecar": sidecar_path,
+    sidecar = args.output + ".json"
+    Path(sidecar).write_text(_dump_json({"scale": q.scale, "mode": q.mode, "amax": q.amax}))
+    return _finish(None, {
+        "input": args.input, "output": args.output, "sidecar": sidecar,
         "scale": q.scale, "mode": q.mode, "amax": q.amax, "pass": True,
-    }))
-    return 0
+    })
 
 
 def _cmd_sampler(args) -> int:
@@ -302,7 +297,6 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     add_seed(p)
     p.add_argument("--group-size", type=_positive_int, default=4)
     p.add_argument("--blocks", type=lambda text: _positive_int(text, MAX_BLOCKS), default=1)
-    p.add_argument("--chan", type=_positive_int, default=4)
     p.set_defaults(func=_cmd_comm_sim, **defaults)
 
     p = sub.add_parser("hif8", help="8-bit codec utilities")
@@ -321,7 +315,6 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     _add_choice(pq, "--mode", ("forward", "backward"), required=True)
     pq.add_argument("--input", required=True)
     pq.add_argument("--output", required=True)
-    pq.add_argument("--sidecar", help="sidecar JSON path (default: <output>.json)")
     pq.set_defaults(func=_cmd_hif8_quantize, **defaults)
 
     p = sub.add_parser("sampler", help="mixed SDE/ODE rollout marginal check")

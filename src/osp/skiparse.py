@@ -64,24 +64,20 @@ _LAYOUTS = {
     SparsePattern.GROUP_WISE: (("p1", "q1", "b"), ("txh", "p2", "wg", "q2")),
 }
 
-# maps kept by the layout_map memo: one report-all builds 57 distinct maps,
-# and a second report-all in the same process must miss none of them
-LAYOUT_MEMO_SIZE = 64
-
 
 def layout_map(g: GridShape, src: SparsePattern, dst: SparsePattern, batch: int = 1) -> IndexMap:
     """Layout src -> layout dst for `batch` items on grid g.
 
     A stride that k (or k^2) does not divide into h and w gets size 1, so
     the layouts that batch it raise PatternError: token-wise needs h and w
-    divisible by k, group-wise by k^2. The map comes from a memo of the
-    last LAYOUT_MEMO_SIZE built, so callers share it; it is immutable.
+    divisible by k, group-wise by k^2. Each map is built once per process
+    and shared by every caller; it is immutable.
     """
     # a plain function, so a tracer that wraps module functions sees the call
     return _build_layout_map(g, src, dst, batch)
 
 
-@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+@functools.cache
 def _build_layout_map(g: GridShape, src: SparsePattern, dst: SparsePattern,
                       batch: int) -> IndexMap:
     k = g.k

@@ -19,7 +19,7 @@ gather: a switch runs as one read of the whole rank-major group and one
 write of its switched rows, and the sender-major buffer is never
 materialised. The same plan converts token-wise to group-wise and back.
 It depends only on the grid, N and the local batch, so it is composed
-once per process and kept in a memo of the last PLAN_MEMO_SIZE plans.
+once per process and kept for the life of the process.
 Building a plan is also where a switch's preconditions are checked
 (N divides k^2, G divides the local batch, the group-wise layout holds
 the grid), once per plan and not per switch. A test that swaps
@@ -44,10 +44,6 @@ import numpy as np
 
 from .gridseq import GridShape, IndexMap, SequenceTensor, rearrange_map
 from .skiparse import orig_to_tsa, tsa_to_gsa, tsa_to_orig
-
-# switch plans kept by the memo, one per (grid, N, local batch), each
-# checked once when it is built; one report-all builds 3
-PLAN_MEMO_SIZE = 16
 
 
 class ShardingError(ValueError):
@@ -176,7 +172,7 @@ def _switch_stages(reduced: GridShape, n: int, b: int) -> tuple[IndexMap, IndexM
     return split, merge.compose(exchange_map(n, split.out_batch // n, split.out_seq))
 
 
-@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+@functools.cache
 def _switch_plan(g: GridShape, n: int, local_batch: int) -> tuple[IndexMap, tuple[int, int, int]]:
     """The whole switch on grid g as one gather, merge ∘ exchange ∘ split,
     for n ranks of local_batch rows each, and the sender-major (n, lead,

@@ -58,6 +58,12 @@ def test_strip_shape_mismatch():
         strip_padding(random_tensor(1, 10, 2, seed=0), pg)
 
 
+def test_pad_shape_mismatch():
+    pg = pad_grid(GridShape(1, 5, 6, 2))
+    with pytest.raises(ShapeError, match="expected seq 30, got 64"):
+        pad_tensor(random_tensor(1, 64, 2, seed=0), pg)
+
+
 def test_pad_positions_are_zero_by_default():
     g = GridShape(1, 5, 6, 2)
     pg = pad_grid(g)

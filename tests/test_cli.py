@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -106,7 +107,7 @@ def test_double_traffic_fails_the_ledger_checks(argv, monkeypatch, capsys):
 
 
 def test_second_report_all_misses_no_memo():
-    # an overflowing memo would silently rebuild maps on every report-all
+    # a second report-all in one process builds no map, plan or projection again
     memos = (osp.skiparse._build_layout_map, osp.ssp._switch_plan, osp.attention._projections)
     for memo in memos:
         memo.cache_clear()
@@ -265,11 +266,17 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert main(["--config", str(cfg), "reach"]) == 2
 
 
+def test_config_line_without_equals_names_its_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# defaults\nseed 3\n")
+    assert main(["--config", str(cfg), "reach"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["comm-sim", "--group-size", "0"],
     ["comm-sim", "--group-size", "-2"],
     ["comm-sim", "--blocks", "0"],
-    ["comm-sim", "--chan", "0"],
     ["attn-verify", "--chan", "0"],
     ["attn-verify", "--chan", "two"],
 ], ids=" ".join)
@@ -313,23 +320,25 @@ def test_bad_config_value_names_its_file_line_and_key(key, value, argv, tmp_path
     assert str(cfg) not in err and "config" not in err
 
 
-def _ospt_header(batch, seq, chan):
-    return b"OSPT" + bytes([1]) + struct.pack("<III", batch, seq, chan)
+def _ospt_header(batch, seq, chan, version=1):
+    return b"OSPT" + bytes([version]) + struct.pack("<III", batch, seq, chan)
 
 
-@pytest.mark.parametrize("raw", [
-    _ospt_header(2 ** 31 - 1, 1, 1),
-    _ospt_header(1, 4, 2) + bytes(8 * 7),
-    _ospt_header(1, 4, 2) + bytes(8 * 8 + 1),
-    _ospt_header(1, 4, 2)[:10],
-], ids=["huge-header", "short-payload", "trailing-byte", "short-header"])
-def test_quantize_rejects_inconsistent_ospt(raw, tmp_path, capsys):
+@pytest.mark.parametrize("raw,error", [
+    (_ospt_header(2 ** 31 - 1, 1, 1), "OSPT header declares"),
+    (_ospt_header(1, 4, 2) + bytes(8 * 7), "OSPT header declares"),
+    (_ospt_header(1, 4, 2) + bytes(8 * 8 + 1), "OSPT header declares"),
+    (_ospt_header(1, 4, 2)[:10], "shorter than its 17-byte header"),
+    (_ospt_header(1, 4, 2, version=2) + bytes(8 * 8), "unsupported OSPT version b'\\x02'"),
+], ids=["huge-header", "short-payload", "trailing-byte", "short-header", "version-2"])
+def test_quantize_rejects_inconsistent_ospt(raw, error, tmp_path, capsys):
     src = tmp_path / "x.ospt"
     src.write_bytes(raw)
     code = main(["hif8", "quantize", "--mode", "forward",
                  "--input", str(src), "--output", str(tmp_path / "xq.ospt")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and error in err
     assert not (tmp_path / "xq.ospt").exists()
 
 
@@ -526,7 +535,7 @@ _COMMANDS = {
     ("mask-dump",): {**_GRID_OPTIONS, "out": st.sampled_from(["mask.bin", ""])},
     ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL,
                        "pattern": _words("original", "tsa", "gsa")},
-    ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL, "group_size": _SMALL,
+    ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "group_size": _SMALL,
                     "blocks": st.one_of(_SMALL, _over_cap("blocks"))},
     ("hif8", "enum"): {},
     ("hif8", "encode"): {"value": st.one_of(
@@ -544,6 +553,24 @@ _COMMANDS = {
 
 
 _REQUIRED = {"value", "mode", "input", "output"}
+
+
+def _subcommand_options(parser, command=()):
+    """(command, option names) for every subcommand parser below `parser`,
+    each name as an argparse dest, leaving out --help and --out."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _subcommand_options(sub, (*command, name))
+    if not subparsers:
+        yield command, {a.dest for a in parser._actions
+                        if a.option_strings and a.dest not in ("help", "out")}
+
+
+def test_exit_code_contract_draws_every_option():
+    # an option missing from _COMMANDS is never drawn by the contract test below
+    for command, options in _subcommand_options(cli._build_parser()):
+        assert options <= set(_COMMANDS.get(command, ())), (command, options)
 
 
 def _write_inputs(root: Path) -> None:

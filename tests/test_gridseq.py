@@ -105,6 +105,13 @@ def test_compose_and_invert_read_their_output_shape_from_src():
     assert (inverse.in_batch, inverse.in_seq) == (6, 4)
 
 
+def test_compose_needs_chaining_shapes_and_invert_a_bijection():
+    with pytest.raises(ShapeError, match="composition shapes do not chain"):
+        IndexMap.identity(2, 3).compose(IndexMap.identity(3, 2))
+    with pytest.raises(ShapeError, match="only bijective maps can be inverted"):
+        IndexMap(1, 2, np.array([[0, 0]])).invert()
+
+
 @pytest.mark.parametrize("codes", [False, True], ids=["float64", "hif8-codes"])
 def test_apply_gathers_like_fancy_indexing_with_repeated_addresses(codes):
     rng = np.random.Generator(np.random.PCG64(5))
@@ -162,6 +169,11 @@ def test_sequence_tensor_is_frozen():
         x.data[0, 0, 0] = 1.0
 
 
+def test_sequence_tensor_data_must_be_three_dimensional():
+    with pytest.raises(ShapeError, match=r"must be \(batch, seq, chan\), got shape \(4, 2\)"):
+        SequenceTensor(np.zeros((4, 2)))
+
+
 def test_hif8_kind_roundtrips_through_maps():
     codes = SequenceTensor(np.arange(12, dtype=np.uint8).reshape(1, 6, 2))
     m = rearrange_map([("b", 1)], [("x", 2), ("y", 3)], ["b"], ["y", "x"])
@@ -197,6 +209,13 @@ def test_ospt_shorter_than_its_header_names_the_header_not_the_version(tmp_path)
     path.write_bytes(OSPT_MAGIC)
     with pytest.raises(ValueError, match="OSPT file of 4 bytes is shorter than its 17-byte header"):
         read_ospt(path)
+
+
+def test_ospt_stores_float64_only(tmp_path):
+    path = tmp_path / "codes.ospt"
+    with pytest.raises(ValueError, match="OSPT files store float64 tensors, got uint8"):
+        write_ospt(path, SequenceTensor(np.zeros((1, 2, 1), dtype=np.uint8)))
+    assert not path.exists()
 
 
 def test_random_tensor_reproducible():

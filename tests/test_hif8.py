@@ -7,8 +7,8 @@ from oracles import hif8_nearest_codes, hif8_value_table
 from osp.checks import hif8_format_check, quantized_attention_probe
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, MIDPOINTS, VALUES, ZERO_CODE, EncodeError,
-                      code_fields, decode, decode_array, dequantize, encode, encode_array,
-                      quantize_tensor, roundtrip)
+                      QuantizedTensor, code_fields, decode, decode_array, dequantize, encode,
+                      encode_array, quantize_tensor, roundtrip)
 from osp.skiparse import SparsePattern
 
 
@@ -297,6 +297,20 @@ def test_all_zero_tensor_degenerate_case():
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         quantize_tensor(SequenceTensor.zeros(1, 2, 1), "sideways")
+
+
+def test_quantize_tensor_takes_float64_only():
+    with pytest.raises(ValueError, match="quantize_tensor expects a float64 tensor, got uint8"):
+        quantize_tensor(SequenceTensor(np.zeros((1, 2, 1), dtype=np.uint8)), "forward")
+
+
+@pytest.mark.parametrize("codes,scale,error", [
+    (np.zeros((1, 2, 1)), 1.0, "codes must be a uint8 tensor, got float64"),
+    (np.zeros((1, 2, 1), dtype=np.uint8), 0.0, "scale must be positive"),
+], ids=["float-codes", "zero-scale"])
+def test_quantized_tensor_needs_uint8_codes_and_a_positive_scale(codes, scale, error):
+    with pytest.raises(ValueError, match=error):
+        QuantizedTensor(SequenceTensor(codes), scale, "forward", 0.0)
 
 
 def test_roundtrip_exact_on_representable_grid(monkeypatch):

@@ -98,9 +98,16 @@ def test_schedule_validation():
         SamplerSchedule(np.array([0.0, 1.0]), frozenset())  # increasing
     with pytest.raises(ValueError):
         SamplerSchedule(np.array([1.0, 0.5, 0.0]), frozenset({2}))  # index out of range
+    with pytest.raises(ValueError, match="at least one step"):
+        SamplerSchedule(np.array([1.0]), frozenset())  # one point, no step
     sched = uniform_schedule(4, {0, 1})
     assert sched.num_steps == 4
     assert sched.sde_steps == frozenset({0, 1})
+
+
+def test_ou_process_needs_a_positive_data_variance():
+    with pytest.raises(ValueError, match="data_var must be positive"):
+        OuProcess(np.zeros(2), data_var=0.0)
 
 
 def test_empty_sde_set_is_bitwise_pure_ode_and_consumes_no_rng():
