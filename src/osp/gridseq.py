@@ -6,6 +6,13 @@ address it reads from. Building the table separately from applying it
 keeps a single gather engine for both float64 tensors and uint8 HiF8 code
 tensors, and makes every rearrangement checkable for bijectivity.
 
+A gather whose output holds at least `SPLIT_BYTES` splits its output rows
+into one contiguous run per core the process may run on, and gathers the
+runs at once on a thread pool made by the first such gather. Each run is
+the same `np.take` over a disjoint slice of the rows, so the result is
+bitwise identical to one call, whatever the dtype or the core count.
+Smaller gathers run as one call and start no thread.
+
 A (t, h, w) grid flattens row-major: t outermost, then h, then w.
 
 Seeded random fills use numpy's PCG64 generator (a named, documented
@@ -14,6 +21,7 @@ algorithm) so golden files can be regenerated exactly from a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -25,6 +33,29 @@ import numpy as np
 
 OSPT_MAGIC = b"OSPT"
 OSPT_VERSION = 1
+# output bytes from which IndexMap.apply splits its gather across the cores:
+# on the 2-core reference host a two-way split took 0.42 against 0.79 ms at
+# 4 MiB and broke even near 1 MiB, and report-all's and a 3840-token
+# attention layer's gathers (at most 1.9 MiB) stay single and thread-free
+SPLIT_BYTES = 4 * 2 ** 20
+# the cores this process may run on (taskset and cgroup cpusets narrow it)
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+
+
+@functools.cache
+def _gather_pool():
+    """The threads that take every run of a split gather but the caller's
+    first. Made on first use: concurrent.futures imports logging, which
+    small work should not pay for. Two first calls that race may each make
+    a pool; the one not cached is collected with its idle threads."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_CORES - 1, thread_name_prefix="osp-gather")
+
+
+# a forked child inherits the cached pool but not its threads
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_gather_pool.cache_clear)
 
 
 class CoordinateError(ValueError):
@@ -153,16 +184,34 @@ class IndexMap:
         return bool(seen.all())
 
     def apply(self, x: SequenceTensor) -> SequenceTensor:
-        """Gather x through the map; channel vectors are copied verbatim."""
+        """Gather x through the map; channel vectors are copied verbatim.
+
+        An output of at least `SPLIT_BYTES` is gathered as one contiguous run
+        of output rows per core: the calling thread takes the first run and
+        pool threads the rest, and apply waits for every run. `np.take`
+        releases the GIL, and each run reads the frozen input and writes
+        only its own rows, so the bytes equal those of one `np.take`.
+        """
         if (x.batch, x.seq) != (self.in_batch, self.in_seq):
             raise ShapeError(
                 f"map expects input ({self.in_batch}, {self.in_seq}), got ({x.batch}, {x.seq})"
             )
         out = np.empty((self.out_batch, self.out_seq, x.chan), dtype=x.data.dtype)
+        flat, src, dst = (x.data.reshape(self.total, x.chan), self.src.reshape(-1),
+                          out.reshape(self.total, x.chan))
         # mode="clip" skips numpy's per-index bounds check; it cannot hide a
-        # bad address, because __post_init__ range-checks src and freezes it
-        np.take(x.data.reshape(self.total, x.chan), self.src.reshape(-1), axis=0, mode="clip",
-                out=out.reshape(self.total, x.chan))
+        # bad address, because __post_init__ range-checks src and freezes it.
+        # Pool threads run numpy only: no osp call, so no traced span
+        runs, n = [], min(_CORES, self.total)
+        if n > 1 and out.nbytes >= SPLIT_BYTES:
+            cuts = [self.total * i // n for i in range(n + 1)]
+            runs = [_gather_pool().submit(np.take, flat, src[a:b], axis=0, mode="clip",
+                                          out=dst[a:b])
+                    for a, b in zip(cuts[1:-1], cuts[2:])]
+            src, dst = src[:cuts[1]], dst[:cuts[1]]
+        np.take(flat, src, axis=0, mode="clip", out=dst)
+        for run in runs:
+            run.result()
         return SequenceTensor(out)
 
     def compose(self, inner: "IndexMap") -> "IndexMap":

@@ -16,8 +16,10 @@ collective:
 
 All three steps are named-axis permutations, so they compose into one
 gather: a switch runs as one read of the whole rank-major group and one
-write of its switched rows, and the sender-major buffer is never
-materialised. The same plan converts token-wise to group-wise and back.
+write of its switched rows, which `IndexMap.apply` writes in one
+contiguous run per core when they reach `gridseq.SPLIT_BYTES`, and the
+sender-major buffer is never materialised. The same plan converts
+token-wise to group-wise and back.
 It depends only on the grid, N and the local batch, so it is composed
 once per process and kept for the life of the process.
 Building a plan is also where a switch's preconditions are checked

@@ -629,3 +629,18 @@ def test_report_all_leaves_numpy_ma_unimported():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_report_all_starts_no_thread_and_leaves_concurrent_futures_unimported(tmp_path):
+    # every gather of report-all is under gridseq.SPLIT_BYTES; the split
+    # pool's import (concurrent.futures pulls in logging) and its threads
+    # would add to every cold run's set-up time and peak RSS
+    argv = ["report-all", "--seed", "7", "--out", str(tmp_path / "r.json")]
+    script = ("import sys, threading\nimport osp.cli\n"
+              f"code = osp.cli.main({argv!r})\n"
+              "print(code, threading.active_count(), 'concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1 False"

@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osp.gridseq import (OSPT_MAGIC, CoordinateError, GridShape, IndexMap, SequenceTensor,
-                         ShapeError, random_tensor, read_ospt, rearrange_map, write_ospt)
+import osp
+from osp import gridseq
+from osp.gridseq import (OSPT_MAGIC, SPLIT_BYTES, CoordinateError, GridShape, IndexMap,
+                         SequenceTensor, ShapeError, random_tensor, read_ospt, rearrange_map,
+                         write_ospt)
 
 
 @pytest.mark.parametrize("grid,coord,expected", [
@@ -126,6 +134,71 @@ def test_apply_gathers_like_fancy_indexing_with_repeated_addresses(codes):
     assert out.data.dtype == x.data.dtype
     assert np.array_equal(out.data, x.data.reshape(-1, 2)[src.ravel()].reshape(4, 3, 2))
     assert not out.data.flags.writeable
+
+
+# (output rows, bytes per row): AT rows of 512 bytes fill SPLIT_BYTES exactly, and
+# AT, a power of two, and AT + 1 rows leave a remainder for 3 and 2 cores
+AT = SPLIT_BYTES // 512
+
+
+@pytest.mark.parametrize("rows,row_bytes", [
+    (AT - 1, 512), (AT, 512), (AT + 1, 512), (2, SPLIT_BYTES),
+], ids=["one-row-below", "at-threshold", "one-row-above", "fewer-rows-than-cores"])
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_split_gather_equals_one_take(monkeypatch, rows, row_bytes, dtype, cores):
+    rng = np.random.Generator(np.random.PCG64(rows))
+    chan = row_bytes // np.dtype(dtype).itemsize
+    data = rng.integers(0, 256, size=(1, rows, chan), dtype=np.uint8).astype(dtype)
+    src = rng.integers(0, rows, size=(1, rows))
+    src[0, -1] = src[0, 0]  # at least one address is read twice
+    x, m = SequenceTensor(data), IndexMap(1, rows, src)
+    before = x.data.copy()
+    expected = np.take(x.data.reshape(rows, chan), src.reshape(-1), axis=0)
+    take, runs = np.take, []
+
+    def counted_take(a, indices, *args, **kwargs):
+        runs.append(len(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(gridseq, "_CORES", cores)
+    monkeypatch.setattr(np, "take", counted_take)
+    out = m.apply(x)
+    monkeypatch.undo()
+    n = min(cores, rows) if rows * row_bytes >= SPLIT_BYTES else 1
+    assert len(runs) == n and sum(runs) == rows and max(runs) - min(runs) <= 1
+    assert out.data.dtype == dtype and out.data.tobytes() == expected.tobytes()
+    assert not out.data.flags.writeable
+    assert x.data.tobytes() == before.tobytes()
+
+
+def test_split_gather_runs_in_a_forked_child():
+    # the child inherits the parent's pool object without its threads, so
+    # a split gather there must make a new pool instead of waiting forever
+    script = """if True:
+        import os, sys, time
+        import numpy as np
+        from osp import gridseq
+        gridseq._CORES = 2
+        m = gridseq.IndexMap.identity(1, 2 ** 14)
+        x = gridseq.SequenceTensor(np.ones((1, 2 ** 14, 64)))
+        m.apply(x)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if (m.apply(x).data == 1).all() else 3)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                sys.exit(os.waitstatus_to_exitcode(status))
+            time.sleep(0.01)
+        os.kill(pid, 9)
+        sys.exit("the forked child's split gather did not finish in 60 s")
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_apply_shape_mismatch():
