@@ -13,6 +13,17 @@ the same `np.take` over a disjoint slice of the rows, so the result is
 bitwise identical to one call, whatever the dtype or the core count.
 Smaller gathers run as one call and start no thread.
 
+An output of at least `SPLIT_BYTES` is a read-only view of a writable
+byte buffer that the module keeps and hands out again, so a switch that
+gathers the same size again and again does not make the kernel fault in
+and zero fresh pages each time. A kept buffer of the output's byte size
+is reused only when no live array views it: numpy points every view,
+reshape and sub-view of an output straight at that buffer (`.base`), so
+any of them keeps it busy. When no kept buffer is free and of that size,
+every unviewed one is dropped first and a new one is kept, so a free
+buffer never stays beside a new one. Kept buffers live as long as the
+process unless such a miss drops them. Smaller outputs are fresh arrays.
+
 A (t, h, w) grid flattens row-major: t outermost, then h, then w.
 
 Seeded random fills use numpy's PCG64 generator (a named, documented
@@ -25,6 +36,8 @@ import functools
 import math
 import os
 import struct
+import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -53,9 +66,50 @@ def _gather_pool():
     return ThreadPoolExecutor(_CORES - 1, thread_name_prefix="osp-gather")
 
 
-# a forked child inherits the cached pool but not its threads
+def _take_run(arrays: list) -> None:
+    """One run of a split gather on a pool thread. It empties `arrays`
+    first: the pool's work item outlives the run's future by a few
+    bytecodes, and a view of the output left in it would keep a kept
+    buffer busy after apply returns."""
+    flat, src, dst = arrays
+    arrays.clear()
+    np.take(flat, src, axis=0, mode="clip", out=dst)
+
+
+# writable uint8 buffers behind apply's outputs of at least SPLIT_BYTES
+_kept: list[np.ndarray] = []
+_kept_lock = threading.Lock()
+
+
+def _kept_output(shape: tuple[int, int, int], dtype: np.dtype) -> np.ndarray:
+    """A writable array of `shape` and `dtype` over a kept buffer of its
+    byte size that no live array views, or over a new kept buffer after
+    every unviewed one is dropped."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    with _kept_lock:
+        # an unviewed buffer's only references are the list's and the
+        # argument's; the view made under the lock claims the buffer
+        free = [i for i in range(len(_kept)) if sys.getrefcount(_kept[i]) == 2]
+        for i in free:
+            if _kept[i].nbytes == nbytes:
+                return _kept[i].view(dtype).reshape(shape)
+        for i in reversed(free):
+            del _kept[i]
+        _kept.append(np.empty(nbytes, dtype=np.uint8))
+        return _kept[-1].view(dtype).reshape(shape)
+
+
+def _reset_in_child() -> None:
+    # a forked child inherits the cached pool but not its threads, and the
+    # list's lock in whatever state another thread left it
+    global _kept_lock
+    _gather_pool.cache_clear()
+    _kept_lock = threading.Lock()
+    _kept.clear()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_gather_pool.cache_clear)
+    os.register_at_fork(after_in_child=_reset_in_child)
 
 
 class CoordinateError(ValueError):
@@ -191,22 +245,30 @@ class IndexMap:
         pool threads the rest, and apply waits for every run. `np.take`
         releases the GIL, and each run reads the frozen input and writes
         only its own rows, so the bytes equal those of one `np.take`.
+
+        Such an output views a kept buffer of its byte size that no live
+        array views. If none is free, apply drops every unviewed kept
+        buffer and keeps a new one, which lives as long as the process
+        unless a later miss drops it. So an output never shares memory
+        with an array that is still alive.
         """
         if (x.batch, x.seq) != (self.in_batch, self.in_seq):
             raise ShapeError(
                 f"map expects input ({self.in_batch}, {self.in_seq}), got ({x.batch}, {x.seq})"
             )
-        out = np.empty((self.out_batch, self.out_seq, x.chan), dtype=x.data.dtype)
+        shape, dtype = (self.out_batch, self.out_seq, x.chan), x.data.dtype
+        large = math.prod(shape) * dtype.itemsize >= SPLIT_BYTES
+        out = _kept_output(shape, dtype) if large else np.empty(shape, dtype=dtype)
         flat, src, dst = (x.data.reshape(self.total, x.chan), self.src.reshape(-1),
                           out.reshape(self.total, x.chan))
         # mode="clip" skips numpy's per-index bounds check; it cannot hide a
         # bad address, because __post_init__ range-checks src and freezes it.
-        # Pool threads run numpy only: no osp call, so no traced span
+        # Pool threads run _take_run, which calls numpy only: no public osp
+        # call, so no traced span
         runs, n = [], min(_CORES, self.total)
-        if n > 1 and out.nbytes >= SPLIT_BYTES:
+        if n > 1 and large:
             cuts = [self.total * i // n for i in range(n + 1)]
-            runs = [_gather_pool().submit(np.take, flat, src[a:b], axis=0, mode="clip",
-                                          out=dst[a:b])
+            runs = [_gather_pool().submit(_take_run, [flat, src[a:b], dst[a:b]])
                     for a, b in zip(cuts[1:-1], cuts[2:])]
             src, dst = src[:cuts[1]], dst[:cuts[1]]
         np.take(flat, src, axis=0, mode="clip", out=dst)

@@ -16,9 +16,13 @@ collective:
 
 All three steps are named-axis permutations, so they compose into one
 gather: a switch runs as one read of the whole rank-major group and one
-write of its switched rows, which `IndexMap.apply` writes in one
-contiguous run per core when they reach `gridseq.SPLIT_BYTES`, and the
-sender-major buffer is never materialised. The same plan converts
+write of its switched rows, and the sender-major buffer is never
+materialised. Once the rows reach `gridseq.SPLIT_BYTES`, `IndexMap.apply`
+writes them in one contiguous run per core, into a kept buffer of their
+byte size that no live array views. On a miss every unviewed kept buffer
+is dropped before a new one is kept, and kept buffers live as long as
+the process. So same-size switches allocate nothing once there are as
+many kept buffers as live outputs. The same plan converts
 token-wise to group-wise and back.
 It depends only on the grid, N and the local batch, so it is composed
 once per process and kept for the life of the process.

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -172,20 +174,12 @@ def test_split_gather_equals_one_take(monkeypatch, rows, row_bytes, dtype, cores
     assert x.data.tobytes() == before.tobytes()
 
 
-def test_split_gather_runs_in_a_forked_child():
-    # the child inherits the parent's pool object without its threads, so
-    # a split gather there must make a new pool instead of waiting forever
-    script = """if True:
-        import os, sys, time
-        import numpy as np
-        from osp import gridseq
-        gridseq._CORES = 2
-        m = gridseq.IndexMap.identity(1, 2 ** 14)
-        x = gridseq.SequenceTensor(np.ones((1, 2 ** 14, 64)))
-        m.apply(x)
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if (m.apply(x).data == 1).all() else 3)
+def _forked_child_finishes(fork: str) -> None:
+    """Run `fork` in a fresh interpreter that has imported os, numpy as np
+    and osp.gridseq. It forks, leaving the child's pid in `pid`, and the
+    child must exit 0 within 60 s; the parent kills it after that."""
+    script = "import os, sys, time\nimport numpy as np\nfrom osp import gridseq\n" + \
+        textwrap.dedent(fork) + textwrap.dedent("""
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             done, status = os.waitpid(pid, os.WNOHANG)
@@ -193,12 +187,170 @@ def test_split_gather_runs_in_a_forked_child():
                 sys.exit(os.waitstatus_to_exitcode(status))
             time.sleep(0.01)
         os.kill(pid, 9)
-        sys.exit("the forked child's split gather did not finish in 60 s")
-    """
+        sys.exit("the forked child did not finish in 60 s")
+        """)
     env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_split_gather_runs_in_a_forked_child():
+    # the child inherits the parent's pool object without its threads, so
+    # a split gather there must make a new pool instead of waiting forever
+    _forked_child_finishes("""
+        gridseq._CORES = 2
+        m = gridseq.IndexMap.identity(1, 2 ** 14)
+        x = gridseq.SequenceTensor(np.ones((1, 2 ** 14, 64)))
+        m.apply(x)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if (m.apply(x).data == 1).all() else 3)
+        """)
+
+
+@pytest.fixture
+def kept(monkeypatch):
+    """An empty list of kept output buffers, for this test alone."""
+    monkeypatch.setattr(gridseq, "_kept", [])
+    return gridseq._kept
+
+
+def _large_gather(dtype, seed, rows=AT):
+    """A random permutation map and an input whose output fills `rows` rows
+    of 512 bytes: SPLIT_BYTES exactly at the default, so a kept buffer."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chan = 512 // np.dtype(dtype).itemsize
+    data = rng.integers(0, 256, size=(1, rows, chan), dtype=np.uint8).astype(dtype)
+    return IndexMap(1, rows, rng.permutation(rows).reshape(1, rows)), SequenceTensor(data)
+
+
+# what of a first output stays alive while a second large apply runs
+HOLDERS = {
+    "output": lambda out: out.data,
+    "sub-view": lambda out: out.data[0, 5:9, 1:],
+    "reshape": lambda out: out.data.reshape(-1),
+    "base": lambda out: out.data.base,
+    "memoryview": lambda out: memoryview(out.data),
+}
+
+
+@pytest.mark.parametrize("holder", HOLDERS)
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+def test_reuse_leaves_a_buffer_that_any_live_view_holds(kept, holder, dtype):
+    m, x = _large_gather(dtype, seed=1)
+    first = m.apply(x)
+    held = HOLDERS[holder](first)
+    want = np.array(held, copy=True)
+    del first
+    y = SequenceTensor(x.data ^ 0x5A if dtype == np.uint8 else -x.data)
+    second = m.apply(y)
+    assert not np.shares_memory(second.data, np.asarray(held))
+    assert np.asarray(held).tobytes() == want.tobytes()
+    assert second.data.tobytes() == np.take(y.data, m.src.reshape(-1), axis=1).tobytes()
+    assert not second.data.flags.writeable
+    assert len(kept) == 2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+def test_reuse_takes_the_same_address_once_every_view_is_gone(kept, dtype):
+    m, x = _large_gather(dtype, seed=2)
+    first = m.apply(x)
+    address, view = first.data.ctypes.data, first.data.reshape(-1)[3:]
+    del first
+    second = m.apply(x)
+    assert second.data.ctypes.data != address
+    del view, second
+    third = m.apply(x)
+    assert third.data.ctypes.data == address
+    assert third.data.tobytes() == np.take(x.data, m.src.reshape(-1), axis=1).tobytes()
+    assert not third.data.flags.writeable
+    # the miss that made the second buffer dropped nothing: the first was busy
+    assert len(kept) == 2
+
+
+def test_reuse_miss_drops_every_unviewed_buffer_first(kept):
+    m, x = _large_gather(np.float64, seed=3)
+    busy = m.apply(x)
+    m.apply(x)  # a second buffer, unviewed once the output is dropped
+    assert len(kept) == 2
+    bigger, x2 = _large_gather(np.float64, seed=4, rows=AT + 1)
+    out = bigger.apply(x2)
+    assert len(kept) == 2 and np.shares_memory(kept[0], busy.data)
+    assert np.shares_memory(kept[1], out.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+def test_reuse_never_takes_an_output_below_split_bytes(kept, dtype):
+    m, x = _large_gather(dtype, seed=5, rows=AT - 1)
+    for _ in range(2):
+        out = m.apply(x)
+        assert out.data.flags.owndata and not out.data.flags.writeable
+    assert kept == []
+
+
+def test_reuse_gives_threads_that_gather_at_once_disjoint_buffers(kept):
+    # more threads than the reference host's 2 cores, switching often, each
+    # holding its last two outputs while the others take and drop buffers
+    maps = [_large_gather(dtype, seed=10 + i) for i, dtype in
+            enumerate([np.float64, np.uint8, np.float64, np.uint8])]
+    wants = [np.take(x.data, m.src.reshape(-1), axis=1).tobytes() for m, x in maps]
+    held = [[] for _ in maps]
+    errors = []
+
+    def work(i):
+        m, x = maps[i]
+        for _ in range(24):
+            out = m.apply(x)
+            if out.data.tobytes() != wants[i]:
+                errors.append(f"thread {i}: wrong bytes")
+            held[i] = [*held[i][-1:], out]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(maps))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    outs = [(i, out) for i, pair in enumerate(held) for out in pair]
+    assert len(outs) == 2 * len(maps)
+    for a, (i, out) in enumerate(outs):
+        assert out.data.tobytes() == wants[i]
+        assert not any(np.shares_memory(out.data, other.data) for _, other in outs[a + 1:])
+
+
+def test_reuse_waits_for_the_list_lock(kept):
+    # the stress test above catches an unguarded list only now and then
+    m, x = _large_gather(np.uint8, seed=20)
+    done = threading.Event()
+    worker = threading.Thread(target=lambda: (m.apply(x), done.set()))
+    with gridseq._kept_lock:
+        worker.start()
+        assert not done.wait(0.2)
+    worker.join(timeout=60)
+    assert not worker.is_alive() and done.is_set()
+
+
+def test_reuse_runs_in_a_child_forked_while_the_list_is_locked():
+    # the child inherits the lock held, as it would from a thread that held
+    # it at the fork, so a gather there must take a new lock instead of
+    # waiting forever
+    _forked_child_finishes("""
+        m = gridseq.IndexMap.identity(1, 2 ** 13)
+        x = gridseq.SequenceTensor(np.ones((1, 2 ** 13, 64)))
+        m.apply(x)
+        with gridseq._kept_lock:
+            pid = os.fork()
+            if pid == 0:
+                address = m.apply(x).data.ctypes.data
+                out = m.apply(x)
+                os._exit(0 if (out.data == 1).all() and out.data.ctypes.data == address else 3)
+        """)
 
 
 def test_apply_shape_mismatch():

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -97,7 +98,8 @@ def test_all_to_all_fills_one_buffer_equal_to_concatenation(n, dtype):
 
 
 def test_switch_allocates_only_its_output():
-    # one gather from the group into the output: no sender-major buffer
+    # one gather from the group into the output: no sender-major buffer, and
+    # the output takes the dropped warm-up output's buffer
     g = GridShape(1, 64, 64, 2)
     group = shard_pattern_layout(_tsa_layout(g, chan=128, seed=15), 4)
     assert group.tensor.data.nbytes >= 4 * 2 ** 20
@@ -108,8 +110,54 @@ def test_switch_allocates_only_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= switched.tensor.data.nbytes + 64 * 2 ** 10
+    assert peak <= 64 * 2 ** 10
+    assert np.array_equal(switched.tensor.data, tsa_to_gsa(g).apply(group.tensor).data)
     assert [e.payload_per_rank for e in group.log.events] == [group.local_elements] * 2
+
+
+def test_switch_beside_a_live_output_allocates_only_its_output():
+    g = GridShape(1, 64, 64, 2)
+    group = shard_pattern_layout(_tsa_layout(g, chan=128, seed=15), 4)
+    warm = ssp_pattern_switch(group, g)  # kept alive, so its buffer stays busy
+    tracemalloc.start()
+    try:
+        switched = ssp_pattern_switch(group, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= switched.tensor.data.nbytes + 64 * 2 ** 10
+    assert not np.shares_memory(warm.tensor.data, switched.tensor.data)
+    assert np.array_equal(warm.tensor.data, switched.tensor.data)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_switch_reuse_adds_no_page_faults():
+    # 16 MiB round trips at N = 4 and 16, all four outputs alive at once as
+    # in a layer pair; a fresh 16 MiB output costs about 500 faults
+    import resource
+
+    g = GridShape(4, 128, 128, 4)
+    x = _tsa_layout(g, chan=32, seed=16)
+    assert x.data.nbytes == 16 * 2 ** 20
+
+    def round_trips():
+        outs = []
+        for n in (4, 16):
+            gsa = ssp_pattern_switch(shard_pattern_layout(x, n), g)
+            outs += [gsa, ssp_pattern_switch(gsa, g)]
+        return outs
+
+    for _ in range(2):  # warm-up: plans, gather pool and kept buffers
+        round_trips()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        round_trips()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 40, f"{faults} minor faults in 40 switches"
+    outs = round_trips()
+    assert np.array_equal(outs[1].tensor.data, x.data) and np.array_equal(outs[3].tensor.data, x.data)
+    assert np.array_equal(outs[0].tensor.data, tsa_to_gsa(g).apply(x).data)
 
 
 def test_all_to_all_unequal_chunk_error():
