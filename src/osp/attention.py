@@ -2,20 +2,20 @@
 sparse execution path and its dense oracle.
 
 Attention goes by membership, as the paper defines skip-sparse attention:
-plain dense self-attention inside each subsequence, with no mask.
-`dense_attention` takes one integer label per token, splits each batch
-item by label, stacks groups of equal size, and runs every group as plain
-attention over its own gathered members; a token with a negative label (a
-pad token) is in no group and outputs zeros. It computes
-`q/√C @ kᵀ` and `weights @ v` with BLAS matmuls and runs the softmax in
-place on the scores it owns without normalising them: it divides the
-(rows × C) output by each row's weight sum instead, as FlashAttention
-does. It holds at most `SCORE_TILE_BYTES` of float64 scores at a time, in
-one buffer per call. Each stack runs in blocks of whole groups; as in
-FlashAttention's loop order, a block's keys and values are gathered once
-and its query rows walked against them in tiles, each tile's q rows
-gathered and scaled. Every row sees all its keys in its tile, so no
-rescaling crosses tiles.
+plain dense self-attention inside each subsequence, with no mask. As in
+FlashAttention-2's variable-length form, each batch row of
+`dense_attention` holds one group, real tokens first, and its length is
+the row's real-token count; the tokens past it are pad tokens, which attend
+nothing and output zeros. Each run of rows that share one length n is read
+in place as the views q/k/v[a:b, :n], so nothing is sorted or gathered. The
+kernel computes `q/√C @ kᵀ` and `weights @ v` with BLAS matmuls and runs
+the softmax in place on the scores it owns without normalising them: it
+divides the (rows × C) output by each row's weight sum instead, as
+FlashAttention does. It holds at most `SCORE_TILE_BYTES` of float64 scores
+at a time, in one buffer per call. Each run goes in blocks of whole rows,
+whose query rows are walked against all of the block's keys in tiles, each
+tile's q rows copied and scaled. Every row sees all its keys in its tile,
+so no rescaling crosses tiles.
 
 The softmax takes one of two routes per call. By Cauchy–Schwarz every
 score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
@@ -23,14 +23,15 @@ most `SCORE_BOUND` (and the weighted sum of v cannot overflow), the scores
 are exponentiated as they are, with no row max and no shift. Any other call
 (large-norm or non-finite inputs) runs the max-shifted softmax.
 
-Both routes over a grid run on `pg` or by default `pad_grid(g)` and label
-pad tokens -1. The kernel reads no row of a negative-labelled token, not
-even for the bound, so no pad content, not even inf or NaN, reaches a
-score, a value or the route, and pad rows come out zero. The sparse path
-gathers x once into the pattern layout and labels its pad tokens from
-`anyres.subsequence_mask`. The oracle is one kernel call on the original
-layout labelled by subsequence id, so it scores only the pairs within a
-subsequence and no S×S array exists; both routes then run the same groups.
+Both routes over a grid run on `pg` or by default `pad_grid(g)`. The kernel
+reads no row of a pad token, not even for the bound, so no pad content, not
+even inf or NaN, reaches a score, a value or the route, and pad rows come
+out zero. The sparse path gathers x once into the pattern layout, each
+subsequence's real tokens first; that map, its inverse and the rows'
+lengths are built once per (grid, pattern, batch, mask) and memoized. The
+oracle lays out the same rows itself from the original layout and the
+subsequence ids, by one stable sort, so it scores only the pairs within a
+subsequence and no S×S array exists; both routes then run the same rows.
 Query/key/value come from three fixed seeded random projections of the
 same input, which is all an equivalence check needs, drawn once per
 (width, `PROJECTION_SEED`) pair per process and read-only.
@@ -45,14 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anyres import PaddedGrid, pad_grid, subsequence_mask
-from .gridseq import GridShape, SequenceTensor, ShapeError
-from .skiparse import SparsePattern, assignment_of, layout_map, pattern_map
+from .anyres import PaddedGrid, pad_grid
+from .gridseq import GridShape, IndexMap, SequenceTensor, ShapeError
+from .skiparse import SparsePattern, assignment_of, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
 # the most float64 scores one dense_attention tile may hold: 256 query rows
-# against 4096 keys; the tile's scaled q rows and its block's keys and
-# values (one of the two in a one-tile block) are held beside it
+# against 4096 keys; the tile's scaled q rows are held beside it
 SCORE_TILE_BYTES = 8 * 2 ** 20
 # the largest score bound B for which the softmax skips its row max: every
 # weight exp(s), |s| <= B, lies in [e^-64, e^64] ~ [1.6e-28, 6.2e27], far
@@ -80,8 +80,8 @@ def _projections(chan: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def project_qkv(x: SequenceTensor) -> tuple[SequenceTensor, SequenceTensor, SequenceTensor]:
     """q, k and v of x, row by row. A pad row of inf or NaN projects to inf
-    or NaN in that row alone, which dense_attention never reads under a
-    negative label, so its floating-point warnings are silenced."""
+    or NaN in that row alone, which dense_attention never reads past a
+    row's length, so its floating-point warnings are silenced."""
     wq, wk, wv = qkv_projections(x.chan)
     with np.errstate(invalid="ignore", over="ignore"):
         return tuple(SequenceTensor(x.data @ w) for w in (wq, wk, wv))
@@ -119,77 +119,41 @@ def _tile_shape(batch: int, size: int) -> tuple[int, int]:
     return 1, rows_fit
 
 
-def _partition(labels: np.ndarray) -> list[np.ndarray]:
-    """Each item's tokens split by the (batch, seq) labels: for every
-    non-negative label of an item, the flat (item * seq + position) rows of
-    its tokens, ascending, stacked with every other such group of the same
-    size into one (groups, size) array. Tokens with a negative label are in
-    none."""
-    batch, seq = labels.shape
-    rows = labels.argsort(axis=1, kind="stable")
-    rows += np.arange(0, batch * seq, seq)[:, None]
-    ranked = labels.ravel()[rows]
-    # a group starts at each item's first token and wherever the label changes
-    starts = np.ones((batch, seq), dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
-    starts = starts.ravel().nonzero()[0].tolist()
-    rows, ranked = rows.ravel(), ranked.ravel()
-    stacks = {}
-    for a, b, label in zip(starts, [*starts[1:], batch * seq], ranked[starts].tolist()):
-        if label >= 0:
-            stacks.setdefault(b - a, []).append(rows[a:b])
-    return [np.array(groups) for groups in stacks.values()]
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
-            rows: np.ndarray, tile: int, root_c: float, buf: np.ndarray,
-            shift: bool) -> None:
-    """out[rows] = softmax(q[rows]/√C · k[rows]ᵀ) v[rows] for one block of
-    stacked groups, (items, size) flat rows of the (n, C) arrays, walking
-    `tile` query rows at a time with the scores in the front of buf. The
-    block's keys are gathered once and its values after the first tile's
-    scores, and the keys are dropped after the last tile's, so a one-tile
-    block holds only one of them at a time; all are freed on return,
-    before the next block gathers."""
-    keys, values = k[rows], None
-    size = rows.shape[1]
-    for r in range(0, size, tile):
-        tile_rows = rows[:, r:r + tile]
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray, tile: int,
+            root_c: float, buf: np.ndarray, shift: bool) -> None:
+    """out = softmax(q/√C · kᵀ) v for one block of rows, (items, n, C)
+    views of their length-n prefixes, walking `tile` query rows at a time
+    with the scores in the front of buf."""
+    keys = k.transpose(0, 2, 1)
+    for r in range(0, k.shape[1], tile):
         # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-        q_tile = q[tile_rows]
-        q_tile /= root_c
-        shape = (*tile_rows.shape, size)
+        q_tile = q[:, r:r + tile] / root_c
+        shape = (*q_tile.shape[:2], k.shape[1])
         scores = buf[:math.prod(shape)].reshape(shape)
-        np.matmul(q_tile, keys.transpose(0, 2, 1), out=scores)
-        if r + tile >= size:
-            del keys
-        if values is None:
-            values = v[rows]
+        np.matmul(q_tile, keys, out=scores)
         weights, denom = _softmax_rows(scores, shift)
-        np.matmul(weights, values, out=q_tile)
-        q_tile /= denom
-        out[tile_rows] = q_tile
+        rows = out[:, r:r + tile]
+        np.matmul(weights, v, out=rows)
+        rows /= denom
 
 
 def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
-                    labels: np.ndarray | int = 0) -> SequenceTensor:
-    """Scaled dot-product self-attention per batch item and label:
-    softmax(q kᵀ / √C) v over only the tokens that share a token's label,
-    computed as (exp(q/√C · kᵀ - shift) @ v) / row sum.
+                    lengths: np.ndarray | None = None) -> SequenceTensor:
+    """Scaled dot-product self-attention within each row's real prefix:
+    softmax(q kᵀ / √C) v over row b's first lengths[b] tokens, computed as
+    (exp(q/√C · kᵀ - shift) @ v) / row sum.
 
-    labels are integers that broadcast to (batch, seq); by default all are
-    0. Tokens i and j of one item attend each other exactly when their
-    labels are equal and non-negative. A token with a negative label is a
-    pad token: it attends nothing, is attended by nothing and outputs
-    zeros. No mask is built: each item is split by label, groups of equal
-    size are stacked, and every group runs as plain attention over its own
-    gathered members.
+    lengths holds one integer in 0..seq per batch row; None means every
+    token is real. A token past its row's length is a pad token: it
+    attends nothing, is attended by nothing and outputs zeros. No mask is
+    built and nothing is gathered: each run of consecutive rows that share
+    one length n is read as the views q/k/v[a:b, :n].
 
     The shift is 0 when the Cauchy–Schwarz bound on the scores,
     B = max ‖q_i‖/√C · max ‖k_j‖, is at most SCORE_BOUND and
     seq · e^B · max ‖v_j‖, which bounds every entry of the weighted sum,
     stays below float64's maximum; it is each row's max otherwise. All
-    three maxima skip negative-labelled rows, whatever those rows hold.
+    three maxima skip pad tokens, whatever those rows hold.
 
     q, k and v must share one shape; an empty one gives an empty output.
     The scores live in one buffer, sized to the largest tile that fits
@@ -198,30 +162,35 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     if not q.data.shape == k.data.shape == v.data.shape:
         raise ShapeError(f"q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
                          f"must share one shape")
-    try:
-        labels = np.broadcast_to(labels, (q.batch, q.seq))
-    except ValueError:
-        raise ShapeError(f"labels of shape {np.shape(labels)} do not broadcast to "
-                         f"{(q.batch, q.seq)}") from None
+    if lengths is None:
+        lengths = np.full(q.batch, q.seq)
+    lengths = np.asarray(lengths)
+    if lengths.shape != (q.batch,) or lengths.dtype.kind not in "iu":
+        raise ShapeError(f"lengths of shape {lengths.shape} and dtype {lengths.dtype} are not "
+                         f"{q.batch} integers, one per batch row")
+    if lengths.size and not 0 <= lengths.min() <= lengths.max() <= q.seq:
+        raise ShapeError(f"lengths must lie in 0..{q.seq}, got {lengths.min()}..{lengths.max()}")
     out = np.zeros(q.data.shape)
     if out.size == 0:  # no items, tokens or channels: no tile to walk
         return SequenceTensor(out)
-    keep = labels >= 0
+    keep = np.arange(q.seq) < lengths[:, None]
     root_c = np.sqrt(q.chan)
     bound = _max_row_norm(q.data, keep) / root_c * _max_row_norm(k.data, keep)
     # False for inf or NaN bounds too; exp(bound) runs only when it is finite
     shift = not (bound <= SCORE_BOUND and q.seq * math.exp(bound) * _max_row_norm(v.data, keep)
                  < sys.float_info.max)
-    # every block as (rows, query rows per tile)
+    # every run of rows that share a non-zero length n, in blocks of whole
+    # rows, as (rows, n, query rows per tile)
+    starts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), q.batch]
     blocks, size = [], 0
-    for rows in _partition(labels):
-        items, tile = _tile_shape(*rows.shape)
-        size = max(size, items * tile * rows.shape[1])
-        blocks += [(rows[g:g + items], tile) for g in range(0, len(rows), items)]
+    for a, b, n in zip(starts, starts[1:], lengths[starts[:-1]].tolist()):
+        if n:
+            items, tile = _tile_shape(b - a, n)
+            size = max(size, items * tile * n)
+            blocks += [(slice(g, min(g + items, b)), n, tile) for g in range(a, b, items)]
     buf = np.empty(size)
-    flat = tuple(a.reshape(-1, q.chan) for a in (q.data, k.data, v.data, out))
-    for block in blocks:
-        _attend(*flat, *block, root_c, buf, shift)
+    for rows, n, tile in blocks:
+        _attend(*(a[rows, :n] for a in (q.data, k.data, v.data, out)), tile, root_c, buf, shift)
     return SequenceTensor(out)
 
 
@@ -238,38 +207,56 @@ def _attention_grid(x: SequenceTensor, g: GridShape, pg: PaddedGrid | None) -> P
     return pg
 
 
+@functools.cache
+def _layout_rows(g: GridShape, pattern: SparsePattern, batch: int,
+                 mask: bytes) -> tuple[IndexMap, IndexMap, np.ndarray]:
+    """The pattern map of `batch` items on the padded grid g, with each
+    layout row's real tokens (by the flat validity `mask`) moved ahead of
+    its pad tokens, both in their layout order; its inverse; and each row's
+    real count. Built once per (grid, pattern, batch, mask) and read-only."""
+    fwd = pattern_map(g, pattern, batch)
+    real = np.frombuffer(mask, dtype=bool)[fwd.src % g.seq_len]
+    order = np.argsort(~real, axis=1, kind="stable")
+    order += np.arange(0, fwd.total, fwd.out_seq)[:, None]
+    fwd = IndexMap(fwd.out_batch, fwd.out_seq, order).compose(fwd)
+    lengths = real.sum(axis=1)
+    lengths.flags.writeable = False
+    return fwd, fwd.invert(), lengths
+
+
 def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
-    """Sparse attention: gather x once into the pattern layout, project it
-    there (projection is per token, so it commutes with the gather), run
-    dense attention per subsequence and gather back. ORIGINAL is full
-    attention. x lives on the padded grid of `pg` (default pad_grid(g));
-    pad tokens are labelled -1, so whatever their rows hold they are left
-    out of every softmax and come back zero.
+    """Sparse attention: gather x once into the pattern layout, each
+    subsequence's real tokens first, project it there (projection is per
+    token, so it commutes with the gather), run dense attention on each
+    row's real prefix and gather back. ORIGINAL is full attention. x lives
+    on the padded grid of `pg` (default pad_grid(g)); whatever the pad rows
+    hold, they are left out of every softmax and come back zero.
     """
     pg = _attention_grid(x, g, pg)
-    fwd = pattern_map(pg.padded, pattern, batch=x.batch)
-    # layout rows nest the batch item innermost, so each subsequence's row
-    # of validity repeats once per item
-    sub_valid = np.repeat(subsequence_mask(pg, pattern), x.batch, axis=0)
+    fwd, back, lengths = _layout_rows(pg.padded, pattern, x.batch, pg.mask.tobytes())
     q, k, v = project_qkv(fwd.apply(x))
-    out = dense_attention(q, k, v, np.where(sub_valid, 0, -1))
-    back = layout_map(pg.padded, pattern, SparsePattern.ORIGINAL, x.batch)
-    return back.apply(out)
+    return back.apply(dense_attention(q, k, v, lengths))
 
 
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
-    """Oracle: one dense_attention call over the original layout, u and v
-    interacting iff they share a subsequence and both are real in `pg`
-    (default pad_grid(g)); pad tokens are labelled -1, so the kernel reads
-    none of their rows. It runs each subsequence's real tokens as one
-    group, so it scores only the pairs within a subsequence and no S×S
-    array exists. Must match skiparse_attention to summation-order noise."""
+    """Oracle: u and v interact iff they share a subsequence and both are
+    real in `pg` (default pad_grid(g)). It lays out its own rows from the
+    original layout, one per (item, subsequence) with the real tokens
+    first, by a stable sort on (subsequence id, pad last), makes one
+    dense_attention call on their real prefixes and puts the tokens back,
+    so it scores only the pairs within a subsequence and no S×S array
+    exists. Must match skiparse_attention to summation-order noise."""
     pg = _attention_grid(x, g, pg)
-    q, k, v = project_qkv(x)
-    subseq = assignment_of(pg.padded, pattern).subseq
-    return dense_attention(q, k, v, np.where(pg.mask, subseq, -1))
+    a = assignment_of(pg.padded, pattern)
+    order = np.argsort(2 * a.subseq + ~pg.mask, kind="stable")
+    lengths = np.tile(pg.mask[order].reshape(a.num_subsequences, -1).sum(axis=1), x.batch)
+    q, k, v = project_qkv(SequenceTensor(x.data[:, order].reshape(-1, a.subseq_len, x.chan)))
+    rows = dense_attention(q, k, v, lengths).data.reshape(x.data.shape)
+    out = np.empty(x.data.shape)
+    out[:, order] = rows
+    return SequenceTensor(out)
 
 
 @dataclass(frozen=True)

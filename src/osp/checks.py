@@ -140,10 +140,11 @@ def local_equivalence_check(g: GridShape, seed: int) -> dict:
 
 def attention_check(g: GridShape, pattern: SparsePattern, seed: int, chan: int = 8) -> dict:
     """Sparse path versus the dense oracle on every token, padding first
-    when the grid is not a multiple of k^2. The oracle is one labelled
-    `dense_attention` call over the whole padded sequence, in which a real
-    token attends the real tokens of its own subsequence; its pad tokens,
-    labelled -1, attend nothing, so the sparse path's must come out zero."""
+    when the grid is not a multiple of k^2. The oracle is one
+    `dense_attention` call on rows it lays out itself, one per subsequence
+    with its real tokens first, in which a real token attends the real
+    tokens of its own subsequence; its pad tokens lie past each row's
+    length and attend nothing, so the sparse path's must come out zero."""
     pg = pad_grid(g)
     xp = pad_tensor(random_tensor(1, g.seq_len, chan, seed), pg)
     out = skiparse_attention(xp, g, pattern, pg)

@@ -6,11 +6,11 @@ import pytest
 
 from oracles import gsa_subseq, iter_coords, naive_attention, pattern_allow, tsa_subseq
 from osp import attention
-from osp.anyres import pad_grid, pad_tensor, subsequence_mask
+from osp.anyres import PaddedGrid, pad_grid, pad_tensor, subsequence_mask
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
                            skiparse_reference)
 from osp.checks import ATTN_TOLERANCE
-from osp.gridseq import GridShape, SequenceTensor, ShapeError, random_tensor
+from osp.gridseq import GridShape, IndexMap, SequenceTensor, ShapeError, random_tensor
 from osp.skiparse import SparsePattern, build_layer_schedule
 
 
@@ -38,12 +38,37 @@ def _naive_by_labels(q, k, v, labels):
                            for b in range(q.batch)])
 
 
-def _random_labels(seed, shape, pad=()):
-    """Random labels 0 or 1 of shape; the tokens in pad, positions on the
-    last axis, get label -1."""
-    labels = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, shape)
-    labels[..., list(pad)] = -1
-    return labels
+def _naive_by_lengths(q, k, v, lengths=None):
+    """naive_attention row by row, row b's first lengths[b] tokens
+    attending each other (all of them for None)."""
+    lengths = np.full(q.batch, q.seq) if lengths is None else lengths
+    real = np.arange(q.seq) < np.asarray(lengths)[:, None]
+    return np.concatenate([naive_attention(q.data[b:b + 1], k.data[b:b + 1], v.data[b:b + 1],
+                                           allow=real[b, :, None] & real[b, None, :])
+                           for b in range(q.batch)])
+
+
+def _label_rows(q, k, v, labels):
+    """dense_attention over label groups laid out as rows, as
+    skiparse_reference lays out subsequences: each item's tokens of one
+    non-negative label, ascending, fill the front of one row of seq tokens,
+    and the row's length is their count. The rest of the row repeats the
+    group's last token, which the kernel must neither read nor write.
+    Returns the output in the tokens' places, zero at negative labels."""
+    labels = np.broadcast_to(labels, q.data.shape[:2])
+    batch, seq = labels.shape
+    groups = [b * seq + np.flatnonzero(labels[b] == label)
+              for b in range(batch) for label in np.unique(labels[b][labels[b] >= 0])]
+    rows = np.array([np.pad(m, (0, seq - len(m)), mode="edge") for m in groups],
+                    dtype=int).reshape(-1, seq)
+    lengths = np.array([len(m) for m in groups], dtype=int)
+    flat = [SequenceTensor(a.data.reshape(batch * seq, -1)[rows]) for a in (q, k, v)]
+    got = dense_attention(*flat, lengths).data
+    assert (got[np.arange(seq) >= lengths[:, None]] == 0.0).all()
+    out = np.zeros((batch * seq, q.chan))
+    for m, row in zip(groups, got):
+        out[m] = row[:len(m)]
+    return out.reshape(q.data.shape)
 
 
 def test_single_key_returns_value():
@@ -70,12 +95,13 @@ def test_dense_matches_naive_double_loop(shape):
 
 def test_softmax_rows_sum_to_one_over_unmasked_keys():
     # with all-ones values the output is exactly the row weight sum
-    q, k, _ = _rand_qkv(1, 6, 4, seed=4)
-    ones = SequenceTensor(np.ones((1, 6, 4)))
-    labels = np.array([0, 0, -1, 0, -1, 0])
-    out = dense_attention(q, k, ones, labels).data
-    assert np.allclose(out[:, labels == 0], 1.0, atol=1e-12)
-    assert (out[:, labels < 0] == 0.0).all()
+    q, k, _ = _rand_qkv(2, 6, 4, seed=4)
+    ones = SequenceTensor(np.ones((2, 6, 4)))
+    lengths = np.array([4, 6])
+    out = dense_attention(q, k, ones, lengths).data
+    real = np.arange(6) < lengths[:, None]
+    assert np.allclose(out[real], 1.0, atol=1e-12)
+    assert (out[~real] == 0.0).all()
 
 
 def test_softmax_rows_returns_unnormalised_weights_and_their_row_sums():
@@ -106,9 +132,9 @@ def _spy_shift(monkeypatch) -> list:
     return flags
 
 
-def _score_bound(q, k):
-    return (np.linalg.norm(q.data, axis=-1).max() / np.sqrt(q.chan)
-            * np.linalg.norm(k.data, axis=-1).max())
+def _score_bound(q, k, keep=True):
+    return (np.linalg.norm(q.data, axis=-1).max(initial=0.0, where=keep) / np.sqrt(q.chan)
+            * np.linalg.norm(k.data, axis=-1).max(initial=0.0, where=keep))
 
 
 def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch):
@@ -116,41 +142,41 @@ def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch)
     q = SequenceTensor(q.data * 100)
     assert _score_bound(q, k) > attention.SCORE_BOUND
     flags = _spy_shift(monkeypatch)
-    for labels in (0, _random_labels(24, (2, 9), pad=(3,))):
-        out = dense_attention(q, k, v, labels).data
-        assert np.max(np.abs(out - _naive_by_labels(q, k, v, labels))) < 1e-12
-    # one score tile for the whole items, several for the label groups
-    assert len(flags) > 2 and all(flags)
+    for lengths in (None, np.array([9, 5])):
+        out = dense_attention(q, k, v, lengths).data
+        assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
+    # one score tile for both whole rows, then one per row of its own length
+    assert len(flags) == 3 and all(flags)
 
 
 def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
     q, k, v = _rand_qkv(2, 16, 64, seed=25)
-    # scale q so that the bound sits just inside SCORE_BOUND
-    q = SequenceTensor(q.data * (attention.SCORE_BOUND * (1 - 1e-6) / _score_bound(q, k)))
-    labels = _random_labels(26, 16)
-    allow = _allow(labels, (16, 16))
+    lengths = np.array([16, 11])
+    keep = np.arange(16) < lengths[:, None]
+    # scale q so that the bound over the real tokens sits just inside SCORE_BOUND
+    q = SequenceTensor(q.data * (attention.SCORE_BOUND * (1 - 1e-6) / _score_bound(q, k, keep)))
     flags = _spy_shift(monkeypatch)
-    inside = dense_attention(q, k, v, labels).data
+    inside = dense_attention(q, k, v, lengths).data
     assert flags and not any(flags)
     flags.clear()
     monkeypatch.setattr(attention, "SCORE_BOUND", attention.SCORE_BOUND * (1 - 2e-6))
-    outside = dense_attention(q, k, v, labels).data
+    outside = dense_attention(q, k, v, lengths).data
     assert flags and all(flags)
     assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
-    assert np.max(np.abs(inside - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
+    assert np.max(np.abs(inside - _naive_by_lengths(q, k, v, lengths))) < 1e-12
 
 
 def test_all_keys_masked_outputs_zeros():
     q, k, v = _rand_qkv(1, 3, 2, seed=5)
-    out = dense_attention(q, k, v, np.full(3, -1))
+    out = dense_attention(q, k, v, np.zeros(1, dtype=int))
     assert (out.data == 0.0).all()
 
 
 def test_masked_dense_zeroes_blocked_queries():
     q, k, v = _rand_qkv(1, 4, 2, seed=6)
-    # token 2 is a pad token
-    out = dense_attention(q, k, v, np.array([0, 0, -1, 0]))
-    assert (out.data[0, 2] == 0.0).all()
+    # tokens 2 and 3 are pad tokens
+    out = dense_attention(q, k, v, np.array([2]))
+    assert (out.data[0, 2:] == 0.0).all()
     assert not (out.data[0, 0] == 0.0).all()
 
 
@@ -173,64 +199,71 @@ def test_fewer_queries_than_keys_raises_naming_all_three_shapes():
                for name, t in zip("qkv", (q, k, v)))
 
 
-def test_negative_labels_never_attend_each_other_or_themselves(monkeypatch):
-    q, k, v = _rand_qkv(2, 8, 3, seed=37)
-    labels = np.array([0, -1, -7, 0, -7, -1, 1, 1])
-    pad = labels < 0
+def test_tokens_past_the_length_never_attend_each_other_or_themselves(monkeypatch):
+    q, k, v = _rand_qkv(3, 8, 3, seed=37)
+    lengths = np.array([5, 0, 8])
+    pad = np.arange(8) >= lengths[:, None]
     flags = _spy_shift(monkeypatch)
-    out = dense_attention(q, k, v, labels).data
-    assert (out[:, pad] == 0.0).all()
-    naive = naive_attention(q.data, k.data, v.data, allow=_allow(labels, (8, 8)))
-    assert np.max(np.abs(out - naive)) < 1e-12
+    out = dense_attention(q, k, v, lengths).data
+    assert (out[pad] == 0.0).all()
+    assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
     # whatever the pad tokens hold, the real rows see none of it, not even
     # through the softmax route
     for fill in (1e6, np.inf, np.nan):
         junk = [a.data.copy() for a in (q, k, v)]
         for a in junk:
-            a[:, pad] = fill
-        assert np.array_equal(dense_attention(*map(SequenceTensor, junk), labels).data, out)
+            a[pad] = fill
+        assert np.array_equal(dense_attention(*map(SequenceTensor, junk), lengths).data, out)
     assert flags and not any(flags)
 
 
-def test_partition_stacks_each_items_label_groups_by_size_without_pads():
-    labels = np.array([[2, -1, 0, 2, 0, -7],
-                       [1, 1, 1, -1, 3, 3]])
-    stacks = attention._partition(labels)
-    assert [s.tolist() for s in stacks] == [[[2, 4], [0, 3], [10, 11]], [[6, 7, 8]]]
+def test_each_run_of_one_length_is_read_in_place_as_one_block(monkeypatch):
+    q, k, v = _rand_qkv(5, 7, 3, seed=39)
+    blocks, attend = [], attention._attend
+
+    def spy(q_rows, k_rows, v_rows, out_rows, *args):
+        assert all(np.shares_memory(a, b.data) for a, b in zip((q_rows, k_rows, v_rows),
+                                                                (q, k, v)))
+        blocks.append(q_rows.shape)
+        return attend(q_rows, k_rows, v_rows, out_rows, *args)
+
+    monkeypatch.setattr(attention, "_attend", spy)
+    lengths = np.array([4, 4, 0, 7, 4])
+    out = dense_attention(q, k, v, lengths).data
+    # rows 0-1 share length 4; row 2 has no real token, so no block
+    assert blocks == [(2, 4, 3), (1, 7, 3), (1, 4, 3)]
+    assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
 
 
-def test_one_non_negative_label_everywhere_is_full_attention():
+def test_full_lengths_are_full_attention():
     q, k, v = _rand_qkv(2, 7, 3, seed=38)
     full = dense_attention(q, k, v).data
-    for labels in (5, np.full((2, 7), 5), np.full(7, 0)):
-        stacks = attention._partition(np.broadcast_to(labels, (2, 7)))
-        assert [s.tolist() for s in stacks] == [np.arange(14).reshape(2, 7).tolist()]
-        assert np.array_equal(dense_attention(q, k, v, labels).data, full)
-    # one negative label everywhere is all pad tokens, not one group
-    assert attention._partition(np.full((2, 7), -1)) == []
-    assert not dense_attention(q, k, v, -1).data.any()
+    assert np.max(np.abs(full - naive_attention(q.data, k.data, v.data))) < 1e-12
+    for lengths in (np.full(2, 7), np.full(2, 7, dtype=np.uint8)):
+        assert np.array_equal(dense_attention(q, k, v, lengths).data, full)
+    # zero lengths everywhere are all pad tokens
+    assert not dense_attention(q, k, v, np.zeros(2, dtype=int)).data.any()
 
 
 def test_query_row_block_matches_full_call_and_leaves_inputs_alone():
-    # the rows of one label are a block that attends only itself, so run
-    # alone under one label they give the full call's rows
+    # a row's first n tokens attend only each other, so run alone with no
+    # lengths they give the full call's rows
     q, k, v = _rand_qkv(2, 9, 3, seed=16)
-    labels = _random_labels(17, 9, pad=(4,))
-    before = [a.copy() for a in (q.data, k.data, v.data, labels)]
-    full = dense_attention(q, k, v, labels).data
-    for a, b in zip(before, (q.data, k.data, v.data, labels)):
+    lengths = np.array([6, 6])
+    before = [a.copy() for a in (q.data, k.data, v.data, lengths)]
+    full = dense_attention(q, k, v, lengths).data
+    for a, b in zip(before, (q.data, k.data, v.data, lengths)):
         assert np.array_equal(a, b)
-    rows = np.flatnonzero(labels == 1)
-    part = dense_attention(*(SequenceTensor(a.data[:, rows]) for a in (q, k, v))).data
-    assert part.shape == (2, len(rows), 3)
-    assert np.max(np.abs(part - full[:, rows])) < 1e-12
-    assert (full[:, 4] == 0.0).all()
+    part = dense_attention(*(SequenceTensor(a.data[:, :6]) for a in (q, k, v))).data
+    assert part.shape == (2, 6, 3)
+    assert np.max(np.abs(part - full[:, :6])) < 1e-12
+    assert (full[:, 6:] == 0.0).all()
 
 
 def test_empty_sequence_returns_empty():
     q, k, v = _rand_qkv(2, 0, 4, seed=27)
-    for labels in (0, np.zeros((2, 0), dtype=int)):
-        out = dense_attention(q, k, v, labels)
+    for lengths in (None, np.zeros(2, dtype=int)):
+        out = dense_attention(q, k, v, lengths)
         assert out.data.shape == (2, 0, 4)
 
 
@@ -258,48 +291,67 @@ def _tiling_labels(mask_shape, rng):
 ], ids=["items", "rows", "one-row"])
 @pytest.mark.parametrize("mask_shape", [(10,), (10, 10), (3, 1, 10), (3, 10, 10)], ids=str)
 def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape, monkeypatch):
+    # each call runs twice: on the label groups laid out as rows, and on
+    # the items themselves, each item's count of labelled tokens its length
     q, k, v = _rand_qkv(3, 10, 4, seed=29)
     labels = _tiling_labels(mask_shape, np.random.Generator(np.random.PCG64(30)))
-    before = [np.copy(a) for a in (q.data, k.data, v.data, labels)]
-    one_tile = dense_attention(q, k, v, labels).data
+    lengths = np.broadcast_to(labels >= 0, (3, 10)).sum(axis=1)
+    before = [np.copy(a) for a in (q.data, k.data, v.data, labels, lengths)]
+
+    def run():
+        return _label_rows(q, k, v, labels), dense_attention(q, k, v, lengths).data
+
+    one_tile = run()
     monkeypatch.setattr(attention, "SCORE_TILE_BYTES", tile_bytes)
     assert attention._tile_shape(3, 10) == tile_shape
-    tiled = dense_attention(q, k, v, labels).data
-    for a, b in zip(before, (q.data, k.data, v.data, labels)):
+    tiled = run()
+    for a, b in zip(before, (q.data, k.data, v.data, labels, lengths)):
         assert np.array_equal(a, b)
-    assert np.max(np.abs(tiled - one_tile)) < 1e-12
-    assert np.max(np.abs(tiled - _naive_by_labels(q, k, v, labels))) < 1e-12
+    for got, want in zip(tiled, one_tile):
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(tiled[0] - _naive_by_labels(q, k, v, labels))) < 1e-12
+    assert np.max(np.abs(tiled[1] - _naive_by_lengths(q, k, v, lengths))) < 1e-12
     pad = np.broadcast_to(labels < 0, (3, 10))
-    assert pad.any() and (tiled[pad] == 0.0).all()
+    assert pad.any() and (tiled[0][pad] == 0.0).all()
 
 
 def test_score_memory_stays_within_one_tile():
-    # clip-attn's sparse call: 4 subsequences of 960 tokens, 5% of them pad
-    # tokens labelled -1; all 4 x 960 x 960 float64 scores at once would
-    # take 28.1 MiB. One 6.4 MiB score tile (the 915 real tokens of the
-    # fullest item against each other), the 1.9 MiB output, one tile's
-    # scaled q rows beside its block's gathered keys or values (0.9 MiB)
-    # and the label partition's row indices (0.1 MiB) take 9.26 MiB;
-    # holding a block's keys and values at once would add 0.45 MiB, and a
-    # full-size scaled copy of q 1.4 MiB
+    # clip-attn's GSA call: 4 layout rows of 960 tokens, of which 960, 900,
+    # 960 and 900 are real; all 4 x 960 x 960 float64 scores at once would
+    # take 28.1 MiB. One 7.0 MiB score tile (a full row's tokens against
+    # each other), the 1.9 MiB output and one tile's scaled q rows
+    # (0.5 MiB) take 9.4 MiB; the keys and values are views. Gathering a
+    # block's keys or values would add 0.5 MiB, and a full-size scaled copy
+    # of q 1.9 MiB
     q, k, v = _rand_qkv(4, 960, 64, seed=31)
-    labels = np.where(np.random.Generator(np.random.PCG64(32)).random((4, 960)) < 0.95, 0, -1)
     tracemalloc.start()
     try:
-        dense_attention(q, k, v, labels)
+        dense_attention(q, k, v, np.array([960, 900, 960, 900]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert peak < 9.75 * 2 ** 20
 
 
 @pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4), (5, 4)])
 def test_mask_that_does_not_broadcast_raises(mask_shape):
-    # the labels are the kernel's whole mask; none of these shapes
-    # broadcasts to (batch, seq) = (1, 4)
+    # the lengths are the kernel's whole mask; none of these shapes is
+    # (batch,) = (1,)
     q, k, v = _rand_qkv(1, 4, 2, seed=7)
-    with pytest.raises(ShapeError, match=rf"labels of shape {re.escape(str(mask_shape))}"):
+    with pytest.raises(ShapeError, match=rf"lengths of shape {re.escape(str(mask_shape))}"):
         dense_attention(q, k, v, np.zeros(mask_shape, dtype=int))
+
+
+@pytest.mark.parametrize("lengths,message", [
+    (np.array([[4, 4]]), "of shape (1, 2)"),
+    (np.array([4, -1]), "in 0..4, got -1..4"),
+    (np.array([5, 4]), "in 0..4, got 4..5"),
+    (np.array([4.0, 4.0]), "dtype float64"),
+], ids=["shape", "negative", "above-seq", "float"])
+def test_bad_lengths_raise(lengths, message):
+    q, k, v = _rand_qkv(2, 4, 2, seed=7)
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        dense_attention(q, k, v, lengths)
 
 
 def test_original_pattern_equals_dense():
@@ -309,6 +361,51 @@ def test_original_pattern_equals_dense():
     direct = dense_attention(q, k, v)
     via_pattern = skiparse_attention(x, g, SparsePattern.ORIGINAL)
     assert np.array_equal(via_pattern.data, direct.data)
+
+
+@pytest.mark.parametrize("pattern", [SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE])
+def test_sparse_path_is_one_kernel_call_on_the_layout(pattern, monkeypatch):
+    # 1x5x6 pads to 1x8x8: with 2 items the layout is 8 rows of 16 tokens,
+    # batch item innermost, each row's real tokens first
+    g = GridShape(1, 5, 6, 2)
+    pg = pad_grid(g)
+    calls, kernel = [], attention.dense_attention
+
+    def spy(q, k, v, lengths=None):
+        calls.append((q.data.shape, lengths.tolist()))
+        return kernel(q, k, v, lengths)
+
+    monkeypatch.setattr(attention, "dense_attention", spy)
+    skiparse_attention(pad_tensor(random_tensor(2, g.seq_len, 4, seed=40), pg), g, pattern, pg)
+    real = subsequence_mask(pg, pattern).sum(axis=1)
+    assert calls == [((8, 16, 4), np.repeat(real, 2).tolist())]
+
+
+def test_layout_rows_are_built_once_per_grid_and_mask(monkeypatch):
+    g = GridShape(1, 5, 6, 2)
+    pg = pad_grid(g)
+    x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=41), pg)
+    attention._layout_rows.cache_clear()
+    first = skiparse_attention(x, g, SparsePattern.GROUP_WISE, pg).data
+    builds = []
+    for name in ("compose", "invert"):
+        monkeypatch.setattr(IndexMap, name, lambda *a, _name=name: builds.append(_name))
+    # a second call, on a fresh pad_grid(g), builds no map
+    assert np.array_equal(skiparse_attention(x, g, SparsePattern.GROUP_WISE, pad_grid(g)).data,
+                          first)
+    assert builds == [] and attention._layout_rows.cache_info().misses == 1
+    monkeypatch.undo()
+    # padding ahead of the real rows and columns, on the same padded grid,
+    # masks other tokens: its rows and lengths are its own
+    rows = np.arange(8) >= 8 - g.h
+    cols = np.arange(8) >= 8 - g.w
+    mask = (rows[:, None] & cols[None, :]).reshape(-1)
+    before = PaddedGrid(g, pg.padded, mask, np.flatnonzero(mask))
+    out = skiparse_attention(x, g, SparsePattern.GROUP_WISE, before).data
+    assert attention._layout_rows.cache_info().misses == 2
+    ref = skiparse_reference(x, g, SparsePattern.GROUP_WISE, before).data
+    assert np.max(np.abs(out - ref)) < 1e-12 and (out[:, ~mask] == 0.0).all()
+    assert not np.array_equal(out, first)
 
 
 def test_projections_are_drawn_once_and_read_only():
@@ -371,7 +468,7 @@ def test_group_labels_match_naive_on_a_padded_grid(subseq_fn):
     labels = _oracle_labels(pg, subseq_fn)
     allow = pattern_allow(pg.padded, subseq_fn, real=pg.mask)
     assert np.array_equal(_allow(labels, allow.shape), allow)
-    out = dense_attention(q, k, v, labels).data
+    out = _label_rows(q, k, v, labels)
     assert np.max(np.abs(out - naive_attention(q.data, k.data, v.data, allow=allow))) < 1e-12
     # pad tokens carry a negative label, so they come out exactly zero
     assert (out[:, ~pg.mask] == 0.0).all()
@@ -383,10 +480,9 @@ def test_oracle_is_one_kernel_call_however_many_tiles(monkeypatch):
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=34), pg)
     expected = skiparse_reference(x, g, SparsePattern.TOKEN_WISE, pg).data
     # TSA splits the 30 real tokens of each of the 2 items into subsequences
-    # of 9, 9, 6 and 6. At 4 rows of 9 keys per tile, each of the four
-    # groups of 9 is a block of 3 tiles, of 4, 4 and 1 query rows, and each
-    # group of 6 a block of one tile: 16 tiles in 8 blocks, each of which
-    # gathers its keys and values once
+    # of 9, 9, 6 and 6, one row each. At 4 rows of 9 keys per tile, each of
+    # the four rows of 9 is a block of 3 tiles, of 4, 4 and 1 query rows,
+    # and each row of 6 a block of one tile: 16 tiles in 8 blocks
     monkeypatch.setattr(attention, "SCORE_TILE_BYTES", 4 * 9 * 8)
     calls = {"dense_attention": 0, "_max_row_norm": 0, "_softmax_rows": 0, "_attend": 0}
 
@@ -440,7 +536,7 @@ def test_row_blocked_oracle_matches_unblocked_and_naive(g, pattern, subseq_fn, m
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=18), pg)
     q, k, v = project_qkv(x)
-    one_tile = dense_attention(q, k, v, _oracle_labels(pg, subseq_fn)).data
+    one_tile = _label_rows(q, k, v, _oracle_labels(pg, subseq_fn))
     # 7 rows of 16 keys per tile: each subsequence of 16 runs in tiles of 7,
     # 7 and a ragged 2 query rows; on the padded grid small groups share a
     # tile, and GSA's group of 12 real tokens runs in tiles of 9 and 3 rows

@@ -108,7 +108,8 @@ def test_double_traffic_fails_the_ledger_checks(argv, monkeypatch, capsys):
 
 def test_second_report_all_misses_no_memo():
     # a second report-all in one process builds no map, plan or projection again
-    memos = (osp.skiparse._build_layout_map, osp.ssp._switch_plan, osp.attention._projections)
+    memos = (osp.skiparse._build_layout_map, osp.ssp._switch_plan, osp.attention._projections,
+             osp.attention._layout_rows)
     for memo in memos:
         memo.cache_clear()
     checks.build_full_report(7)

@@ -27,7 +27,8 @@ from osp.gridseq import IndexMap, SequenceTensor
 from osp.mixflow import SamplerSchedule
 from osp.skiparse import SparsePattern
 
-MEMOS = (skiparse._build_layout_map, ssp._switch_plan, attention._projections)
+MEMOS = (skiparse._build_layout_map, ssp._switch_plan, attention._projections,
+         attention._layout_rows)
 
 
 def _caught(target, mutant, *names, id):
@@ -129,6 +130,14 @@ def _pad_before(pad_grid):
     return mutant
 
 
+def _pads_counted(layout_rows):
+    def mutant(g, pattern, batch, mask):
+        # the right rows, but every pad token counted into its row's length
+        fwd, back, lengths = layout_rows(g, pattern, batch, mask)
+        return fwd, back, np.full_like(lengths, fwd.out_seq)
+    return mutant
+
+
 def _later_frames_real(pad_grid):
     def mutant(g):
         # pads the first frame only; every token of a later frame counts as real
@@ -168,10 +177,12 @@ MUTANTS = [
     _caught("osp.checks.pad_grid", _pad_before,
             "sections.anyres.subsequence_stable_across_resolutions", id="pad-before"),
     _caught("osp.attention.dense_attention",
-            lambda real: lambda q, k, v, labels=0: real(q, k, v),
+            lambda real: lambda q, k, v, lengths=None: real(q, k, v),
+            "sections.anyres.pad_content_independent", id="lengths-ignored"),
+    _caught("osp.attention._layout_rows", _pads_counted,
             *(f"sections.attention.cases.{i}.skiparse_matches_masked_dense_oracle"
-              for i in range(8)), "sections.anyres.pad_content_independent",
-            id="labels-ignored"),
+              for i in (6, 7)), "sections.anyres.pad_content_independent",
+            id="lengths-count-pads"),
     _caught("osp.skiparse.reachability_hops", _raises(IndexError("mutant")),
             "sections.reachability raised IndexError: mutant", id="reachability-raises"),
     _caught("osp.ssp.ssp_pattern_switch",
@@ -202,8 +213,8 @@ MUTANTS = [
     _escapes("osp.attention._softmax_rows", _unnormalised,
              ["attention"], 7, id="softmax-row-sums-one"),
     _escapes("osp.attention.dense_attention",
-             lambda real: lambda q, k, v, labels=0: real(
-                 SequenceTensor(q.data / math.sqrt(q.chan)), k, v, labels),
+             lambda real: lambda q, k, v, lengths=None: real(
+                 SequenceTensor(q.data / math.sqrt(q.chan)), k, v, lengths),
              ["attention"], 7, id="score-scale-one-over-c"),
     _escapes("osp.anyres.pad_grid", _later_frames_real,
              ["attention", "anyres"], 7, id="later-frames-real"),
