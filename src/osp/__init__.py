@@ -13,6 +13,6 @@ from .ssp import (CommLog, ProcessGroup, RankShard, all_to_all, exchange_map,
                   shard_pattern_layout, ssp_pattern_switch)
 from .hif8 import QuantizedTensor, decode, dequantize, encode, quantize_tensor
 from .mixflow import (OuProcess, RolloutResult, SamplerSchedule, marginal_report,
-                      mixed_rollout, ode_step, sde_step, standard_ou, uniform_schedule)
+                      mixed_rollout, ode_step, sde_step, uniform_schedule)
 
 __version__ = "0.1.0"

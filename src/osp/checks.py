@@ -23,13 +23,29 @@ from .attention import flop_report, skiparse_attention, skiparse_reference
 from .gridseq import GridShape, SequenceTensor, random_tensor
 from .hif8 import (DEFAULT_EPS, EXP_MAX, EXP_MIN, MANTISSA_WIDTH, MAX_VALUE, VALUES, code_fields,
                    decode_array, dequantize, encode_array, quantize_tensor, roundtrip)
-from .mixflow import marginal_report, mixed_rollout, ode_step, standard_ou, uniform_schedule
+from .mixflow import OuProcess, marginal_report, mixed_rollout, ode_step, uniform_schedule
 from .skiparse import (SparsePattern, assignment_of, build_layer_schedule, gsa_to_orig,
                        gsa_to_tsa, layout_map, orig_to_gsa, orig_to_tsa, pattern_map,
                        reachability_hops, tsa_to_gsa, tsa_to_orig)
 from .ssp import CommLog, shard_pattern_layout, ssp_pattern_switch
 
 ATTN_TOLERANCE = 1e-10
+
+# the sampler check's toy: OU noising of N(SAMPLER_DATA_MEAN, SAMPLER_DATA_VAR * I),
+# non-stationary, so its flow has a drift a wrong step coefficient shows in
+SAMPLER_DATA_MEAN = (1.0, -0.5)
+SAMPLER_DATA_VAR = 0.25
+# a rollout element may differ from a * x + b + c * xi by this times
+# 1 + |x| + |xi|: hundreds of ulps of the step's terms (|dt| <= 1 and
+# v(t) >= 0.25 keep each O(|x| + |xi|)), so only rounding passes
+STEP_ROUNDING = 1e-13
+# each exact discrete moment stays within MOMENT_ORDER * |dt| of the analytic
+# one at every grid time; over every schedule of 1..1024 steps and every
+# count of leading SDE steps the largest ratio is 0.76, at one SDE step
+MOMENT_ORDER = 1.0
+# doubling the steps must cut each moment error by at least this; over the
+# same schedules the cut lies in 1.85..2.70
+MOMENT_HALVING = 1.8
 
 ACCEPTANCE_GRIDS = (
     GridShape(1, 4, 4, 2),
@@ -387,17 +403,96 @@ def quantizer_check() -> dict:
     return _verdict(checks, rows=rows)
 
 
-def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10,
-                  ensemble: int = 10_000) -> dict:
-    """Mixed rollout marginals of the 2-D standard OU toy against the
-    analytic flow, plus the bitwise equality of the noise-free schedule
-    with a plain loop of deterministic steps that draws no noise."""
-    proc = standard_ou(2)
+def ou_marginals(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler toy's analytic mean m(t), (len(times), dim), and variance
+    v(t), (len(times),): OU noising shrinks the data mean by e^(-t/2) and
+    mixes the data variance with 1 by weight e^-t."""
+    decay = np.exp(-np.asarray(times, dtype=np.float64))
+    mean = np.multiply.outer(np.sqrt(decay), SAMPLER_DATA_MEAN)
+    return mean, SAMPLER_DATA_VAR * decay + 1.0 - decay
+
+
+def ou_euler_steps(steps: int, sde_steps: int) -> tuple[np.ndarray, ...]:
+    """The sampler toy's grid linspace(1, 0, steps + 1) and each Euler step
+    x' = a * x + b + c * xi on it, the first `sde_steps` steps stochastic.
+
+    With drift -x/2, unit diffusion and score -(x - m_t) / v_t, a step of
+    score weight w (1/2 deterministic, 1 stochastic) has
+    a = 1 + dt * (w / v_t - 1/2), b = -w * dt * m_t / v_t, and
+    c = sqrt(|dt|) on stochastic steps, 0 elsewhere."""
+    times = np.linspace(1.0, 0.0, steps + 1)
+    dt = np.diff(times)
+    m, v = ou_marginals(times[:-1])
+    sde = np.arange(steps) < sde_steps
+    w = np.where(sde, 1.0, 0.5)
+    a = 1.0 + dt * (w / v - 0.5)
+    b = (-w * dt / v)[:, None] * m
+    c = np.where(sde, np.sqrt(np.abs(dt)), 0.0)
+    return times, a, b, c
+
+
+def ou_exact_moments(steps: int, sde_steps: int) -> tuple[np.ndarray, ...]:
+    """The grid and the exact per-dimension mean and variance of the Euler
+    rollout at every grid time, started from the analytic marginal at t = 1:
+    mean' = a * mean + b and var' = a^2 * var + c^2. Scalar work only."""
+    times, a, b, c = ou_euler_steps(steps, sde_steps)
+    m0, v0 = ou_marginals(times[:1])
+    means, variances = [m0[0].tolist()], [float(v0[0])]
+    for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist()):
+        means.append([ai * mu + bd for mu, bd in zip(means[-1], bi)])
+        variances.append(ai * ai * variances[-1] + ci * ci)
+    return times, np.array(means), np.array(variances)
+
+
+def ou_moment_errors(times: np.ndarray, mean: np.ndarray, var: np.ndarray) -> tuple[float, float]:
+    """Largest distance over the grid of exact discrete moments, as
+    `ou_exact_moments` gives them, from the analytic m(t) (over dimensions
+    too) and v(t)."""
+    m, v = ou_marginals(times)
+    return float(np.abs(mean - m).max()), float(np.abs(var - v).max())
+
+
+def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10, ensemble: int = 256) -> dict:
+    """A mixed rollout of the sampler toy, its first `sde_steps` steps
+    stochastic, against the exact Euler steps, with no statistical gate:
+    - every snapshot element equals a * x + b + c * xi of the one before
+      within STEP_ROUNDING, xi replayed from a fresh generator of the seed;
+    - the exact discrete moments stay within MOMENT_ORDER * |dt| of the
+      analytic marginals, and their errors shrink by MOMENT_HALVING or
+      more at twice the steps (weak order 1);
+    - the noise draws are counted exactly, and the noise-free schedule is
+      bitwise a plain loop of deterministic steps that draws no noise.
+    The oracle uses its own grid and marginals and no formula of `mixflow`.
+    The ensemble's sample moments are reported against the exact discrete
+    ones by `marginal_report`, whose band no gate reads."""
+    dim = len(SAMPLER_DATA_MEAN)
+    proc = OuProcess(np.array(SAMPLER_DATA_MEAN), SAMPLER_DATA_VAR)
     sched = uniform_schedule(steps, set(range(sde_steps)))
+    times, a, b, c = ou_euler_steps(steps, sde_steps)
+    _, mean, var = ou_exact_moments(steps, sde_steps)
     rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.standard_normal((ensemble, proc.dim)) * np.sqrt(proc.var_at(float(sched.times[0])))
+    x0 = mean[0] + np.sqrt(var[0]) * rng.standard_normal((ensemble, dim))
     result = mixed_rollout(x0, sched, proc, rng)
-    report = marginal_report(result, proc, sched)
+
+    # replay the variates: x0's draw, then one (ensemble, dim) draw per SDE step
+    replay = np.random.Generator(np.random.PCG64(seed))
+    replay.standard_normal(x0.shape)
+    mismatch = None
+    for i in range(steps):
+        x, got = result.snapshots[i], result.snapshots[i + 1]
+        xi = replay.standard_normal(x0.shape) if i < sde_steps else np.zeros(x0.shape)
+        want = a[i] * x + b[i] + c[i] * xi
+        bad = ~(np.abs(got - want) <= STEP_ROUNDING * (1.0 + np.abs(x) + np.abs(xi)))
+        if bad.any():
+            member, d = np.unravel_index(int(bad.argmax()), bad.shape)
+            mismatch = {"step": i, "member": int(member), "dim": int(d),
+                        "got": float(got[member, d]), "want": float(want[member, d])}
+            break
+
+    errors = ou_moment_errors(times, mean, var)
+    finer = ou_moment_errors(*ou_exact_moments(2 * steps, 2 * sde_steps))
+    bound = MOMENT_ORDER / steps
+    report = marginal_report(result, sched, mean, var[:, None])
 
     # with no SDE step the rollout is an explicit ode_step loop, bit for bit,
     # and its generator is never touched
@@ -412,12 +507,22 @@ def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10,
                   and idle.bit_generator.state == idle_state)
 
     checks = {
-        "marginals_within_4_se": report["pass"],
-        "noise_draws_exact": result.noise_draws == sde_steps * proc.dim * ensemble,
+        "trajectory_matches_exact_steps": mismatch is None,
+        "exact_moments_within_order_dt": max(errors) <= bound,
+        "moment_error_halves_at_twice_the_steps": all(
+            fine * MOMENT_HALVING <= err for err, fine in zip(errors, finer)),
+        "noise_draws_exact": result.noise_draws == sde_steps * dim * ensemble,
         "empty_sde_set_is_pure_ode": bool(bitwise_ok),
     }
     return _verdict(checks, steps=steps, sde_steps=sde_steps, ensemble=ensemble, seed=seed,
-                    noise_draws=result.noise_draws, marginals=report)
+                    data_mean=list(SAMPLER_DATA_MEAN), data_var=SAMPLER_DATA_VAR,
+                    noise_draws=result.noise_draws,
+                    trajectory={"rounding": STEP_ROUNDING, "first_mismatch": mismatch},
+                    moments={"mean_error": errors[0], "var_error": errors[1],
+                             "bound": bound, "mean_error_at_twice_the_steps": finer[0],
+                             "var_error_at_twice_the_steps": finer[1],
+                             "halving": MOMENT_HALVING},
+                    marginals=report)
 
 
 def schedule_check() -> dict:

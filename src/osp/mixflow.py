@@ -1,5 +1,5 @@
 """Reverse-time flow integrators with a mixed stochastic/deterministic
-schedule, validated on an analytically tractable Ornstein-Uhlenbeck toy.
+schedule, on an analytically tractable Ornstein-Uhlenbeck toy.
 
 A flow process supplies drift f(x, t), diffusion g(t) and the exact score
 s(x, t) of its time-t marginal. Two Euler discretizations share those
@@ -10,21 +10,29 @@ marginals:
 
 with dt negative on a decreasing time grid and xi standard normal. The
 mixed rollout applies the stochastic branch only on a chosen set of step
-indices and the deterministic branch elsewhere, so marginal statistics
-must agree with the analytic flow at every step up to Monte Carlo and
-O(dt) discretization error (both Euler schemes are weak order 1).
+indices and the deterministic branch elsewhere. Both Euler schemes are
+weak order 1, so the moments of a rollout stray O(dt) from the analytic
+flow's.
 
-The bundled toy uses standard normal data, whose marginals
-are closed-form Gaussians at every t, making the agreement falsifiable.
+On an OU process with Gaussian data both steps are affine in x,
+x' = a * x + b + c * xi, so every element of a rollout and its exact
+discrete moments follow from a, b and c with no Monte Carlo.
+`osp.checks.sampler_check` checks rollouts that way on a non-stationary toy
+(data mean (1, -0.5), data variance 0.25). There the exact discrete
+variance of the default 25-step schedule, whose first 10 steps are
+stochastic, stays within 0.0122 of the analytic one at every grid time,
+and within 0.0060 at 50 steps. `marginal_report` compares an ensemble's
+sample moments with reference moments its caller passes in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-MARGINAL_Z = 4.0  # standard errors each moment may stray from the analytic marginal
+MARGINAL_FALSE_ALARM = 1e-6  # chance that marginal_report fails an exact ensemble
 
 
 @dataclass(frozen=True)
@@ -71,12 +79,6 @@ class OuProcess:
         # subtract a full-shape mean: numpy runs (n, dim) - (dim,) as n inner
         # loops of dim values, which for dim = 2 is slower than tiling first
         return -(x - np.tile(self.mean_at(t), (*x.shape[:-1], 1))) / self.var_at(t)
-
-
-def standard_ou(dim: int) -> OuProcess:
-    """The bundled toy: standard normal data, so every marginal is
-    N(0, I)."""
-    return OuProcess(data_mean=np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -164,48 +166,58 @@ def mixed_rollout(x0: np.ndarray, schedule: SamplerSchedule, proc,
     return RolloutResult(snapshots, draws)
 
 
-def marginal_report(result: RolloutResult, proc: OuProcess, schedule: SamplerSchedule) -> dict:
-    """Compare pooled ensemble mean/variance against the analytic marginals
-    at every recorded step, within MARGINAL_Z standard errors per moment.
+def marginal_report(result: RolloutResult, schedule: SamplerSchedule, ref_mean: np.ndarray,
+                    ref_var: np.ndarray) -> dict:
+    """Per-dimension sample mean and variance of every snapshot against the
+    reference moments the caller passes in, broadcast to (snapshots, dim).
 
-    Pooling treats all ensemble-by-dimension entries as one sample, which
-    is exact for the isotropic zero-mean toy this report targets. Standard
-    errors use the analytic sigma. With ~2 checks per step at z = 4 the
-    per-run false-alarm rate stays well under 1% even without a Bonferroni
-    correction; the note records the comparison count.
+    The band assumes every snapshot's members are independent draws of a
+    Gaussian with exactly the reference moments, as an affine rollout of a
+    Gaussian start is. A Bonferroni split of MARGINAL_FALSE_ALARM gives each
+    of the `tests` comparisons a two-sided tail of p = MARGINAL_FALSE_ALARM
+    / tests, so an exact ensemble fails with probability at most
+    MARGINAL_FALSE_ALARM per run. With x = ln(2 / p):
+    - a sample mean is Gaussian, and P(|Z| >= z) <= 2 exp(-z^2 / 2), so it
+      may stray sqrt(2 x) standard errors;
+    - (n - 1) * var / ref_var is chi-square with k = n - 1 degrees of
+      freedom, and Laurent and Massart (Ann. Statist. 2000, Lemma 1) bound
+      each tail by exp(-x), so var / ref_var may lie in
+      [1 - 2 sqrt(x / k), 1 + 2 sqrt(x / k) + 2 x / k].
+    An ensemble of one member has no sample variance: its rows carry the
+    mean comparison only.
     """
+    snaps = result.snapshots
+    count, members, dim = snaps.shape
+    ref_mean = np.broadcast_to(ref_mean, (count, dim))
+    ref_var = np.broadcast_to(ref_var, (count, dim))
+    with_var = members >= 2
+    tests = count * dim * (2 if with_var else 1)
+    x = math.log(2.0 * tests / MARGINAL_FALSE_ALARM)
+    z = math.sqrt(2.0 * x)
+    # members last: numpy reduces the middle axis of (count, members, dim) as
+    # many dim-wide inner loops, several times slower than a contiguous axis
+    by_member = snaps.transpose(0, 2, 1).copy()
+    mean = by_member.mean(axis=-1)
+    mean_ok = (np.abs(mean - ref_mean) <= z * np.sqrt(ref_var / members)).all(axis=1)
+    band = None
+    if with_var:
+        k = members - 1
+        band = [1.0 - 2.0 * math.sqrt(x / k), 1.0 + 2.0 * math.sqrt(x / k) + 2.0 * x / k]
+        var = by_member.var(axis=-1, ddof=1)
+        var_ok = ((var >= band[0] * ref_var) & (var <= band[1] * ref_var)).all(axis=1)
     steps = []
-    n = result.snapshots.shape[1] * result.snapshots.shape[2]
-    ok = True
-    for j in range(result.snapshots.shape[0]):
-        t = float(schedule.times[j])
-        sample = result.snapshots[j].reshape(-1)
-        sample_mean = float(sample.mean())
-        sample_var = float(sample.var(ddof=1))
-        a_mean = float(np.mean(proc.mean_at(t)))
-        a_var = proc.var_at(t)
-        mean_se = float(np.sqrt(a_var / n))
-        var_se = float(a_var * np.sqrt(2.0 / (n - 1)))
-        mean_ok = abs(sample_mean - a_mean) <= MARGINAL_Z * mean_se
-        var_ok = abs(sample_var - a_var) <= MARGINAL_Z * var_se
-        ok = ok and mean_ok and var_ok
-        steps.append({
-            "step": j,
-            "t": t,
-            "mean": sample_mean,
-            "var": sample_var,
-            "analytic_mean": a_mean,
-            "analytic_var": a_var,
-            "mean_se": mean_se,
-            "var_se": var_se,
-            "mean_ok": mean_ok,
-            "var_ok": var_ok,
-        })
+    for j in range(count):
+        row = {"step": j, "t": float(schedule.times[j]), "mean": mean[j].tolist(),
+               "ref_mean": ref_mean[j].tolist(), "ref_var": ref_var[j].tolist(),
+               "mean_ok": bool(mean_ok[j])}
+        if with_var:
+            row.update(var=var[j].tolist(), var_ok=bool(var_ok[j]))
+        steps.append(row)
     return {
-        "pass": ok,
-        "z": MARGINAL_Z,
-        "comparisons": 2 * len(steps),
-        "note": f"{2 * len(steps)} moment checks at {MARGINAL_Z} standard errors each, "
-                "no multiplicity correction applied",
+        "pass": all(r["mean_ok"] and r.get("var_ok", True) for r in steps),
+        "false_alarm": MARGINAL_FALSE_ALARM,
+        "tests": tests,
+        "mean_z": z,
+        "var_band": band,
         "steps": steps,
     }

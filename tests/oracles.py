@@ -130,3 +130,35 @@ def hif8_nearest_codes(widths, xs):
     codes = np.where(d_hi < d_lo, hi, lo)
     codes = np.where(d_hi == d_lo, np.where(hi % 2 == 0, hi, lo), codes)
     return codes.astype(np.uint8)
+
+
+def ou_marginal(t, data_mean, data_var):
+    """Mean (per dimension) and variance at time t of the VP-OU process
+    dx = -x/2 dt + dw started from N(data_mean, data_var * I)."""
+    return ([mu * math.exp(-t / 2) for mu in data_mean],
+            data_var * math.exp(-t) + 1 - math.exp(-t))
+
+
+def ou_euler_moments(steps, sde_steps, data_mean, data_var):
+    """Exact mean and variance after each Euler step of the VP-OU process
+    on `steps` equal steps from t = 1 to 0, the first `sde_steps` of them
+    stochastic, started from the t = 1 marginal: lists of `steps + 1`
+    per-dimension means and of as many variances.
+
+    With drift -x/2, unit diffusion and score -(x - m)/v, the deterministic
+    step is x + (-x/2 + (x - m) / (2v)) dt and the stochastic one
+    x + (-x/2 + (x - m) / v) dt + sqrt(|dt|) xi. Both are one slope times x
+    plus an offset (plus the noise), so the mean maps through slope and
+    offset and the variance through the slope squared, plus |dt| for noise."""
+    mean, var = ou_marginal(1.0, data_mean, data_var)
+    means, variances = [mean], [var]
+    for i in range(steps):
+        t, dt = 1 - i / steps, -1 / steps
+        m, v = ou_marginal(t, data_mean, data_var)
+        weight = 1.0 if i < sde_steps else 0.5
+        slope = 1 - dt / 2 + weight * dt / v
+        mean = [slope * mu - weight * dt * mk / v for mu, mk in zip(mean, m)]
+        var = slope * slope * var + (abs(dt) if i < sde_steps else 0.0)
+        means.append(mean)
+        variances.append(var)
+    return means, variances

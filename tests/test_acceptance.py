@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from oracles import (brute_force_max_hops, gsa_subseq, hif8_value_table,
-                     naive_attention, pattern_allow, tsa_subseq)
+                     naive_attention, ou_euler_moments, ou_marginal, pattern_allow, tsa_subseq)
 from osp.anyres import pad_grid, pad_tensor
 from osp.attention import flop_report, project_qkv, skiparse_attention
 from osp.checks import comm_comparison
@@ -16,8 +16,7 @@ from osp.cli import main
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, VALUES, code_fields, decode_array, encode_array,
                       quantize_tensor)
-from osp.mixflow import (marginal_report, mixed_rollout, ode_step, standard_ou,
-                         uniform_schedule)
+from osp.mixflow import OuProcess, marginal_report, mixed_rollout, ode_step, uniform_schedule
 from osp.skiparse import (SparsePattern, gsa_to_tsa, orig_to_gsa, orig_to_tsa, pattern_map,
                           reachability_hops, tsa_to_gsa, tsa_to_orig, gsa_to_orig)
 from osp.ssp import CommLog, shard_pattern_layout, ssp_pattern_switch
@@ -185,15 +184,22 @@ def test_criterion_8_quantizer_scales():
 
 
 def test_criterion_9_mixed_sampler_marginals():
-    with criterion(9, "25-step mixed rollout matches analytic marginals", 60.0):
-        proc = standard_ou(2)
+    with criterion(9, "25-step mixed rollout matches its exact Euler moments", 60.0):
+        data_mean, data_var = (1.0, -0.5), 0.25
+        proc = OuProcess(np.array(data_mean), data_var)
         sched = uniform_schedule(25, set(range(10)))
+        means, variances = ou_euler_moments(25, 10, data_mean, data_var)
         rng = np.random.Generator(np.random.PCG64(7))
-        x0 = rng.standard_normal((10_000, 2)) * math.sqrt(proc.var_at(1.0))
+        x0 = np.array(means[0]) + math.sqrt(variances[0]) * rng.standard_normal((10_000, 2))
         result = mixed_rollout(x0, sched, proc, rng)
-        report = marginal_report(result, proc, sched)
+        report = marginal_report(result, sched, np.array(means), np.array(variances)[:, None])
         assert report["pass"], [s for s in report["steps"] if not (s["mean_ok"] and s["var_ok"])]
         assert result.noise_draws == 10 * 2 * 10_000
+        # the exact discrete moments stray O(dt) from the analytic marginals
+        for j, t in enumerate(sched.times):
+            m, v = ou_marginal(t, data_mean, data_var)
+            assert abs(variances[j] - v) <= 1 / 25
+            assert max(abs(a - b) for a, b in zip(means[j], m)) <= 1 / 25
         # with an empty stochastic set the rollout is bitwise the manual
         # deterministic-step loop and consumes no randomness
         ode_sched = uniform_schedule(25, set())

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -202,8 +203,23 @@ def test_sampler_writes_csv_and_verdict(tmp_path, capsys):
     assert payload["pass"] is True
     assert payload["noise_draws"] == 2 * 2 * 500
     rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert rows[0] == ["t", "mean", "var", "analytic_mean", "analytic_var"]
-    assert len(rows) == 7  # header + 6 recorded steps
+    assert rows[0] == ["t", "dim", "mean", "var", "ref_mean", "ref_var"]
+    assert len(rows) == 13  # header + 6 recorded steps of 2 dimensions
+    assert [r[1] for r in rows[1:3]] == ["0", "1"]
+
+
+def test_sampler_of_one_member_passes_with_warnings_as_errors(tmp_path, capsys):
+    # one member has no sample variance: ddof=1 would warn, and -W error
+    # would turn the warning into an exit 1
+    out = tmp_path / "steps.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = _run_json(capsys, ["sampler", "--ensemble", "1", "--out", str(out)])
+    assert code == 0
+    assert payload["pass"] is True
+    assert all("var" not in row for row in payload["marginals"]["steps"])
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert len(rows) == 1 + 26 * 2 and all(r[3] == "" for r in rows[1:])
 
 
 def test_bad_grid_is_usage_error(capsys):

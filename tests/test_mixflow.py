@@ -1,8 +1,14 @@
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from oracles import ou_euler_moments, ou_marginal
+from osp import checks
 from osp.mixflow import (OuProcess, SamplerSchedule, marginal_report, mixed_rollout,
-                         ode_step, sde_step, standard_ou, uniform_schedule)
+                         ode_step, sde_step, uniform_schedule)
 
 
 class _StubProcess:
@@ -56,7 +62,7 @@ def test_sde_step_zero_diffusion_reduces_to_drift():
 
 
 def test_sde_step_reproducible_under_seed():
-    proc = standard_ou(2)
+    proc = OuProcess(np.zeros(2))
     x = np.zeros((4, 2))
     a = sde_step(x, 1.0, -0.04, proc, np.random.Generator(np.random.PCG64(11)))
     b = sde_step(x, 1.0, -0.04, proc, np.random.Generator(np.random.PCG64(11)))
@@ -84,7 +90,7 @@ def test_sde_step_one_step_moments_match_closed_form():
 def test_sde_minus_ode_is_the_extra_score_drift():
     # zeroing the noise, the stochastic branch differs from the
     # deterministic one by exactly -0.5 * g^2 * s * dt
-    proc = standard_ou(2)
+    proc = OuProcess(np.zeros(2))
     rng = np.random.Generator(np.random.PCG64(3))
     x = rng.standard_normal((8, 2))
     t, dt = 0.7, -0.05
@@ -111,7 +117,7 @@ def test_ou_process_needs_a_positive_data_variance():
 
 
 def test_empty_sde_set_is_bitwise_pure_ode_and_consumes_no_rng():
-    proc = standard_ou(2)
+    proc = OuProcess(np.zeros(2))
     sched = uniform_schedule(25, set())
     rng = np.random.Generator(np.random.PCG64(9))
     state_before = rng.bit_generator.state
@@ -124,7 +130,7 @@ def test_empty_sde_set_is_bitwise_pure_ode_and_consumes_no_rng():
 
 
 def test_all_sde_steps_equals_manual_sde_loop():
-    proc = standard_ou(2)
+    proc = OuProcess(np.zeros(2))
     sched = uniform_schedule(5, set(range(5)))
     x0 = np.random.Generator(np.random.PCG64(2)).standard_normal((32, 2))
     rolled = mixed_rollout(x0, sched, proc, np.random.Generator(np.random.PCG64(21)))
@@ -139,7 +145,7 @@ def test_all_sde_steps_equals_manual_sde_loop():
 
 
 def test_rng_draw_count_is_exact():
-    proc = standard_ou(3)
+    proc = OuProcess(np.zeros(3))
     sched = uniform_schedule(10, {0, 4, 7})
     x0 = np.zeros((50, 3))
     result = mixed_rollout(x0, sched, proc, np.random.Generator(np.random.PCG64(4)))
@@ -148,13 +154,13 @@ def test_rng_draw_count_is_exact():
 
 def test_missing_rng_with_sde_steps_rejected():
     with pytest.raises(ValueError):
-        mixed_rollout(np.zeros((4, 2)), uniform_schedule(3, {0}), standard_ou(2))
+        mixed_rollout(np.zeros((4, 2)), uniform_schedule(3, {0}), OuProcess(np.zeros(2)))
 
 
 def test_mixed_terminal_moments_match_pure_ode_ensemble():
     # the stationary toy: the deterministic flow freezes the ensemble while
     # the stochastic steps resample it, so both ends stay N(0, 1)
-    proc = standard_ou(2)
+    proc = OuProcess(np.zeros(2))
     n = 10_000
     x0 = np.random.Generator(np.random.PCG64(6)).standard_normal((n, 2))
     mixed = mixed_rollout(x0, uniform_schedule(25, set(range(10))), proc,
@@ -168,17 +174,129 @@ def test_mixed_terminal_moments_match_pure_ode_ensemble():
     assert abs(pooled_mixed.var(ddof=1) - pooled_pure.var(ddof=1)) <= 4 * se_var
 
 
+def _toy_rollout(ensemble, steps=25, sde_steps=10, seed=7):
+    """A rollout of the sampler check's toy from its t = 1 marginal, with
+    the oracle's exact discrete moments."""
+    data_mean, data_var = (1.0, -0.5), 0.25
+    means, variances = ou_euler_moments(steps, sde_steps, data_mean, data_var)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x0 = np.array(means[0]) + np.sqrt(variances[0]) * rng.standard_normal((ensemble, 2))
+    sched = uniform_schedule(steps, set(range(sde_steps)))
+    result = mixed_rollout(x0, sched, OuProcess(np.array(data_mean), data_var), rng)
+    return result, sched, np.array(means), np.array(variances)[:, None]
+
+
 def test_marginal_report_structure_and_pass():
-    proc = standard_ou(2)
-    sched = uniform_schedule(25, set(range(10)))
-    rng = np.random.Generator(np.random.PCG64(7))
-    x0 = rng.standard_normal((10_000, 2))
-    report = marginal_report(mixed_rollout(x0, sched, proc, rng), proc, sched)
+    result, sched, means, variances = _toy_rollout(10_000)
+    report = marginal_report(result, sched, means, variances)
     assert report["pass"]
+    assert report["tests"] == 26 * 2 * 2
     assert len(report["steps"]) == 26
-    for row in report["steps"]:
-        assert row["analytic_mean"] == 0.0
-        assert row["analytic_var"] == 1.0
+    for j, row in enumerate(report["steps"]):
+        assert row["t"] == sched.times[j]
+        assert row["ref_mean"] == means[j].tolist()
+        assert row["ref_var"] == [variances[j, 0]] * 2
+        assert len(row["mean"]) == len(row["var"]) == 2
+
+
+def test_marginal_report_band_is_a_bonferroni_split():
+    result, sched, means, variances = _toy_rollout(100)
+    report = marginal_report(result, sched, means, variances)
+    x = math.log(2 * report["tests"] / 1e-6)
+    assert report["false_alarm"] == 1e-6
+    assert report["mean_z"] == pytest.approx(math.sqrt(2 * x))
+    k = 99
+    assert report["var_band"] == pytest.approx(
+        [1 - 2 * math.sqrt(x / k), 1 + 2 * math.sqrt(x / k) + 2 * x / k])
+
+
+def test_marginal_report_compares_each_dimension():
+    # opposite shifts cancel in a pooled mean, and not in per-dimension ones
+    result, sched, means, variances = _toy_rollout(10_000)
+    shifted = means + np.array([0.1, -0.1])
+    report = marginal_report(result, sched, shifted, variances)
+    assert not report["pass"]
+    assert not any(row["mean_ok"] for row in report["steps"])
+    assert all(row["var_ok"] for row in report["steps"])
+
+
+def test_marginal_report_catches_a_wrong_variance():
+    result, sched, means, variances = _toy_rollout(10_000)
+    report = marginal_report(result, sched, means, variances * 1.1)
+    assert not report["pass"]
+    assert all(row["mean_ok"] and not row["var_ok"] for row in report["steps"])
+
+
+def test_marginal_report_of_one_member_has_no_variance_row():
+    result, sched, means, variances = _toy_rollout(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = marginal_report(result, sched, means, variances)
+    assert report["tests"] == 26 * 2
+    assert report["var_band"] is None
+    assert all("var" not in row and "var_ok" not in row for row in report["steps"])
+
+
+# the sampler check's exact-step oracle
+
+
+def test_sampler_check_passes_the_seeds_its_monte_carlo_gate_failed():
+    for seed in (420, 2298):
+        payload = checks.sampler_check(seed)
+        assert payload["pass"], payload["checks"]
+
+
+def test_check_recurrence_agrees_with_the_test_oracle():
+    for steps, sde_steps in ((25, 10), (1, 1), (7, 0), (40, 40), (1024, 300)):
+        times, mean, var = checks.ou_exact_moments(steps, sde_steps)
+        means, variances = ou_euler_moments(steps, sde_steps, checks.SAMPLER_DATA_MEAN,
+                                             checks.SAMPLER_DATA_VAR)
+        assert np.array_equal(times, np.linspace(1.0, 0.0, steps + 1))
+        assert np.allclose(mean, means, rtol=1e-12, atol=1e-14)
+        assert np.allclose(var, variances, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0], ids=["ode", "mixed", "sde"])
+def test_moment_error_halves_at_25_50_100_200_steps(fraction):
+    data_mean, data_var = checks.SAMPLER_DATA_MEAN, checks.SAMPLER_DATA_VAR
+
+    def errors(steps):
+        means, variances = ou_euler_moments(steps, round(fraction * steps), data_mean, data_var)
+        exact = [ou_marginal(1 - j / steps, data_mean, data_var) for j in range(steps + 1)]
+        return (max(abs(a - b) for got, (m, _) in zip(means, exact) for a, b in zip(got, m)),
+                max(abs(got - v) for got, (_, v) in zip(variances, exact)))
+
+    errs = [errors(n) for n in (25, 50, 100, 200)]
+    for coarse, fine in zip(errs, errs[1:]):
+        for e_coarse, e_fine in zip(coarse, fine):
+            assert 1.9 <= e_coarse / e_fine <= 2.1
+
+
+def test_moment_gates_hold_on_every_short_schedule():
+    # the bounds the check states, on every schedule of 1..40 steps and every
+    # count of leading SDE steps
+    for steps in range(1, 41):
+        for sde_steps in range(steps + 1):
+            times, mean, var = checks.ou_exact_moments(steps, sde_steps)
+            errs = checks.ou_moment_errors(times, mean, var)
+            finer = checks.ou_moment_errors(*checks.ou_exact_moments(2 * steps, 2 * sde_steps))
+            assert max(errs) <= checks.MOMENT_ORDER / steps
+            assert all(f * checks.MOMENT_HALVING <= e for e, f in zip(errs, finer))
+
+
+def test_sampler_check_names_the_first_wrong_element():
+    # a rollout whose step 3 moves member 5's second coordinate
+    def shifted(x0, schedule, proc, rng=None):
+        result = mixed_rollout(x0, schedule, proc, rng)
+        result.snapshots[4:, 5, 1] += 1e-6
+        return result
+
+    with mock.patch.object(checks, "mixed_rollout", shifted):
+        payload = checks.sampler_check(7)
+    assert payload["checks"]["trajectory_matches_exact_steps"] is False
+    mismatch = payload["trajectory"]["first_mismatch"]
+    assert (mismatch["step"], mismatch["member"], mismatch["dim"]) == (3, 5, 1)
+    assert mismatch["got"] - mismatch["want"] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_nonstationary_ou_moments():

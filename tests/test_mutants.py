@@ -119,6 +119,16 @@ def _drawing_rollout(mixed_rollout):
     return mutant
 
 
+def _louder_noise(sde_step):
+    def mutant(x, t, dt, proc, rng):
+        # the right drift, but every variate scaled by 1.01
+        class Louder:
+            def standard_normal(self, shape):
+                return 1.01 * rng.standard_normal(shape)
+        return sde_step(x, t, dt, proc, Louder())
+    return mutant
+
+
 def _pad_before(pad_grid):
     def mutant(g):
         # pads h and w to the same sizes as pad_grid, but ahead of the real rows and columns
@@ -189,16 +199,18 @@ MUTANTS = [
             _raises(ssp.ProtocolError("shard seq 4 != subsequence length 0")),
             "sections.ssp raised ProtocolError: shard seq 4 != subsequence length 0",
             id="switch-raises-protocol-error"),
-    _escapes("osp.mixflow.ode_step", lambda real: lambda x, t, dt, proc: x,
-             ["sampler"], 3, id="identity-ode-step"),
-    _escapes("osp.mixflow.OuProcess.var_at", lambda real: lambda self, t: 1.0,
-             ["sampler"], 3, id="var-at-one"),
-    _escapes("osp.mixflow.OuProcess.mean_at", lambda real: lambda self, t: 0.0,
-             ["sampler"], 3, id="mean-at-zero"),
-    _escapes("osp.mixflow.uniform_schedule",
-             lambda real: lambda n, sde_steps=frozenset(): SamplerSchedule(
-                 np.linspace(1.01, 0.0, n + 1), frozenset(sde_steps)),
-             ["sampler"], 3, id="time-grid-from-1.01"),
+    _caught("osp.mixflow.ode_step", lambda real: lambda x, t, dt, proc: x,
+            "sections.sampler.trajectory_matches_exact_steps", id="identity-ode-step"),
+    _caught("osp.mixflow.OuProcess.var_at", lambda real: lambda self, t: 1.0,
+            "sections.sampler.trajectory_matches_exact_steps", id="var-at-one"),
+    _caught("osp.mixflow.OuProcess.mean_at", lambda real: lambda self, t: 0.0,
+            "sections.sampler.trajectory_matches_exact_steps", id="mean-at-zero"),
+    _caught("osp.mixflow.uniform_schedule",
+            lambda real: lambda n, sde_steps=frozenset(): SamplerSchedule(
+                np.linspace(1.01, 0.0, n + 1), frozenset(sde_steps)),
+            "sections.sampler.trajectory_matches_exact_steps", id="time-grid-from-1.01"),
+    _caught("osp.mixflow.sde_step", _louder_noise,
+            "sections.sampler.trajectory_matches_exact_steps", id="sde-noise-times-1.01"),
     _escapes("osp.hif8.dequantize",
              lambda real: lambda q: SequenceTensor(real(q).data * 1.01),
              ["quantizer"], 4, id="dequantize-times-1.01"),
@@ -276,6 +288,7 @@ COVERED = {
     "sections.layer_schedule.full_ends_around_alternating_tsa_gsa",
     "sections.quantized_attention_probe.input_error_pattern_independent",
     "sections.sampler.empty_sde_set_is_pure_ode",
+    "sections.sampler.trajectory_matches_exact_steps",
     "sections.ssp.cases.one_shard_per_event",
     "sections.ssp.cases.switches_match_oracle",
     "sections.ssp.cases.volume_ratio_one_quarter",
@@ -290,4 +303,4 @@ def test_caught_rows_flip_exactly_the_covered_checks():
     report = checks.build_full_report(7)
     assert report["pass"]
     named = _check_names(report)
-    assert len(named) == 41 and COVERED <= named
+    assert len(named) == 43 and COVERED <= named
