@@ -5,15 +5,16 @@ Padding is appended at the end of the h and w axes only, so tokens at the
 same spatial position always land in the same subsequence regardless of
 the original resolution. After a pattern map is applied the mask stays
 1-D (one flag per (subsequence, position)); no 2-D mask is ever required.
-`subsequence_mask` is the one place where validity follows a layout; the
-sparse attention path reads its per-subsequence mask from it.
+A `PaddedGrid` is derived from its original grid alone. `subsequence_mask`
+reports validity in a pattern's layout; the sparse attention path reads
+`pg.mask` through the pattern map's `src` itself.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,25 +29,29 @@ def _ceil_to(value: int, multiple: int) -> int:
 
 @dataclass(frozen=True)
 class PaddedGrid:
-    """Original grid, its padded counterpart, and the flat validity mask.
-
-    mask[s] is True for real tokens (row < original.h and col < original.w)
-    and False for padding. embedding[i] is the padded flat position of the
-    i-th original token; it is an index vector rather than an IndexMap
-    because padding is not a permutation.
-    """
+    """The padding of the grid `original`, which derives the rest: padded,
+    its h and w padded at their ends to multiples of k^2; the flat mask,
+    True for real tokens (row < original.h and col < original.w); and
+    embedding[i], the padded flat position of the i-th original token, an
+    index vector rather than an IndexMap because padding is not a
+    permutation. Derived values are read-only and left out of equality,
+    so two paddings of one grid are equal and hash alike."""
 
     original: GridShape
-    padded: GridShape
-    mask: np.ndarray  # (padded seq_len,) bool
-    embedding: np.ndarray  # (original seq_len,) int64
+    padded: GridShape = field(init=False, compare=False, repr=False)
+    mask: np.ndarray = field(init=False, compare=False, repr=False)  # (padded seq_len,) bool
+    embedding: np.ndarray = field(init=False, compare=False, repr=False)  # (original seq_len,) int64
 
     def __post_init__(self) -> None:
-        for name in ("mask", "embedding"):
-            arr = getattr(self, name)
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        g = self.original
+        k2 = g.k * g.k
+        padded = GridShape(g.t, _ceil_to(g.h, k2), _ceil_to(g.w, k2), g.k)
+        plane = (np.arange(padded.h) < g.h)[:, None] & (np.arange(padded.w) < g.w)[None, :]
+        mask = np.tile(plane.reshape(-1), g.t)
+        embedding = np.flatnonzero(mask).astype(np.int64)
+        mask.flags.writeable = embedding.flags.writeable = False
+        for name, value in (("padded", padded), ("mask", mask), ("embedding", embedding)):
+            object.__setattr__(self, name, value)
 
     @property
     def trivial(self) -> bool:
@@ -56,14 +61,7 @@ class PaddedGrid:
 
 def pad_grid(g: GridShape) -> PaddedGrid:
     """Pad h and w to the nearest multiple of k^2 (t is never padded)."""
-    k2 = g.k * g.k
-    padded = GridShape(g.t, _ceil_to(g.h, k2), _ceil_to(g.w, k2), g.k)
-    rows = np.arange(padded.h) < g.h
-    cols = np.arange(padded.w) < g.w
-    plane = rows[:, None] & cols[None, :]
-    mask = np.tile(plane.reshape(-1), g.t)
-    embedding = np.flatnonzero(mask).astype(np.int64)
-    return PaddedGrid(g, padded, mask, embedding)
+    return PaddedGrid(g)
 
 
 def pad_tensor(x: SequenceTensor, pg: PaddedGrid,

@@ -28,7 +28,7 @@ reads no row of a pad token, not even for the bound, so no pad content, not
 even inf or NaN, reaches a score, a value or the route, and pad rows come
 out zero. The sparse path gathers x once into the pattern layout, each
 subsequence's real tokens first; that map, its inverse and the rows'
-lengths are built once per (grid, pattern, batch, mask) and memoized. The
+lengths are built once per (padding, pattern, batch) and memoized. The
 oracle lays out the same rows itself from the original layout and the
 subsequence ids, by one stable sort, so it scores only the pairs within a
 subsequence and no S×S array exists; both routes then run the same rows.
@@ -208,14 +208,14 @@ def _attention_grid(x: SequenceTensor, g: GridShape, pg: PaddedGrid | None) -> P
 
 
 @functools.cache
-def _layout_rows(g: GridShape, pattern: SparsePattern, batch: int,
-                 mask: bytes) -> tuple[IndexMap, IndexMap, np.ndarray]:
-    """The pattern map of `batch` items on the padded grid g, with each
-    layout row's real tokens (by the flat validity `mask`) moved ahead of
-    its pad tokens, both in their layout order; its inverse; and each row's
-    real count. Built once per (grid, pattern, batch, mask) and read-only."""
-    fwd = pattern_map(g, pattern, batch)
-    real = np.frombuffer(mask, dtype=bool)[fwd.src % g.seq_len]
+def _layout_rows(pg: PaddedGrid, pattern: SparsePattern,
+                 batch: int) -> tuple[IndexMap, IndexMap, np.ndarray]:
+    """The pattern map of `batch` items on pg's padded grid, with each
+    layout row's real tokens (by pg.mask) moved ahead of its pad tokens,
+    both in their layout order; its inverse; and each row's real count.
+    Built once per (padding, pattern, batch) and read-only."""
+    fwd = pattern_map(pg.padded, pattern, batch)
+    real = pg.mask[fwd.src % pg.padded.seq_len]
     order = np.argsort(~real, axis=1, kind="stable")
     order += np.arange(0, fwd.total, fwd.out_seq)[:, None]
     fwd = IndexMap(fwd.out_batch, fwd.out_seq, order).compose(fwd)
@@ -234,7 +234,7 @@ def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
     hold, they are left out of every softmax and come back zero.
     """
     pg = _attention_grid(x, g, pg)
-    fwd, back, lengths = _layout_rows(pg.padded, pattern, x.batch, pg.mask.tobytes())
+    fwd, back, lengths = _layout_rows(pg, pattern, x.batch)
     q, k, v = project_qkv(fwd.apply(x))
     return back.apply(dense_attention(q, k, v, lengths))
 

@@ -495,12 +495,12 @@ def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10, ensemble: int
     report = marginal_report(result, sched, mean, var[:, None])
 
     # with no SDE step the rollout is an explicit ode_step loop, bit for bit,
-    # and its generator is never touched
-    ode_sched = uniform_schedule(steps, frozenset())
+    # and its generator is never touched; 3 steps of 8 members show both
+    ode_sched = uniform_schedule(3, frozenset())
     idle = np.random.Generator(np.random.PCG64(seed))
     idle_state = idle.bit_generator.state
-    ode = mixed_rollout(x0[:64], ode_sched, proc, idle)
-    pure = [x0[:64]]
+    ode = mixed_rollout(x0[:8], ode_sched, proc, idle)
+    pure = [x0[:8]]
     for t, t_next in zip(ode_sched.times[:-1], ode_sched.times[1:]):
         pure.append(ode_step(pure[-1], float(t), float(t_next - t), proc))
     bitwise_ok = (np.array_equal(ode.snapshots, pure) and ode.noise_draws == 0

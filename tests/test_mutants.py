@@ -21,7 +21,6 @@ import pytest
 
 from oracles import hif8_value_table
 from osp import attention, checks, hif8, skiparse, ssp
-from osp.anyres import PaddedGrid
 from osp.cli import main
 from osp.gridseq import IndexMap, SequenceTensor
 from osp.mixflow import SamplerSchedule
@@ -132,18 +131,20 @@ def _louder_noise(sde_step):
 def _pad_before(pad_grid):
     def mutant(g):
         # pads h and w to the same sizes as pad_grid, but ahead of the real rows and columns
-        padded = pad_grid(g).padded
-        rows = np.arange(padded.h) >= padded.h - g.h
-        cols = np.arange(padded.w) >= padded.w - g.w
+        pg = pad_grid(g)
+        rows = np.arange(pg.padded.h) >= pg.padded.h - g.h
+        cols = np.arange(pg.padded.w) >= pg.padded.w - g.w
         mask = np.tile((rows[:, None] & cols[None, :]).reshape(-1), g.t)
-        return PaddedGrid(g, padded, mask, np.flatnonzero(mask))
+        object.__setattr__(pg, "mask", mask)
+        object.__setattr__(pg, "embedding", np.flatnonzero(mask))
+        return pg
     return mutant
 
 
 def _pads_counted(layout_rows):
-    def mutant(g, pattern, batch, mask):
+    def mutant(pg, pattern, batch):
         # the right rows, but every pad token counted into its row's length
-        fwd, back, lengths = layout_rows(g, pattern, batch, mask)
+        fwd, back, lengths = layout_rows(pg, pattern, batch)
         return fwd, back, np.full_like(lengths, fwd.out_seq)
     return mutant
 
@@ -154,7 +155,9 @@ def _later_frames_real(pad_grid):
         pg = pad_grid(g)
         mask = pg.mask.copy()
         mask[pg.padded.h * pg.padded.w:] = True
-        return PaddedGrid(g, pg.padded, mask, np.flatnonzero(mask))
+        object.__setattr__(pg, "mask", mask)
+        object.__setattr__(pg, "embedding", np.flatnonzero(mask))
+        return pg
     return mutant
 
 
