@@ -381,7 +381,7 @@ def test_sparse_path_is_one_kernel_call_on_the_layout(pattern, monkeypatch):
     assert calls == [((8, 16, 4), np.repeat(real, 2).tolist())]
 
 
-def test_layout_rows_are_built_once_per_padding(monkeypatch):
+def test_layout_rows_are_built_once_per_grid_and_mask(monkeypatch):
     g = GridShape(1, 5, 6, 2)
     pg = pad_grid(g)
     x = pad_tensor(random_tensor(2, g.seq_len, 4, seed=41), pg)
@@ -394,6 +394,17 @@ def test_layout_rows_are_built_once_per_padding(monkeypatch):
     assert np.array_equal(skiparse_attention(x, g, SparsePattern.GROUP_WISE, pad_grid(g)).data,
                           first)
     assert builds == [] and attention._layout_rows.cache_info().misses == 1
+    monkeypatch.undo()
+    # the transposed grid pads to the same 8x8 grid but masks other tokens:
+    # its rows and lengths are its own
+    other = pad_grid(GridShape(1, 6, 5, 2))
+    assert other.padded == pg.padded and not np.array_equal(other.mask, pg.mask)
+    y = pad_tensor(random_tensor(2, other.original.seq_len, 4, seed=41), other)
+    out = skiparse_attention(y, other.original, SparsePattern.GROUP_WISE, other).data
+    assert attention._layout_rows.cache_info().misses == 2
+    ref = skiparse_reference(y, other.original, SparsePattern.GROUP_WISE, other).data
+    assert np.max(np.abs(out - ref)) < 1e-12 and (out[:, ~other.mask] == 0.0).all()
+    assert not np.array_equal(out, first)
 
 
 def test_projections_are_drawn_once_and_read_only():
