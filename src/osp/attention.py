@@ -51,9 +51,13 @@ from .gridseq import GridShape, IndexMap, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
-# the most float64 scores one dense_attention tile may hold: 256 query rows
-# against 4096 keys; the tile's scaled q rows are held beside it
-SCORE_TILE_BYTES = 8 * 2 ** 20
+# the most float64 scores one dense_attention tile may hold: 546 query rows
+# against 960 keys, or 128 against 4096; the tile's scaled q rows are held
+# beside it. 4 MiB is the L2 of a 2-core Xeon host's two cores together
+# (2 MiB each), which share each tile's matmuls; there, clip-attn's op took
+# the same median time at 4 MiB as at 8 with 4.0 MB less peak RSS, and
+# about 5% more time at 2 MiB
+SCORE_TILE_BYTES = 4 * 2 ** 20
 # the largest score bound B for which the softmax skips its row max: every
 # weight exp(s), |s| <= B, lies in [e^-64, e^64] ~ [1.6e-28, 6.2e27], far
 # inside float64's normal range [2.2e-308, 1.8e308], so none overflows or

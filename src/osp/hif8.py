@@ -33,12 +33,13 @@ verifies the published constraints on them (range, center width, outward
 monotonicity, 256 distinct values) and the rounding at every midpoint.
 
 Quantization uses current scaling at per-tensor granularity: every call
-recomputes amax = max |x| and scale = target / (amax + eps), where eps
-is DEFAULT_EPS = 1e-12 and the target is 15.0 in forward mode and 224.0
-in backward mode, then stores
-encode(x * scale) with the single scale. The module only computes:
-`checks.quantized_attention_probe` measures the error the round trip
-adds to sparse attention.
+recomputes amax = max |x|, read as max(max x, -min x) with no |x| array,
+and scale = target / (amax + eps), where eps is DEFAULT_EPS = 1e-12 and
+the target is 15.0 in forward mode and 224.0 in backward mode, then
+stores encode(x * scale) with the single scale. Dequantizing is one
+lookup into the 256 values divided by that scale. The module only
+computes: `checks.quantized_attention_probe` measures the error the
+round trip adds to sparse attention.
 """
 
 from __future__ import annotations
@@ -208,17 +209,22 @@ def quantize_tensor(x: SequenceTensor, mode: str) -> QuantizedTensor:
         raise ValueError(f"mode must be one of {sorted(_MODE_MAX)}, got {mode!r}")
     if x.data.dtype != np.float64:
         raise ValueError(f"quantize_tensor expects a float64 tensor, got {x.data.dtype}")
-    amax = float(np.max(np.abs(x.data))) if x.data.size else 0.0
+    # max |x| without an |x| array: the larger of max x and -min x is never
+    # negative, and abs() turns its -0.0 (a tensor of zeros) into +0.0;
+    # a NaN anywhere makes both NaN
+    amax = abs(max(float(x.data.max()), -float(x.data.min()))) if x.data.size else 0.0
     if not np.isfinite(amax):
         raise EncodeError(f"cannot quantize a tensor with non-finite values (amax {amax})")
     scale = _MODE_MAX[mode] / (amax + DEFAULT_EPS)
-    scaled = x.data * scale
-    assert np.max(np.abs(scaled), initial=0.0) <= MAX_VALUE, "current scaling cannot overflow"
-    return QuantizedTensor(SequenceTensor(encode_array(scaled)), scale, mode, amax)
+    # rounding is monotone, so amax * scale is exactly max |x * scale|
+    assert amax * scale <= MAX_VALUE, "current scaling cannot overflow"
+    return QuantizedTensor(SequenceTensor(encode_array(x.data * scale)), scale, mode, amax)
 
 
 def dequantize(q: QuantizedTensor) -> SequenceTensor:
-    return SequenceTensor(decode_array(q.codes.data) / q.scale)
+    """decode(code) / scale for every code, as one lookup into the 256
+    scaled values: no full-size decoded array precedes the output."""
+    return SequenceTensor((VALUES / q.scale)[q.codes.data])
 
 
 def roundtrip(x: SequenceTensor, mode: str) -> SequenceTensor:

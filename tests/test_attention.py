@@ -318,11 +318,11 @@ def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape
 def test_score_memory_stays_within_one_tile():
     # clip-attn's GSA call: 4 layout rows of 960 tokens, of which 960, 900,
     # 960 and 900 are real; all 4 x 960 x 960 float64 scores at once would
-    # take 28.1 MiB. One 7.0 MiB score tile (a full row's tokens against
-    # each other), the 1.9 MiB output and one tile's scaled q rows
-    # (0.5 MiB) take 9.4 MiB; the keys and values are views. Gathering a
-    # block's keys or values would add 0.5 MiB, and a full-size scaled copy
-    # of q 1.9 MiB
+    # take 28.1 MiB. One 4.0 MiB score tile (546 of a row's query rows
+    # against its 960 keys), the 1.9 MiB output and one tile's scaled q
+    # rows (0.3 MiB) take 6.1 MiB; the keys and values are views.
+    # Gathering a block's keys or values would add 0.5 MiB, and a
+    # full-size scaled copy of q 1.9 MiB
     q, k, v = _rand_qkv(4, 960, 64, seed=31)
     tracemalloc.start()
     try:
@@ -330,7 +330,7 @@ def test_score_memory_stays_within_one_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.75 * 2 ** 20
+    assert peak < 6.75 * 2 ** 20
 
 
 @pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4), (5, 4)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,6 +342,41 @@ def test_current_scaling_recomputes_every_call():
     a = quantize_tensor(SequenceTensor(np.full((1, 2, 1), 3.0)), "forward")
     b = quantize_tensor(SequenceTensor(np.full((1, 2, 1), 7.0)), "forward")
     assert a.scale != b.scale
+
+
+@pytest.mark.parametrize("data", [
+    -np.random.Generator(np.random.PCG64(8)).uniform(0.5, 30.0, (1, 64, 8)),
+    np.full((1, 4, 2), -0.0),
+    np.array([[[0.0], [-0.0]]]),
+], ids=["all-negative", "negative-zeros", "signed-zeros"])
+def test_amax_is_max_abs_bit_for_bit(data):
+    q = quantize_tensor(SequenceTensor(data), "forward")
+    want = np.max(np.abs(data))
+    assert np.float64(q.amax).view(np.int64) == want.view(np.int64)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 5])
+def test_quantize_tensor_rejects_non_finite(bad, at):
+    data = np.linspace(-2.0, 3.0, 6).reshape(1, 6, 1)
+    data[0, at, 0] = bad
+    with pytest.raises(EncodeError, match="non-finite"):
+        quantize_tensor(SequenceTensor(data), "forward")
+
+
+def test_roundtrip_peak_memory_stays_below_one_and_a_half_inputs():
+    # clip-attn's 1.9 MiB padded clip: the output, the codes, the scaled
+    # input and the encoder's bounded steps; a decoded array before the
+    # division, or an |x * scale| array for the overflow check, would add a
+    # whole input
+    x = random_tensor(1, 3840, 64, seed=9)
+    tracemalloc.start()
+    try:
+        roundtrip(x, "forward")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.data.nbytes
 
 
 def test_hif8_codes_travel_through_rearranges():
