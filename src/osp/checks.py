@@ -467,7 +467,7 @@ def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10, ensemble: int
     ones by `marginal_report`, whose band no gate reads."""
     dim = len(SAMPLER_DATA_MEAN)
     proc = OuProcess(np.array(SAMPLER_DATA_MEAN), SAMPLER_DATA_VAR)
-    sched = uniform_schedule(steps, set(range(sde_steps)))
+    sched = uniform_schedule(steps, sde_steps)
     times, a, b, c = ou_euler_steps(steps, sde_steps)
     _, mean, var = ou_exact_moments(steps, sde_steps)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -496,7 +496,7 @@ def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10, ensemble: int
 
     # with no SDE step the rollout is an explicit ode_step loop, bit for bit,
     # and its generator is never touched; 3 steps of 8 members show both
-    ode_sched = uniform_schedule(3, frozenset())
+    ode_sched = uniform_schedule(3)
     idle = np.random.Generator(np.random.PCG64(seed))
     idle_state = idle.bit_generator.state
     ode = mixed_rollout(x0[:8], ode_sched, proc, idle)

@@ -39,6 +39,11 @@ MAX_BLOCKS = 1024
 # and print 485 KB at the default ensemble of 256), so a larger count is a
 # usage error, not a run of hours
 MAX_STEPS = 1024
+# mixed_rollout keeps every snapshot and marginal_report copies them members
+# last, each (steps + 1) * ensemble * 2 float64: at MAX_STEPS, 2**15 members
+# hold about 1.07 GB in both arrays, so a larger ensemble is a usage error,
+# not an out-of-memory kill
+MAX_ENSEMBLE = 2 ** 15
 
 
 class UsageError(ValueError):
@@ -322,7 +327,8 @@ def _build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentPars
     p = sub.add_parser("sampler", help="mixed SDE/ODE rollout marginal check")
     p.add_argument("--steps", type=lambda text: _positive_int(text, MAX_STEPS), default=25)
     p.add_argument("--sde-steps", type=_non_negative_int, default=10)
-    p.add_argument("--ensemble", type=_positive_int, default=256)
+    p.add_argument("--ensemble", type=lambda text: _positive_int(text, MAX_ENSEMBLE),
+                   default=256)
     add_seed(p)
     p.add_argument("--out", help="per-step CSV path")
     p.set_defaults(func=_cmd_sampler, **defaults)

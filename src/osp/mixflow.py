@@ -9,8 +9,8 @@ marginals:
     stochastic:     x' = x + (f - g^2 * s) * dt + g * sqrt(|dt|) * xi
 
 with dt negative on a decreasing time grid and xi standard normal. The
-mixed rollout applies the stochastic branch only on a chosen set of step
-indices and the deterministic branch elsewhere. Both Euler schemes are
+mixed rollout applies the stochastic branch on the first `sde_steps` steps
+and the deterministic branch after them. Both Euler schemes are
 weak order 1, so the moments of a rollout stray O(dt) from the analytic
 flow's.
 
@@ -58,10 +58,6 @@ class OuProcess:
         if self.data_var <= 0:
             raise ValueError("data_var must be positive")
 
-    @property
-    def dim(self) -> int:
-        return self.data_mean.size
-
     def drift(self, x: np.ndarray, t: float) -> np.ndarray:
         return -0.5 * x
 
@@ -83,14 +79,14 @@ class OuProcess:
 
 @dataclass(frozen=True)
 class SamplerSchedule:
-    """Decreasing time grid plus the set of step indices run stochastically.
+    """Decreasing time grid plus the count of leading steps run stochastically.
 
-    Step i integrates from times[i] to times[i + 1]; indices in sde_steps
-    use the stochastic branch, all others are noise-free.
+    Step i integrates from times[i] to times[i + 1]; steps i < sde_steps
+    use the stochastic branch, all later ones are noise-free.
     """
 
     times: np.ndarray  # (num_steps + 1,), strictly decreasing
-    sde_steps: frozenset[int]
+    sde_steps: int
 
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
@@ -100,20 +96,17 @@ class SamplerSchedule:
             raise ValueError("times must be strictly decreasing")
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        steps = frozenset(int(i) for i in self.sde_steps)
-        if steps and (min(steps) < 0 or max(steps) >= self.num_steps):
-            raise ValueError(f"sde_steps must lie in [0, {self.num_steps})")
-        object.__setattr__(self, "sde_steps", steps)
+        if not 0 <= self.sde_steps <= self.num_steps:
+            raise ValueError(f"sde_steps must lie in [0, {self.num_steps}]")
 
     @property
     def num_steps(self) -> int:
         return self.times.size - 1
 
 
-def uniform_schedule(num_steps: int,
-                     sde_steps: frozenset[int] | set[int] = frozenset()) -> SamplerSchedule:
+def uniform_schedule(num_steps: int, sde_steps: int = 0) -> SamplerSchedule:
     """num_steps equal steps from t = 1 down to t = 0."""
-    return SamplerSchedule(np.linspace(1.0, 0.0, num_steps + 1), frozenset(sde_steps))
+    return SamplerSchedule(np.linspace(1.0, 0.0, num_steps + 1), sde_steps)
 
 
 def ode_step(x: np.ndarray, t: float, dt: float, proc) -> np.ndarray:
@@ -145,9 +138,9 @@ class RolloutResult:
 def mixed_rollout(x0: np.ndarray, schedule: SamplerSchedule, proc,
                   rng: np.random.Generator | None = None) -> RolloutResult:
     """Integrate an ensemble through the schedule, applying the stochastic
-    branch on sde_steps and the deterministic branch elsewhere. With an
-    empty sde_steps set the generator is never touched and the result is
-    bitwise equal to a pure deterministic rollout."""
+    branch on the first sde_steps steps and the deterministic branch after
+    them. With sde_steps = 0 the generator is never touched and the result
+    is bitwise equal to a pure deterministic rollout."""
     if schedule.sde_steps and rng is None:
         raise ValueError("stochastic steps require a generator")
     x = np.asarray(x0, dtype=np.float64)
@@ -157,7 +150,7 @@ def mixed_rollout(x0: np.ndarray, schedule: SamplerSchedule, proc,
     for i in range(schedule.num_steps):
         t = float(schedule.times[i])
         dt = float(schedule.times[i + 1] - schedule.times[i])
-        if i in schedule.sde_steps:
+        if i < schedule.sde_steps:
             x = sde_step(x, t, dt, proc, rng)
             draws += x.size
         else:

@@ -187,7 +187,7 @@ def test_criterion_9_mixed_sampler_marginals():
     with criterion(9, "25-step mixed rollout matches its exact Euler moments", 60.0):
         data_mean, data_var = (1.0, -0.5), 0.25
         proc = OuProcess(np.array(data_mean), data_var)
-        sched = uniform_schedule(25, set(range(10)))
+        sched = uniform_schedule(25, 10)
         means, variances = ou_euler_moments(25, 10, data_mean, data_var)
         rng = np.random.Generator(np.random.PCG64(7))
         x0 = np.array(means[0]) + math.sqrt(variances[0]) * rng.standard_normal((10_000, 2))
@@ -200,9 +200,9 @@ def test_criterion_9_mixed_sampler_marginals():
             m, v = ou_marginal(t, data_mean, data_var)
             assert abs(variances[j] - v) <= 1 / 25
             assert max(abs(a - b) for a, b in zip(means[j], m)) <= 1 / 25
-        # with an empty stochastic set the rollout is bitwise the manual
+        # with no stochastic step the rollout is bitwise the manual
         # deterministic-step loop and consumes no randomness
-        ode_sched = uniform_schedule(25, set())
+        ode_sched = uniform_schedule(25)
         pure = mixed_rollout(x0, ode_sched, proc)
         x = x0
         for i in range(25):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import osp
 from oracles import hif8_value_table
 from osp import checks, cli
-from osp.cli import MAX_BLOCKS, MAX_STEPS, main
+from osp.cli import MAX_BLOCKS, MAX_ENSEMBLE, MAX_STEPS, main
 from osp.gridseq import SequenceTensor, random_tensor, read_ospt, write_ospt
 
 
@@ -406,19 +406,14 @@ def test_blocks_are_capped(config, flags, expected, tmp_path, capsys, monkeypatc
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config,flags,expected", [
-    ("", ["--steps", str(MAX_STEPS + 1)], 2),
-    ("steps = 100000000", [], 2),
-    ("", ["--steps", str(MAX_STEPS), "--ensemble", "2", "--sde-steps", "0"], 0),
-], ids=["flag-over-cap", "config-over-cap", "at-cap"])
-def test_steps_are_capped(config, flags, expected, tmp_path, capsys, monkeypatch):
+def _check_sampler_cap(config, flags, expected, tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
     rollout, calls = checks.mixed_rollout, []
 
     def counted_rollout(*args, **kwargs):
         calls.append(1)
-        assert expected == 0, "a rollout ran for --steps above the cap"
+        assert expected == 0, f"a rollout ran for a count above its cap: {flags or config}"
         return rollout(*args, **kwargs)
 
     monkeypatch.setattr(checks, "mixed_rollout", counted_rollout)
@@ -426,6 +421,24 @@ def test_steps_are_capped(config, flags, expected, tmp_path, capsys, monkeypatch
     assert bool(calls) == (expected == 0)
     if expected:
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,flags,expected", [
+    ("", ["--steps", str(MAX_STEPS + 1)], 2),
+    ("steps = 100000000", [], 2),
+    ("", ["--steps", str(MAX_STEPS), "--ensemble", "2", "--sde-steps", "0"], 0),
+], ids=["flag-over-cap", "config-over-cap", "at-cap"])
+def test_steps_are_capped(config, flags, expected, tmp_path, capsys, monkeypatch):
+    _check_sampler_cap(config, flags, expected, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("config,flags,expected", [
+    ("", ["--ensemble", str(MAX_ENSEMBLE + 1)], 2),
+    ("ensemble = 100000000", [], 2),
+    ("", ["--ensemble", str(MAX_ENSEMBLE), "--steps", "2", "--sde-steps", "1"], 0),
+], ids=["flag-over-cap", "config-over-cap", "at-cap"])
+def test_ensemble_is_capped(config, flags, expected, tmp_path, capsys, monkeypatch):
+    _check_sampler_cap(config, flags, expected, tmp_path, capsys, monkeypatch)
 
 
 def test_assertion_failure_exits_1_and_names_invariant(capsys, monkeypatch):
@@ -534,7 +547,7 @@ _GRID = st.one_of(
     .map(lambda dims: ",".join(map(str, dims))),
     st.sampled_from(["", "1,4", "1,4,4,4", "a,b,c", "1, 4, x"]))
 _K = st.one_of(_EDGE, st.integers(-1, 3).map(str), _JUNK)
-_CAPS = {"blocks": MAX_BLOCKS, "steps": MAX_STEPS}
+_CAPS = {"blocks": MAX_BLOCKS, "steps": MAX_STEPS, "ensemble": MAX_ENSEMBLE}
 
 
 def _over_cap(name):
@@ -564,7 +577,7 @@ _COMMANDS = {
                                                      "inf.ospt"]),
                            "output": st.sampled_from(["y.ospt", "no-dir/y.ospt"])},
     ("sampler",): {"steps": st.one_of(_SMALL, _over_cap("steps")), "sde_steps": _SMALL,
-                   "ensemble": _SMALL, "seed": _SEED},
+                   "ensemble": st.one_of(_SMALL, _over_cap("ensemble")), "seed": _SEED},
     ("report-all",): {"seed": _SEED},
 }
 

@@ -101,14 +101,16 @@ def test_sde_minus_ode_is_the_extra_score_drift():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        SamplerSchedule(np.array([0.0, 1.0]), frozenset())  # increasing
-    with pytest.raises(ValueError):
-        SamplerSchedule(np.array([1.0, 0.5, 0.0]), frozenset({2}))  # index out of range
+        SamplerSchedule(np.array([0.0, 1.0]), 0)  # increasing
+    for count in (-1, 3):  # outside 0..num_steps
+        with pytest.raises(ValueError, match="sde_steps must lie in"):
+            SamplerSchedule(np.array([1.0, 0.5, 0.0]), count)
     with pytest.raises(ValueError, match="at least one step"):
-        SamplerSchedule(np.array([1.0]), frozenset())  # one point, no step
-    sched = uniform_schedule(4, {0, 1})
-    assert sched.num_steps == 4
-    assert sched.sde_steps == frozenset({0, 1})
+        SamplerSchedule(np.array([1.0]), 0)  # one point, no step
+    for count in (0, 4):
+        sched = uniform_schedule(4, count)
+        assert sched.num_steps == 4
+        assert sched.sde_steps == count
 
 
 def test_ou_process_needs_a_positive_data_variance():
@@ -118,7 +120,7 @@ def test_ou_process_needs_a_positive_data_variance():
 
 def test_empty_sde_set_is_bitwise_pure_ode_and_consumes_no_rng():
     proc = OuProcess(np.zeros(2))
-    sched = uniform_schedule(25, set())
+    sched = uniform_schedule(25)
     rng = np.random.Generator(np.random.PCG64(9))
     state_before = rng.bit_generator.state
     x0 = np.random.Generator(np.random.PCG64(1)).standard_normal((128, 2))
@@ -131,7 +133,7 @@ def test_empty_sde_set_is_bitwise_pure_ode_and_consumes_no_rng():
 
 def test_all_sde_steps_equals_manual_sde_loop():
     proc = OuProcess(np.zeros(2))
-    sched = uniform_schedule(5, set(range(5)))
+    sched = uniform_schedule(5, 5)
     x0 = np.random.Generator(np.random.PCG64(2)).standard_normal((32, 2))
     rolled = mixed_rollout(x0, sched, proc, np.random.Generator(np.random.PCG64(21)))
     rng = np.random.Generator(np.random.PCG64(21))
@@ -146,7 +148,7 @@ def test_all_sde_steps_equals_manual_sde_loop():
 
 def test_rng_draw_count_is_exact():
     proc = OuProcess(np.zeros(3))
-    sched = uniform_schedule(10, {0, 4, 7})
+    sched = uniform_schedule(10, 3)
     x0 = np.zeros((50, 3))
     result = mixed_rollout(x0, sched, proc, np.random.Generator(np.random.PCG64(4)))
     assert result.noise_draws == 3 * 50 * 3
@@ -154,7 +156,7 @@ def test_rng_draw_count_is_exact():
 
 def test_missing_rng_with_sde_steps_rejected():
     with pytest.raises(ValueError):
-        mixed_rollout(np.zeros((4, 2)), uniform_schedule(3, {0}), OuProcess(np.zeros(2)))
+        mixed_rollout(np.zeros((4, 2)), uniform_schedule(3, 1), OuProcess(np.zeros(2)))
 
 
 def test_mixed_terminal_moments_match_pure_ode_ensemble():
@@ -163,9 +165,9 @@ def test_mixed_terminal_moments_match_pure_ode_ensemble():
     proc = OuProcess(np.zeros(2))
     n = 10_000
     x0 = np.random.Generator(np.random.PCG64(6)).standard_normal((n, 2))
-    mixed = mixed_rollout(x0, uniform_schedule(25, set(range(10))), proc,
+    mixed = mixed_rollout(x0, uniform_schedule(25, 10), proc,
                           np.random.Generator(np.random.PCG64(7)))
-    pure = mixed_rollout(x0, uniform_schedule(25, set()), proc)
+    pure = mixed_rollout(x0, uniform_schedule(25), proc)
     pooled_mixed = mixed.final.reshape(-1)
     pooled_pure = pure.final.reshape(-1)
     se_mean = np.sqrt(2.0 / pooled_mixed.size)  # difference of two sample means
@@ -181,7 +183,7 @@ def _toy_rollout(ensemble, steps=25, sde_steps=10, seed=7):
     means, variances = ou_euler_moments(steps, sde_steps, data_mean, data_var)
     rng = np.random.Generator(np.random.PCG64(seed))
     x0 = np.array(means[0]) + np.sqrt(variances[0]) * rng.standard_normal((ensemble, 2))
-    sched = uniform_schedule(steps, set(range(sde_steps)))
+    sched = uniform_schedule(steps, sde_steps)
     result = mixed_rollout(x0, sched, OuProcess(np.array(data_mean), data_var), rng)
     return result, sched, np.array(means), np.array(variances)[:, None]
 
@@ -244,6 +246,15 @@ def test_sampler_check_passes_the_seeds_its_monte_carlo_gate_failed():
     for seed in (420, 2298):
         payload = checks.sampler_check(seed)
         assert payload["pass"], payload["checks"]
+
+
+def test_sampler_check_passes_every_leading_count_of_short_schedules():
+    # the trajectory oracle replays both ends of the run: no SDE step and all
+    for steps in range(1, 9):
+        for sde_steps in range(steps + 1):
+            payload = checks.sampler_check(7, steps, sde_steps)
+            assert payload["pass"], (steps, sde_steps, payload["checks"])
+            assert payload["noise_draws"] == sde_steps * 2 * 256
 
 
 def test_check_recurrence_agrees_with_the_test_oracle():

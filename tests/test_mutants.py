@@ -113,7 +113,7 @@ def _drawing_rollout(mixed_rollout):
         # the same snapshots, but every ODE step also draws a variate it never uses
         result = mixed_rollout(x0, schedule, proc, rng)
         if rng is not None:
-            rng.standard_normal(schedule.num_steps - len(schedule.sde_steps))
+            rng.standard_normal(schedule.num_steps - schedule.sde_steps)
         return result
     return mutant
 
@@ -209,8 +209,8 @@ MUTANTS = [
     _caught("osp.mixflow.OuProcess.mean_at", lambda real: lambda self, t: 0.0,
             "sections.sampler.trajectory_matches_exact_steps", id="mean-at-zero"),
     _caught("osp.mixflow.uniform_schedule",
-            lambda real: lambda n, sde_steps=frozenset(): SamplerSchedule(
-                np.linspace(1.01, 0.0, n + 1), frozenset(sde_steps)),
+            lambda real: lambda n, sde_steps=0: SamplerSchedule(
+                np.linspace(1.01, 0.0, n + 1), sde_steps),
             "sections.sampler.trajectory_matches_exact_steps", id="time-grid-from-1.01"),
     _caught("osp.mixflow.sde_step", _louder_noise,
             "sections.sampler.trajectory_matches_exact_steps", id="sde-noise-times-1.01"),
