@@ -13,9 +13,12 @@ the softmax in place on the scores it owns without normalising them: it
 divides the (rows × C) output by each row's weight sum instead, as
 FlashAttention does. It holds at most `SCORE_TILE_BYTES` of float64 scores
 at a time, in one buffer per call. Each run goes in blocks of whole rows,
-whose query rows are walked against all of the block's keys in tiles, each
-tile's q rows copied and scaled. Every row sees all its keys in its tile,
-so no rescaling crosses tiles.
+whose query rows are walked in tiles, each tile's q rows scaled once into
+one buffer. On the bounded route below, a tile walks its keys `KEY_BLOCK`
+at a time, in FlashAttention-2's loop order: the weights are plain exp(s),
+so each key block's PV and row sums add to the last with no rescaling, and
+the tile is divided once. On the shifted route each row sees all its keys
+in one block, so no running max crosses blocks.
 
 The softmax takes one of two routes per call. By Cauchy–Schwarz every
 score is at most B = max ‖q_i‖/√C · max ‖k_j‖ in magnitude. When B is at
@@ -51,13 +54,23 @@ from .gridseq import GridShape, IndexMap, SequenceTensor, ShapeError
 from .skiparse import SparsePattern, assignment_of, pattern_map
 
 PROJECTION_SEED = 184594917  # fixed stream for the q/k/v projections
-# the most float64 scores one dense_attention tile may hold: 546 query rows
-# against 960 keys, or 128 against 4096; the tile's scaled q rows are held
-# beside it. 4 MiB is the L2 of a 2-core Xeon host's two cores together
-# (2 MiB each), which share each tile's matmuls; there, clip-attn's op took
-# the same median time at 4 MiB as at 8 with 4.0 MB less peak RSS, and
-# about 5% more time at 2 MiB
-SCORE_TILE_BYTES = 4 * 2 ** 20
+# the most float64 scores one dense_attention tile may hold: 512 query rows
+# against one KEY_BLOCK of keys, or the rows of groups of at most KEY_BLOCK
+# keys against all their keys; the tile's scaled q rows and one PV partial
+# of its rows' shape are held beside it. 1 MiB is half of one core's 2 MiB
+# L2 on a 2-core Xeon host. There, in two interleaved sweeps, a 4 x 960
+# call (clip-attn's layer) took a median 19.1 and 16.5 ms in 1 MiB tiles,
+# 21.9 and 17.4 at 2 MiB and 24.5 and 21.0 at 512 KiB, against 22.1 and
+# 18.8 in 4 MiB tiles of whole rows; its tracemalloc peak fell from 6.36 to
+# 3.46 MiB
+SCORE_TILE_BYTES = 2 ** 20
+# the most keys a score tile holds on the bounded softmax route: a group of
+# more walks its keys in blocks of KEY_BLOCK inside each row tile, so the
+# tile keeps its 512 rows however long the group. In the same sweeps the
+# 4 x 960 call took 22.5 and 17.6 ms at 128 keys and 23.1 and 19.9 at 512;
+# 2048 query rows against the 80640 keys of a padded 21 x 48 x 80 clip ran
+# at 21.2 GMAC/s, against 5.8 in 6-row tiles of all 80640 keys
+KEY_BLOCK = 256
 # the largest score bound B for which the softmax skips its row max: every
 # weight exp(s), |s| <= B, lies in [e^-64, e^64] ~ [1.6e-28, 6.2e27], far
 # inside float64's normal range [2.2e-308, 1.8e308], so none overflows or
@@ -112,32 +125,49 @@ def _softmax_rows(scores: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarr
     return scores, np.sum(scores, axis=-1, keepdims=True)
 
 
-def _tile_shape(batch: int, size: int) -> tuple[int, int]:
+def _tile_shape(batch: int, size: int, block: int) -> tuple[int, int]:
     """(groups, query rows) of the largest score tile of `batch` stacked
-    groups of `size` tokens: as many whole groups as fit in
-    SCORE_TILE_BYTES, else one group's query rows, the most that fit, at
-    least one. size must be positive."""
-    rows_fit = max(1, SCORE_TILE_BYTES // (8 * size))
+    groups of `size` tokens, each query row scoring `block` keys at a time:
+    as many whole groups as fit in SCORE_TILE_BYTES, else one group's query
+    rows, the most that fit, at least one. size and block must be
+    positive."""
+    rows_fit = max(1, SCORE_TILE_BYTES // (8 * block))
     if size <= rows_fit:
         return min(batch, rows_fit // size), size
     return 1, rows_fit
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray, tile: int,
-            root_c: float, buf: np.ndarray, shift: bool) -> None:
-    """out = softmax(q/√C · kᵀ) v for one block of rows, (items, n, C)
-    views of their length-n prefixes, walking `tile` query rows at a time
-    with the scores in the front of buf."""
-    keys = k.transpose(0, 2, 1)
-    for r in range(0, k.shape[1], tile):
-        # scaling q, not the scores, is exact when √C is a power of two (C = 64)
-        q_tile = q[:, r:r + tile] / root_c
-        shape = (*q_tile.shape[:2], k.shape[1])
-        scores = buf[:math.prod(shape)].reshape(shape)
-        np.matmul(q_tile, keys, out=scores)
-        weights, denom = _softmax_rows(scores, shift)
+            block: int, root_c: float, buf: np.ndarray, q_buf: np.ndarray, part: np.ndarray,
+            shift: bool) -> None:
+    """out = softmax(q/√C · kᵀ) v for one block of rows: k and v are
+    (items, n, C) views of their length-n prefixes, q and out the same
+    views or a slice of their query rows. Walks `tile` query rows at a
+    time, scaled into the front of q_buf, against `block` keys at a time,
+    with the scores in the front of buf. The first key block's PV goes into
+    out's rows; each later block's goes into the front of part and is added
+    to them, and its row sums to the first's. That adds unshifted weights
+    only, so block < n needs shift False."""
+    n = k.shape[1]
+    for r in range(0, q.shape[1], tile):
         rows = out[:, r:r + tile]
-        np.matmul(weights, v, out=rows)
+        q_tile = q_buf[:rows.size].reshape(rows.shape)
+        # scaling q, not the scores, is exact when √C is a power of two (C = 64)
+        np.divide(q[:, r:r + tile], root_c, out=q_tile)
+        for c in range(0, n, block):
+            keys, values = k[:, c:c + block], v[:, c:c + block]
+            shape = (*q_tile.shape[:2], keys.shape[1])
+            scores = buf[:math.prod(shape)].reshape(shape)
+            np.matmul(q_tile, keys.transpose(0, 2, 1), out=scores)
+            weights, sums = _softmax_rows(scores, shift)
+            if c == 0:
+                np.matmul(weights, values, out=rows)
+                denom = sums
+            else:
+                pv = part[:rows.size].reshape(rows.shape)
+                np.matmul(weights, values, out=pv)
+                rows += pv
+                denom += sums
         rows /= denom
 
 
@@ -161,7 +191,9 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
 
     q, k and v must share one shape; an empty one gives an empty output.
     The scores live in one buffer, sized to the largest tile that fits
-    SCORE_TILE_BYTES (or to one query row's scores, if larger).
+    SCORE_TILE_BYTES (or to one query row's scores, if larger). On the
+    bounded route a row scores at most KEY_BLOCK keys at a time; on the
+    shifted route, all of its row's keys.
     """
     if not q.data.shape == k.data.shape == v.data.shape:
         raise ShapeError(f"q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
@@ -184,17 +216,23 @@ def dense_attention(q: SequenceTensor, k: SequenceTensor, v: SequenceTensor,
     shift = not (bound <= SCORE_BOUND and q.seq * math.exp(bound) * _max_row_norm(v.data, keep)
                  < sys.float_info.max)
     # every run of rows that share a non-zero length n, in blocks of whole
-    # rows, as (rows, n, query rows per tile)
+    # rows, as (rows, n, query rows per tile, keys per block); a PV partial
+    # is needed only where a row's keys span several blocks
     starts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), q.batch]
-    blocks, size = [], 0
+    blocks, size, q_size, part = [], 0, 0, 0
     for a, b, n in zip(starts, starts[1:], lengths[starts[:-1]].tolist()):
         if n:
-            items, tile = _tile_shape(b - a, n)
-            size = max(size, items * tile * n)
-            blocks += [(slice(g, min(g + items, b)), n, tile) for g in range(a, b, items)]
-    buf = np.empty(size)
-    for rows, n, tile in blocks:
-        _attend(*(a[rows, :n] for a in (q.data, k.data, v.data, out)), tile, root_c, buf, shift)
+            block = n if shift else min(n, KEY_BLOCK)
+            items, tile = _tile_shape(b - a, n, block)
+            size = max(size, items * tile * block)
+            q_size = max(q_size, items * tile * q.chan)
+            if block < n:
+                part = max(part, items * tile * q.chan)
+            blocks += [(slice(g, min(g + items, b)), n, tile, block) for g in range(a, b, items)]
+    buf, q_buf, part = np.empty(size), np.empty(q_size), np.empty(part)
+    for rows, n, tile, block in blocks:
+        _attend(*(a[rows, :n] for a in (q.data, k.data, v.data, out)), tile, block, root_c,
+                buf, q_buf, part, shift)
     return SequenceTensor(out)
 
 

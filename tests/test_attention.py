@@ -120,16 +120,17 @@ def test_softmax_rows_returns_unnormalised_weights_and_their_row_sums():
             assert np.array_equal(weights, np.exp(original))
 
 
-def _spy_shift(monkeypatch) -> list:
-    """Record the shift flag of every _softmax_rows call."""
-    flags, softmax = [], attention._softmax_rows
+def _spy_tiles(monkeypatch) -> list:
+    """Record the (query rows, keys, shift) of every score tile that
+    _softmax_rows runs on."""
+    tiles, softmax = [], attention._softmax_rows
 
     def spy(scores, shift):
-        flags.append(shift)
+        tiles.append((*scores.shape[1:], shift))
         return softmax(scores, shift)
 
     monkeypatch.setattr(attention, "_softmax_rows", spy)
-    return flags
+    return tiles
 
 
 def _score_bound(q, k, keep=True):
@@ -141,12 +142,12 @@ def test_large_norm_inputs_take_the_shifted_softmax_and_match_naive(monkeypatch)
     q, k, v = _rand_qkv(2, 9, 3, seed=23)
     q = SequenceTensor(q.data * 100)
     assert _score_bound(q, k) > attention.SCORE_BOUND
-    flags = _spy_shift(monkeypatch)
+    tiles = _spy_tiles(monkeypatch)
     for lengths in (None, np.array([9, 5])):
         out = dense_attention(q, k, v, lengths).data
         assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
     # one score tile for both whole rows, then one per row of its own length
-    assert len(flags) == 3 and all(flags)
+    assert len(tiles) == 3 and all(shift for *_, shift in tiles)
 
 
 def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
@@ -155,13 +156,13 @@ def test_scores_just_inside_and_just_outside_the_bound_agree(monkeypatch):
     keep = np.arange(16) < lengths[:, None]
     # scale q so that the bound over the real tokens sits just inside SCORE_BOUND
     q = SequenceTensor(q.data * (attention.SCORE_BOUND * (1 - 1e-6) / _score_bound(q, k, keep)))
-    flags = _spy_shift(monkeypatch)
+    tiles = _spy_tiles(monkeypatch)
     inside = dense_attention(q, k, v, lengths).data
-    assert flags and not any(flags)
-    flags.clear()
+    assert tiles and not any(shift for *_, shift in tiles)
+    tiles.clear()
     monkeypatch.setattr(attention, "SCORE_BOUND", attention.SCORE_BOUND * (1 - 2e-6))
     outside = dense_attention(q, k, v, lengths).data
-    assert flags and all(flags)
+    assert tiles and all(shift for *_, shift in tiles)
     assert np.max(np.abs(inside - outside)) <= 1e-12 * np.max(np.abs(outside))
     assert np.max(np.abs(inside - _naive_by_lengths(q, k, v, lengths))) < 1e-12
 
@@ -203,7 +204,7 @@ def test_tokens_past_the_length_never_attend_each_other_or_themselves(monkeypatc
     q, k, v = _rand_qkv(3, 8, 3, seed=37)
     lengths = np.array([5, 0, 8])
     pad = np.arange(8) >= lengths[:, None]
-    flags = _spy_shift(monkeypatch)
+    tiles = _spy_tiles(monkeypatch)
     out = dense_attention(q, k, v, lengths).data
     assert (out[pad] == 0.0).all()
     assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
@@ -214,7 +215,7 @@ def test_tokens_past_the_length_never_attend_each_other_or_themselves(monkeypatc
         for a in junk:
             a[pad] = fill
         assert np.array_equal(dense_attention(*map(SequenceTensor, junk), lengths).data, out)
-    assert flags and not any(flags)
+    assert tiles and not any(shift for *_, shift in tiles)
 
 
 def test_each_run_of_one_length_is_read_in_place_as_one_block(monkeypatch):
@@ -303,7 +304,8 @@ def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape
 
     one_tile = run()
     monkeypatch.setattr(attention, "SCORE_TILE_BYTES", tile_bytes)
-    assert attention._tile_shape(3, 10) == tile_shape
+    # 10 keys are one key block, so every row scores all 10 at once
+    assert attention._tile_shape(3, 10, 10) == tile_shape
     tiled = run()
     for a, b in zip(before, (q.data, k.data, v.data, labels, lengths)):
         assert np.array_equal(a, b)
@@ -318,11 +320,12 @@ def test_score_tiles_match_one_tile_and_naive(tile_bytes, tile_shape, mask_shape
 def test_score_memory_stays_within_one_tile():
     # clip-attn's GSA call: 4 layout rows of 960 tokens, of which 960, 900,
     # 960 and 900 are real; all 4 x 960 x 960 float64 scores at once would
-    # take 28.1 MiB. One 4.0 MiB score tile (546 of a row's query rows
-    # against its 960 keys), the 1.9 MiB output and one tile's scaled q
-    # rows (0.3 MiB) take 6.1 MiB; the keys and values are views.
-    # Gathering a block's keys or values would add 0.5 MiB, and a
-    # full-size scaled copy of q 1.9 MiB
+    # take 28.1 MiB. One 1.0 MiB score tile (512 of a row's query rows
+    # against one 256-key block), the 1.9 MiB output, one tile's scaled q
+    # rows and one PV partial (0.25 MiB each) take 3.46 MiB; the keys and
+    # values are views. Gathering each key block (+0.19 MiB), a fresh
+    # scaled q tile per tile (+0.25) or a fresh PV partial per block
+    # (+0.44), or a full-size scaled copy of q (+1.9) breaks the bound
     q, k, v = _rand_qkv(4, 960, 64, seed=31)
     tracemalloc.start()
     try:
@@ -330,7 +333,63 @@ def test_score_memory_stays_within_one_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.75 * 2 ** 20
+    assert peak < 3.55 * 2 ** 20
+
+
+def test_score_tile_does_not_shrink_as_a_group_grows(monkeypatch):
+    # one group of 8192 tokens at C = 8: every tile is 512 query rows
+    # against 256 keys however many keys the group has, so the call holds
+    # one score tile, its output, one tile's scaled q rows and one PV
+    # partial, plus under 0.1 MiB of row sums and numpy's ufunc buffers
+    q, k, v = _rand_qkv(1, 8192, 8, seed=44)
+    tracemalloc.start()
+    try:
+        dense_attention(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = attention.SCORE_TILE_BYTES // (8 * attention.KEY_BLOCK)
+    assert peak < attention.SCORE_TILE_BYTES + q.data.nbytes + 2 * rows * 8 * 8 + 0.1 * 2 ** 20
+    tiles = _spy_tiles(monkeypatch)
+    dense_attention(q, k, v)
+    assert len(tiles) == (8192 // rows) * (8192 // attention.KEY_BLOCK)
+    assert set(tiles) == {(rows, attention.KEY_BLOCK, False)}
+
+
+# a group of two key blocks and 37 keys, longer than one row tile, in a
+# row with 11 pad tokens
+_BLOCKED = 2 * attention.KEY_BLOCK + 37
+
+
+def test_key_blocks_add_up_across_a_ragged_last_block(monkeypatch):
+    q, k, v = _rand_qkv(1, _BLOCKED + 11, 4, seed=42)
+    lengths = np.array([_BLOCKED])
+    tiles = _spy_tiles(monkeypatch)
+    out = dense_attention(q, k, v, lengths).data
+    # the group's query rows run in a tile of 512 and one of 37, each
+    # walking key blocks of 256, 256 and 37 on the bounded route
+    rows = attention.SCORE_TILE_BYTES // (8 * attention.KEY_BLOCK)
+    assert rows < _BLOCKED
+    assert tiles == [(r, c, False) for r in (rows, _BLOCKED - rows)
+                     for c in (attention.KEY_BLOCK, attention.KEY_BLOCK, 37)]
+    assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
+    assert (out[0, _BLOCKED:] == 0.0).all()
+
+
+def test_shifted_route_keeps_each_rows_keys_in_one_block(monkeypatch):
+    q, k, v = _rand_qkv(1, _BLOCKED + 11, 4, seed=43)
+    q = SequenceTensor(q.data * 30)
+    lengths = np.array([_BLOCKED])
+    assert _score_bound(q, k, np.arange(_BLOCKED + 11) < _BLOCKED) > attention.SCORE_BOUND
+    tiles = _spy_tiles(monkeypatch)
+    out = dense_attention(q, k, v, lengths).data
+    # the running max would have to cross key blocks, so each tile holds
+    # its rows' scores against all 549 keys, and more rows need more tiles
+    rows = attention.SCORE_TILE_BYTES // (8 * _BLOCKED)
+    assert rows < _BLOCKED
+    assert tiles == [(min(rows, _BLOCKED - r), _BLOCKED, True) for r in range(0, _BLOCKED, rows)]
+    assert np.max(np.abs(out - _naive_by_lengths(q, k, v, lengths))) < 1e-12
+    assert (out[0, _BLOCKED:] == 0.0).all()
 
 
 @pytest.mark.parametrize("mask_shape", [(5,), (4, 5), (2, 4, 4), (5, 4)])
