@@ -3,7 +3,9 @@ subcommands, the standard grids, and the report-all section table.
 
 Each routine returns a JSON-ready dict whose "checks" names the invariants
 it exercises and whose "pass" is decided in one place, `_verdict`, so a
-failure can always be reported by name.
+failure can always be reported by name. `check_paths` is the one reader of
+that tree: the CLI's FAIL line and the tests' mutation matrix both walk a
+report through it.
 
 The comparisons and baselines the mechanisms are judged against live here
 too, so the mechanism modules only compute. `comm_comparison` sets the SSP
@@ -15,6 +17,8 @@ gather-and-reshard switch. `quantized_attention_probe` measures the
 forward error the HiF8 round trip adds to sparse attention."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,9 +60,10 @@ ACCEPTANCE_GRIDS = (
 )
 
 
-def _verdict(checks: dict[str, bool], **fields) -> dict:
-    """A routine's result: its fields, its named checks, and pass iff every
-    check holds."""
+def _verdict(checks: dict, **fields) -> dict:
+    """A routine's result: its fields, its named checks, each made a Python
+    bool here, and pass iff every check holds."""
+    checks = {name: bool(ok) for name, ok in checks.items()}
     return {**fields, "checks": checks, "pass": all(checks.values())}
 
 
@@ -93,13 +98,13 @@ def rearrange_checks(g: GridShape, seed: int) -> dict:
 
     checks = {
         "all_maps_bijective": all(bijective.values()),
-        "declared_inverses_match": bool(inverses),
-        "tsa_roundtrip_identity": bool(roundtrip_tsa),
-        "gsa_roundtrip_identity": bool(roundtrip_gsa),
-        "conversion_roundtrip_identity": bool(conversion_roundtrip),
-        "tsa_to_gsa_after_orig_to_tsa_equals_orig_to_gsa": bool(coherence_fwd),
-        "gsa_to_tsa_after_orig_to_gsa_equals_orig_to_tsa": bool(coherence_bwd),
-        "equal_subsequence_lengths": bool(equal_lengths),
+        "declared_inverses_match": inverses,
+        "tsa_roundtrip_identity": roundtrip_tsa,
+        "gsa_roundtrip_identity": roundtrip_gsa,
+        "conversion_roundtrip_identity": conversion_roundtrip,
+        "tsa_to_gsa_after_orig_to_tsa_equals_orig_to_gsa": coherence_fwd,
+        "gsa_to_tsa_after_orig_to_gsa_equals_orig_to_tsa": coherence_bwd,
+        "equal_subsequence_lengths": equal_lengths,
     }
     return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k,
                     num_subsequences=tsa_assign.num_subsequences,
@@ -149,8 +154,8 @@ def local_equivalence_check(g: GridShape, seed: int) -> dict:
                         ((bi * k + p2) * wgrp + bj) * k + q2
                         for p2 in range(k) for q2 in range(k)
                     ]
-                ok = ok and bool(np.array_equal(y_big.data[:, pos, :], y_small.data))
-    return _verdict({"global_equals_per_subfigure_rearrange": bool(ok)},
+                ok = ok and np.array_equal(y_big.data[:, pos, :], y_small.data)
+    return _verdict({"global_equals_per_subfigure_rearrange": ok},
                     grid=[g.t, g.h, g.w], k=g.k)
 
 
@@ -215,10 +220,10 @@ def anyres_check(seed: int) -> dict:
 
     checks = {
         "real_token_count": real == g.seq_len,
-        "mask_counts_preserved": bool(mask_counts_ok),
-        "strip_after_pad_identity": bool(strip_ok),
-        "pad_content_independent": bool(invariance_ok),
-        "subsequence_stable_across_resolutions": bool(stability_ok),
+        "mask_counts_preserved": mask_counts_ok,
+        "strip_after_pad_identity": strip_ok,
+        "pad_content_independent": invariance_ok,
+        "subsequence_stable_across_resolutions": stability_ok,
     }
     return _verdict(checks, grid=[g.t, g.h, g.w], k=g.k,
                     padded_grid=[pg.padded.t, pg.padded.h, pg.padded.w],
@@ -321,11 +326,11 @@ def hif8_format_check() -> dict:
     1/2 and it is asserted at that bound instead."""
     vals = VALUES
     distinct = len(set(vals.tolist()))  # np.unique would import numpy.ma
-    ascending = bool((np.diff(vals) > 0).all())
+    ascending = (np.diff(vals) > 0).all()
     nonzero_exps = sorted({f["exponent"] for f in map(code_fields, range(256))
                            if f["exponent"] is not None})
     codes = np.arange(256)
-    fixpoint = bool((encode_array(vals) == codes).all())
+    fixpoint = (encode_array(vals) == codes).all()
 
     widths = MANTISSA_WIDTH
     taper_ok = all(widths[e] == 3 for e in range(-3, 4)) and widths[EXP_MIN] == 1 \
@@ -335,14 +340,14 @@ def hif8_format_check() -> dict:
 
     mids = (vals[:-1] + vals[1:]) / 2
     below, above = np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)
-    nearest_ok = bool((encode_array(below) == codes[:-1]).all()
-                      and (encode_array(above) == codes[1:]).all())
-    even_ok = bool((encode_array(mids) == codes[:-1] + codes[:-1] % 2).all())
+    nearest_ok = ((encode_array(below) == codes[:-1]).all()
+                  and (encode_array(above) == codes[1:]).all())
+    even_ok = (encode_array(mids) == codes[:-1] + codes[:-1] % 2).all()
     ends = np.array([2.0 ** EXP_MIN, -2.0 ** EXP_MIN, 2 * MAX_VALUE, -2 * MAX_VALUE])
     xs = np.sort(np.concatenate([vals, mids, below, above, ends]))
     swept = encode_array(xs)
-    saturating_ok = bool((np.diff(swept.astype(np.int64)) >= 0).all()
-                         and swept[0] == 0 and swept[-1] == 255)
+    saturating_ok = ((np.diff(swept.astype(np.int64)) >= 0).all()
+                     and swept[0] == 0 and swept[-1] == 255)
 
     xs = xs[(np.abs(xs) >= 2.0 ** EXP_MIN) & (np.abs(xs) <= MAX_VALUE)]
     rel = np.abs(decode_array(encode_array(xs)) - xs) / np.abs(xs)
@@ -350,16 +355,16 @@ def hif8_format_check() -> dict:
     width_lut = np.array([widths[e] for e in range(EXP_MIN, EXP_MAX + 1)])
     bound = 2.0 ** -(width_lut[exps - EXP_MIN] + 1)
     remapped = (xs < 0) & (np.abs(xs) < 1.5 * 2.0 ** EXP_MIN)
-    binade_ok = bool((rel[~remapped] <= bound[~remapped]).all())
-    remap_ok = bool((rel[remapped] <= 0.5).all())
+    binade_ok = (rel[~remapped] <= bound[~remapped]).all()
+    remap_ok = (rel[remapped] <= 0.5).all()
 
     checks = {
         "distinct_256_values": distinct == 256,
         "strictly_ascending_codes": ascending,
         "exponent_range": nonzero_exps[0] == EXP_MIN and nonzero_exps[-1] == EXP_MAX,
         "exponent_count_38": len(nonzero_exps) == 38,
-        "taper_center_and_extremes": bool(taper_ok),
-        "taper_monotone_outward": bool(mono_ok),
+        "taper_center_and_extremes": taper_ok,
+        "taper_monotone_outward": mono_ok,
         "encode_decode_fixpoint": fixpoint,
         "nearest_on_both_sides_of_every_midpoint": nearest_ok,
         "ties_to_even_code": even_ok,
@@ -391,14 +396,14 @@ def quantizer_check() -> dict:
 
     zeros = SequenceTensor.zeros(1, 4, 2)
     qz = quantize_tensor(zeros, "forward")
-    zeros_ok = bool((dequantize(qz).data == 0.0).all())
+    zeros_ok = (dequantize(qz).data == 0.0).all()
     fresh = quantize_tensor(SequenceTensor(np.full((1, 2, 1), 3.0)), "forward").scale != \
         quantize_tensor(SequenceTensor(np.full((1, 2, 1), 7.0)), "forward").scale
 
     checks = {
         "scale_formula": ok,
         "all_zero_degenerate_case": zeros_ok,
-        "current_scaling_fresh": bool(fresh),
+        "current_scaling_fresh": fresh,
     }
     return _verdict(checks, rows=rows)
 
@@ -406,9 +411,10 @@ def quantizer_check() -> dict:
 def ou_marginals(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sampler toy's analytic mean m(t), (len(times), dim), and variance
     v(t), (len(times),): OU noising shrinks the data mean by e^(-t/2) and
-    mixes the data variance with 1 by weight e^-t."""
-    decay = np.exp(-np.asarray(times, dtype=np.float64))
-    mean = np.multiply.outer(np.sqrt(decay), SAMPLER_DATA_MEAN)
+    mixes the data variance with 1 by weight e^-t. The exponentials and
+    roots are math's, one per time, so no SIMD kernel of numpy rounds them."""
+    decay = np.array([math.exp(-t) for t in np.asarray(times, dtype=np.float64).tolist()])
+    mean = np.multiply.outer([math.sqrt(d) for d in decay.tolist()], SAMPLER_DATA_MEAN)
     return mean, SAMPLER_DATA_VAR * decay + 1.0 - decay
 
 
@@ -512,7 +518,7 @@ def sampler_check(seed: int, steps: int = 25, sde_steps: int = 10, ensemble: int
         "moment_error_halves_at_twice_the_steps": all(
             fine * MOMENT_HALVING <= err for err, fine in zip(errors, finer)),
         "noise_draws_exact": result.noise_draws == sde_steps * dim * ensemble,
-        "empty_sde_set_is_pure_ode": bool(bitwise_ok),
+        "no_sde_steps_is_pure_ode": bitwise_ok,
     }
     return _verdict(checks, steps=steps, sde_steps=sde_steps, ensemble=ensemble, seed=seed,
                     data_mean=list(SAMPLER_DATA_MEAN), data_var=SAMPLER_DATA_VAR,
@@ -531,7 +537,7 @@ def schedule_check() -> dict:
     ok = (s40 == [full] * 4 + [tsa, gsa] * 16 + [full] * 4
           and build_layer_schedule(4, 4) == [full] * 4
           and build_layer_schedule(6, 2) == [full, tsa, gsa, tsa, gsa, full])
-    return _verdict({"full_ends_around_alternating_tsa_gsa": bool(ok)},
+    return _verdict({"full_ends_around_alternating_tsa_gsa": ok},
                     layers_40_8=[l.value for l in s40])
 
 
@@ -581,7 +587,7 @@ def probe_check(seed: int) -> dict:
                          SparsePattern.GROUP_WISE)}
     inputs = [r["input"] for r in reports.values()]
     input_invariant = all(r == inputs[0] for r in inputs)
-    return _verdict({"input_error_pattern_independent": bool(input_invariant)},
+    return _verdict({"input_error_pattern_independent": input_invariant},
                     grid=[g.t, g.h, g.w], reports=reports)
 
 
@@ -600,6 +606,21 @@ def _run_section(build) -> dict:
         raise
     except Exception as exc:
         return {"raised": f"{type(exc).__name__}: {exc}", "pass": False}
+
+
+def check_paths(node, prefix: str = "") -> list[tuple[str, bool]]:
+    """Every named check of a report as (dotted path, value), depth first, a
+    dict's own checks before its other keys; a section that raised is one
+    failing path, "<path> raised <Type>: <message>"."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if not isinstance(node, dict):
+        return []
+    if "raised" in node:
+        return [(f"{prefix.removesuffix('.')} raised {node['raised']}", False)]
+    return [(prefix + name, ok) for name, ok in node.get("checks", {}).items()] + [
+        path for key, value in node.items() if key != "checks"
+        for path in check_paths(value, f"{prefix}{key}.")]
 
 
 def build_full_report(seed: int) -> dict:

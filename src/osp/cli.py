@@ -1,10 +1,13 @@
 """Command-line entry point: every verification as a subcommand with
 machine-readable output. Verdicts come from `osp.checks`; this module only
-parses arguments, formats output and maps verdicts to exit codes.
+parses arguments, formats output and maps verdicts to exit codes. It reads
+no key of a report but "pass": the failed checks it names come from
+`checks.check_paths`, the one walker of a report's named checks.
 
 Exit codes: 0 all embedded assertions pass, 1 an assertion failed (the
 failing invariant is named on stderr), 2 usage or configuration error: a
-ValueError or OSError, or running out of memory. Any other exception is a
+ValueError or OSError, a count or grid over its cap (checked before any
+array exists), or running out of memory. Any other exception is a
 broken mechanism, not bad input, and fails with exit 1 and one
 `FAIL: <command> raised <Type>: <message>` line; in report-all, whose
 only input is a checked seed, the section that raised fails as that
@@ -44,6 +47,21 @@ MAX_STEPS = 1024
 # hold about 1.07 GB in both arrays, so a larger ensemble is a usage error,
 # not an out-of-memory kill
 MAX_ENSEMBLE = 2 ** 15
+# every grid subcommand is bounded by its padded token count: at 2**18
+# (1x512x512) rearrange-check, which prints each token's place in both
+# patterns, takes about 655 MB and 5.7 s, comm-sim 89 MB and 5.3 s at
+# MAX_BLOCKS, reach and mask-dump under 75 MB and 0.4 s, so a larger grid is
+# a usage error, not an out-of-memory kill
+MAX_TOKENS = 2 ** 18
+# attn-verify scores every pair of tokens that share a subsequence, once on
+# the sparse path and once in the oracle: 2**30 pairs (1x256x256, or
+# 1x512x512 at k = 8) take 9.5-15.5 s, and 2**34 take 139 s even at --chan 1
+MAX_ATTN_SCORES = 2 ** 30
+# and holds a few float64 arrays of (tokens, chan) and of (chan, chan), the
+# q, k and v projections: at 2**22 values of one of each, 1x256x256 at
+# --chan 64 and 1x64x64 at --chan 1024 peak at 276-299 MB, 1x8x8 at
+# --chan 2016 at 139 MB
+MAX_ATTN_VALUES = 2 ** 22
 
 
 class UsageError(ValueError):
@@ -83,35 +101,35 @@ def _emit(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _failures(node, prefix: str = "") -> list[str]:
-    """Dotted paths of every check that is False, depth first; a report-all
-    section that raised is named with its exception."""
-    if isinstance(node, list):
-        return [name for i, item in enumerate(node) for name in _failures(item, f"{prefix}{i}.")]
-    if not isinstance(node, dict):
-        return []
-    if "raised" in node:
-        return [f"{prefix.removesuffix('.')} raised {node['raised']}"]
-    names = [prefix + name for name, ok in node.get("checks", {}).items() if ok is False]
-    for key, value in node.items():
-        if key != "checks":
-            names.extend(_failures(value, f"{prefix}{key}."))
-    return names
-
-
 def _finish(out: str | None, payload: dict) -> int:
     """Emit the JSON payload; exit 0 on pass, otherwise 1 with every failed
     check named on stderr."""
     _emit(out, _dump_json(payload))
     if payload.get("pass", True):
         return 0
-    names = _failures(payload) or ["pass"]
+    names = [path for path, ok in checks.check_paths(payload) if not ok] or ["pass"]
     print(f"FAIL: {', '.join(names)}", file=sys.stderr)
     return 1
 
 
+def _padded_tokens(t: int, h: int, w: int, k: int) -> int:
+    """T * ceil(H / k^2) k^2 * ceil(W / k^2) k^2, the token count pad_grid
+    gives the grid, counted in integers before any array exists."""
+    unit = k * k
+    return t * -(-h // unit) * unit * -(-w // unit) * unit
+
+
+def _grid_shape(args) -> GridShape:
+    """The grid of --grid and --k, which must pad to at most MAX_TOKENS."""
+    tokens = _padded_tokens(*args.grid, args.k)
+    if tokens > MAX_TOKENS:
+        raise UsageError(f"--grid {','.join(map(str, args.grid))} at --k {args.k} pads to "
+                         f"{tokens} tokens, more than MAX_TOKENS = {MAX_TOKENS}")
+    return GridShape(*args.grid, args.k)
+
+
 def _cmd_rearrange_check(args) -> int:
-    g = GridShape(*args.grid, args.k)
+    g = _grid_shape(args)
     payload = checks.rearrange_checks(g, args.seed)
     assignments = [assignment_of(g, p) for p in (SparsePattern.TOKEN_WISE,
                                                   SparsePattern.GROUP_WISE)]
@@ -124,11 +142,11 @@ def _cmd_rearrange_check(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    return _finish(args.out, checks.reach_check(GridShape(*args.grid, args.k)))
+    return _finish(args.out, checks.reach_check(_grid_shape(args)))
 
 
 def _cmd_mask_dump(args) -> int:
-    g = GridShape(*args.grid, args.k)
+    g = _grid_shape(args)
     pg = pad_grid(g)
     if args.out:
         write_mask(args.out, pg)
@@ -144,14 +162,23 @@ def _cmd_mask_dump(args) -> int:
 
 
 def _cmd_attn_verify(args) -> int:
-    g = GridShape(*args.grid, args.k)
-    return _finish(args.out, checks.attention_check(g, SparsePattern(args.pattern), args.seed,
-                                                    chan=args.chan))
+    g, pattern = _grid_shape(args), SparsePattern(args.pattern)
+    tokens = _padded_tokens(g.t, g.h, g.w, g.k)
+    # the pattern's subsequences share the padded tokens equally
+    scores = tokens * tokens // (1 if pattern is SparsePattern.ORIGINAL else g.k * g.k)
+    if scores > MAX_ATTN_SCORES:
+        raise UsageError(f"{pattern.value} attention on {tokens} tokens scores {scores} pairs, "
+                         f"more than MAX_ATTN_SCORES = {MAX_ATTN_SCORES}")
+    values = (tokens + args.chan) * args.chan
+    if values > MAX_ATTN_VALUES:
+        raise UsageError(f"{tokens} tokens and a projection at --chan {args.chan} hold {values} "
+                         f"values, more than MAX_ATTN_VALUES = {MAX_ATTN_VALUES}")
+    return _finish(args.out, checks.attention_check(g, pattern, args.seed, chan=args.chan))
 
 
 def _cmd_comm_sim(args) -> int:
-    return _finish(args.out, checks.ssp_check(GridShape(*args.grid, args.k), args.group_size,
-                                              args.seed, blocks=args.blocks))
+    return _finish(args.out, checks.ssp_check(_grid_shape(args), args.group_size, args.seed,
+                                              blocks=args.blocks))
 
 
 def _cmd_hif8_enum(args) -> int:

@@ -64,12 +64,14 @@ class OuProcess:
     def diffusion(self, t: float) -> float:
         return 1.0
 
+    # math.exp, not np.exp: numpy's exp rounds by the SIMD kernel it
+    # dispatches to, so a sampler report would differ from machine to machine
     def mean_at(self, t: float) -> np.ndarray:
-        return self.data_mean * np.exp(-0.5 * t)
+        return self.data_mean * math.exp(-0.5 * t)
 
     def var_at(self, t: float) -> float:
-        decay = np.exp(-t)
-        return float(1.0 + (self.data_var - 1.0) * decay)
+        decay = math.exp(-t)
+        return 1.0 + (self.data_var - 1.0) * decay
 
     def score(self, x: np.ndarray, t: float) -> np.ndarray:
         # subtract a full-shape mean: numpy runs (n, dim) - (dim,) as n inner

@@ -1,15 +1,18 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import resource
 import shlex
 import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 import osp
 from oracles import hif8_value_table
 from osp import checks, cli
-from osp.cli import MAX_BLOCKS, MAX_ENSEMBLE, MAX_STEPS, main
+from osp.cli import MAX_ATTN_VALUES, MAX_BLOCKS, MAX_ENSEMBLE, MAX_STEPS, MAX_TOKENS, main
 from osp.gridseq import SequenceTensor, random_tensor, read_ospt, write_ospt
 
 
@@ -46,19 +49,88 @@ def test_reach_on_a_large_grid(capsys):
 
 
 def test_out_of_memory_is_an_input_error():
-    # the child's own address-space limit makes the 9.3 GiB mask fail fast
-    limit = 1536 * 2 ** 20
+    # a grid under MAX_TOKENS in a child whose own address-space limit is
+    # below what rearrange-check needs at 1x512x512 (about 655 MB); one BLAS
+    # thread keeps the imports near 105 MB, so the command's arrays fail
+    limit = 512 * 2 ** 20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "osp.cli", "mask-dump", "--grid", "1,100000,100000"],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          preexec_fn=cap_address_space)
+    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "osp.cli", "rearrange-check",
+                           "--grid", "1,512,512"], capture_output=True, text=True, env=env,
+                          timeout=120, preexec_fn=cap_address_space)
     assert proc.returncode == 2
-    assert "error:" in proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+# (a command at a cap, the same command just over it): each first grid pads
+# to exactly MAX_TOKENS or scores exactly MAX_ATTN_SCORES pairs, and 2016 is
+# the largest --chan whose 64 tokens and projection fit MAX_ATTN_VALUES
+_AT_AND_OVER_CAP = {
+    "reach": (["reach", "--grid", "1,512,512"], ["reach", "--grid", "1,512,513"]),
+    "mask-dump": (["mask-dump", "--grid", "1,509,510"],
+                  ["mask-dump", "--grid", "1,509,510", "--k", "3"]),
+    "comm-sim": (["comm-sim", "--grid", "1,512,512", "--k", "4"],
+                 ["comm-sim", "--grid", "1,512,512", "--k", "3"]),
+    "attn-verify-scores": (["attn-verify", "--grid", "1,256,256", "--chan", "1"],
+                           ["attn-verify", "--grid", "1,256,260", "--chan", "1"]),
+    "attn-verify-original-scores": (
+        ["attn-verify", "--grid", "1,128,256", "--chan", "1", "--pattern", "original"],
+        ["attn-verify", "--grid", "1,128,260", "--chan", "1", "--pattern", "original"]),
+    "attn-verify-values": (["attn-verify", "--grid", "1,8,8", "--chan", "2016"],
+                           ["attn-verify", "--grid", "1,8,8", "--chan", "2017"]),
+}
+
+
+_GRID_CHECKS = ("rearrange_checks", "reach_check", "attention_check", "ssp_check")
+
+
+def _stub_grid_checks(monkeypatch) -> list:
+    """Stand-ins for the grid subcommands' checks, which record each call."""
+    calls = []
+    for name in _GRID_CHECKS:
+        monkeypatch.setattr(checks, name, lambda *args, **kwargs: calls.append(args) or
+                            {"pass": True})
+    return calls
+
+
+@pytest.mark.parametrize("argv", [at for at, _ in _AT_AND_OVER_CAP.values()],
+                         ids=list(_AT_AND_OVER_CAP))
+def test_a_grid_at_its_cap_runs(argv, monkeypatch, capsys):
+    calls = _stub_grid_checks(monkeypatch)
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(calls) == (argv[0] != "mask-dump")
+
+
+@pytest.mark.parametrize("argv", [over for _, over in _AT_AND_OVER_CAP.values()] + [
+    ["rearrange-check", "--grid", "4,256,257"],
+    ["mask-dump", "--grid", "1,100000,100000"],
+    ["reach", "--grid", "1,1,1", "--k", "1000000"],
+    ["attn-verify", "--chan", str(10 ** 12)],
+], ids=[*_AT_AND_OVER_CAP, "rearrange-check", "huge-grid", "huge-k", "huge-chan"])
+def test_a_grid_over_its_cap_exits_2_and_allocates_nothing(argv, monkeypatch, capsys):
+    calls = _stub_grid_checks(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert calls == []
+    assert re.fullmatch(r"error: .* more than MAX_\w+ = \d+\n", capsys.readouterr().err)
+    assert peak < 2 ** 20
+
+
+def test_a_grid_of_max_tokens_passes(capsys):
+    code, payload = _run_json(capsys, ["reach", "--grid", "1,512,512"])
+    assert 512 * 512 == MAX_TOKENS
+    assert code == 0
+    assert payload["max_hops"] == 2
 
 
 def test_comm_sim_counts(capsys):
@@ -451,6 +523,38 @@ def test_assertion_failure_exits_1_and_names_invariant(capsys, monkeypatch):
     assert "max_hops_at_most_two" in captured.err
 
 
+# checks in a list of cases, at two depths of one section (its own before
+# those of a key written ahead of them) and a section that raised
+_HAND_BUILT_REPORT = {"seed": 7, "sections": {
+    "rearrange": {"grids": [{"grid": [1, 4, 4], "checks": {"a": True, "b": False}, "pass": False},
+                            {"grid": [1, 8, 8], "checks": {"a": True, "b": True}, "pass": True}],
+                  "pass": False},
+    "ssp": {"raised": "ProtocolError: shard seq 4 != subsequence length 0", "pass": False},
+    "sampler": {"steps": 25, "moments": {"checks": {"d": True}, "halving": 1.8},
+                "checks": {"c": False}, "pass": False},
+}, "pass": False}
+
+
+def test_check_paths_walks_a_report_depth_first():
+    assert checks.check_paths(_HAND_BUILT_REPORT) == [
+        ("sections.rearrange.grids.0.a", True),
+        ("sections.rearrange.grids.0.b", False),
+        ("sections.rearrange.grids.1.a", True),
+        ("sections.rearrange.grids.1.b", True),
+        ("sections.ssp raised ProtocolError: shard seq 4 != subsequence length 0", False),
+        ("sections.sampler.c", False),
+        ("sections.sampler.moments.d", True),
+    ]
+
+
+def test_fail_line_names_every_false_check_path_in_order(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "build_full_report", lambda seed: _HAND_BUILT_REPORT)
+    assert main(["report-all"]) == 1
+    assert capsys.readouterr().err == (
+        "FAIL: sections.rearrange.grids.0.b, sections.ssp raised ProtocolError: shard seq 4 "
+        "!= subsequence length 0, sections.sampler.c\n")
+
+
 @pytest.mark.parametrize("argv,command,owner,name", [
     (["reach"], "reach", checks, "reachability_hops"),
     (["hif8", "encode", "--value", "1.5"], "hif8 encode", cli, "encode"),
@@ -547,23 +651,46 @@ _GRID = st.one_of(
     .map(lambda dims: ",".join(map(str, dims))),
     st.sampled_from(["", "1,4", "1,4,4,4", "a,b,c", "1, 4, x"]))
 _K = st.one_of(_EDGE, st.integers(-1, 3).map(str), _JUNK)
-_CAPS = {"blocks": MAX_BLOCKS, "steps": MAX_STEPS, "ensemble": MAX_ENSEMBLE}
+
+
+def _count_over(cap):
+    """Counts above cap, and whether a drawn value is one."""
+    return st.integers(cap + 1, 10 ** 12).map(str), lambda v: v.isdigit() and int(v) > cap
+
+
+def _grid_over(cap):
+    """Grids of more than cap tokens before padding, and whether a drawn grid is one."""
+    def over(v):
+        return re.fullmatch(r"\d+,\d+,\d+", v) is not None and math.prod(
+            map(int, v.split(","))) > cap
+    return (st.tuples(st.integers(1, 2), st.integers(cap + 1, 10 ** 12), st.integers(1, 12))
+            .map(lambda dims: ",".join(map(str, dims))), over)
+
+
+# a frame pads to at least k^2 by k^2 tokens, and attn-verify's projection
+# holds chan^2 values, so a k or chan over these is over its cap on any grid
+_CAPS = {"blocks": _count_over(MAX_BLOCKS), "steps": _count_over(MAX_STEPS),
+         "ensemble": _count_over(MAX_ENSEMBLE), "grid": _grid_over(MAX_TOKENS),
+         "k": _count_over(math.isqrt(math.isqrt(MAX_TOKENS))),
+         "chan": _count_over(math.isqrt(MAX_ATTN_VALUES))}
 
 
 def _over_cap(name):
-    return st.integers(_CAPS[name] + 1, 10 ** 12).map(str)
+    return _CAPS[name][0]
 
 
 def _words(*words):
     return st.one_of(st.sampled_from(words), st.sampled_from(["", "foo", "TSA", "0"]))
 
 
-_GRID_OPTIONS = {"grid": _GRID, "k": _K}
+_GRID_OPTIONS = {"grid": st.one_of(_GRID, _over_cap("grid")),
+                 "k": st.one_of(_K, _over_cap("k"))}
 _COMMANDS = {
     ("rearrange-check",): {**_GRID_OPTIONS, "seed": _SEED},
     ("reach",): _GRID_OPTIONS,
     ("mask-dump",): {**_GRID_OPTIONS, "out": st.sampled_from(["mask.bin", ""])},
-    ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED, "chan": _SMALL,
+    ("attn-verify",): {**_GRID_OPTIONS, "seed": _SEED,
+                       "chan": st.one_of(_SMALL, _over_cap("chan")),
                        "pattern": _words("original", "tsa", "gsa")},
     ("comm-sim",): {**_GRID_OPTIONS, "seed": _SEED, "group_size": _SMALL,
                     "blocks": st.one_of(_SMALL, _over_cap("blocks"))},
@@ -625,7 +752,7 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
             if not required and not data.draw(st.booleans(), label=f"set {name}"):
                 continue
             value = data.draw(values, label=name)
-            over_cap |= name in _CAPS and value.isdigit() and int(value) > _CAPS[name]
+            over_cap |= name in _CAPS and _CAPS[name][1](value)
             if name in ("out", "input", "output") and value:
                 value = str(root / value)
             if not required and data.draw(st.booleans(), label=f"{name} in config"):
@@ -637,17 +764,21 @@ def test_exit_code_contract_holds_for_drawn_options(command, data):
             (root / "run.cfg").write_text("\n".join(config) + "\n")
             argv = ["--config", str(root / "run.cfg"), *argv]
 
-        def guarded(name):
-            run = getattr(checks, name)
+        def guarded(owner, name):
+            run = getattr(owner, name)
 
             def call(*args, **kwargs):
                 assert not over_cap, f"{name} ran for a count above its cap: {argv}"
                 return run(*args, **kwargs)
-            return mock.patch.object(checks, name, call)
+            return mock.patch.object(owner, name, call)
 
-        with guarded("ssp_pattern_switch"), guarded("mixed_rollout"):
+        with contextlib.ExitStack() as stack:
+            for name in ("ssp_pattern_switch", "mixed_rollout", *_GRID_CHECKS):
+                stack.enter_context(guarded(checks, name))
+            stack.enter_context(guarded(cli, "pad_grid"))
             code = _run_code(argv)
     assert code in (0, 1, 2), argv
+    assert code == 2 or not over_cap, argv
 
 
 def test_report_all_leaves_numpy_ma_unimported():

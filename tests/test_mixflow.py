@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import osp
 from oracles import ou_euler_moments, ou_marginal
 from osp import checks
 from osp.mixflow import (OuProcess, SamplerSchedule, marginal_report, mixed_rollout,
@@ -118,7 +123,7 @@ def test_ou_process_needs_a_positive_data_variance():
         OuProcess(np.zeros(2), data_var=0.0)
 
 
-def test_empty_sde_set_is_bitwise_pure_ode_and_consumes_no_rng():
+def test_no_sde_steps_is_bitwise_pure_ode_and_consumes_no_rng():
     proc = OuProcess(np.zeros(2))
     sched = uniform_schedule(25)
     rng = np.random.Generator(np.random.PCG64(9))
@@ -319,3 +324,27 @@ def test_nonstationary_ou_moments():
     assert np.allclose(proc.mean_at(50.0), [0.0, 0.0], atol=1e-10)
     x = np.array([1.0, 1.0])
     assert np.allclose(proc.score(x, 0.0), -(x - proc.mean_at(0.0)) / 0.25)
+
+
+# every kernel numpy dispatches to above its x86-64 baseline
+_SIMD_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_sampler_check_reads_the_same_bytes_on_numpy_baseline_kernels():
+    # the sampler's exponentials are math's, so numpy's SIMD exp cannot
+    # move a last digit of its report
+    env = {**os.environ, "PYTHONPATH": str(Path(osp.__file__).parents[1])}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+
+    def run(script, **extra):
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, **extra}, timeout=120)
+
+    probe = run("import numpy", NPY_DISABLE_CPU_FEATURES=_SIMD_OFF)
+    if probe.returncode:
+        pytest.skip(probe.stderr.strip().splitlines()[-1])
+    script = ("import json\nfrom osp.checks import sampler_check\n"
+              "print(json.dumps(sampler_check(7)))")
+    default, baseline = run(script), run(script, NPY_DISABLE_CPU_FEATURES=_SIMD_OFF)
+    assert default.returncode == baseline.returncode == 0, default.stderr + baseline.stderr
+    assert default.stdout == baseline.stdout

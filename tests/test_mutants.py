@@ -186,7 +186,7 @@ MUTANTS = [
             "sections.quantized_attention_probe.input_error_pattern_independent",
             id="first-token-amax"),
     _caught("osp.checks.mixed_rollout", _drawing_rollout,
-            "sections.sampler.empty_sde_set_is_pure_ode", id="rollout-draws-on-ode-steps"),
+            "sections.sampler.no_sde_steps_is_pure_ode", id="rollout-draws-on-ode-steps"),
     _caught("osp.checks.pad_grid", _pad_before,
             "sections.anyres.subsequence_stable_across_resolutions", id="pad-before"),
     _caught("osp.attention.dense_attention",
@@ -267,19 +267,6 @@ def _check_name(path: str) -> str:
     return re.sub(r"\.\d+(?=\.)", "", path)
 
 
-def _check_names(node, path: str = "") -> set[str]:
-    """Every named check of a report, as _check_name gives it."""
-    if isinstance(node, list):
-        return set().union(*(_check_names(item, path) for item in node))
-    if not isinstance(node, dict):
-        return set()
-    names = {path + name for name in node.get("checks", {})}
-    for key, value in node.items():
-        if key != "checks":
-            names |= _check_names(value, f"{path}{key}.")
-    return names
-
-
 # the named checks some caught row flips; a row that flips another adds it here
 COVERED = {
     "sections.anyres.pad_content_independent",
@@ -290,7 +277,7 @@ COVERED = {
     "sections.hif8_format.ties_to_even_code",
     "sections.layer_schedule.full_ends_around_alternating_tsa_gsa",
     "sections.quantized_attention_probe.input_error_pattern_independent",
-    "sections.sampler.empty_sde_set_is_pure_ode",
+    "sections.sampler.no_sde_steps_is_pure_ode",
     "sections.sampler.trajectory_matches_exact_steps",
     "sections.ssp.cases.one_shard_per_event",
     "sections.ssp.cases.switches_match_oracle",
@@ -305,5 +292,5 @@ def test_caught_rows_flip_exactly_the_covered_checks():
     assert flipped == COVERED
     report = checks.build_full_report(7)
     assert report["pass"]
-    named = _check_names(report)
+    named = {_check_name(path) for path, _ in checks.check_paths(report)}
     assert len(named) == 43 and COVERED <= named
