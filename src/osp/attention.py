@@ -29,9 +29,12 @@ are exponentiated as they are, with no row max and no shift. Any other call
 Both routes over a grid run on `pg` or by default `pad_grid(g)`. The kernel
 reads no row of a pad token, not even for the bound, so no pad content, not
 even inf or NaN, reaches a score, a value or the route, and pad rows come
-out zero. The sparse path gathers x once into the pattern layout, each
-subsequence's real tokens first; that map, its inverse and the rows'
-lengths are built once per (padding, pattern, batch) and memoized. The
+out zero. The sparse path walks the pattern layout, each subsequence's
+real tokens first, in blocks of whole layout rows: it gathers one block's
+rows from x, projects them and attends on them in one kernel call, so it
+holds the q, k and v of one block (at most `SCORE_TILE_BYTES`, or one row)
+and never those of the whole clip. The layout map, its inverse and the
+rows' lengths are built once per (padding, pattern, batch) and memoized. The
 oracle lays out the same rows itself from the original layout and the
 subsequence ids, by one stable sort, so it scores only the pairs within a
 subsequence and no S×S array exists; both routes then run the same rows.
@@ -268,17 +271,32 @@ def _layout_rows(pg: PaddedGrid, pattern: SparsePattern,
 
 def skiparse_attention(x: SequenceTensor, g: GridShape, pattern: SparsePattern,
                        pg: PaddedGrid | None = None) -> SequenceTensor:
-    """Sparse attention: gather x once into the pattern layout, each
-    subsequence's real tokens first, project it there (projection is per
-    token, so it commutes with the gather), run dense attention on each
-    row's real prefix and gather back. ORIGINAL is full attention. x lives
-    on the padded grid of `pg` (default pad_grid(g)); whatever the pad rows
-    hold, they are left out of every softmax and come back zero.
+    """Sparse attention: walk the pattern layout, each subsequence's real
+    tokens first, in blocks of whole layout rows. Each block's rows are
+    gathered from x alone, projected there (projection is per token, so it
+    commutes with the gather) and run through one dense attention call on
+    each row's real prefix; the block outputs fill one layout-order array,
+    which one gather puts back. A block holds as many rows as keep its q, k
+    and v within SCORE_TILE_BYTES, at least one, so a layout that fits in
+    one block makes one call of each and copies nothing. ORIGINAL is full
+    attention. x lives on the padded grid of `pg` (default pad_grid(g));
+    whatever the pad rows hold, they are left out of every softmax and come
+    back zero.
     """
     pg = _attention_grid(x, g, pg)
     fwd, back, lengths = _layout_rows(pg, pattern, x.batch)
-    q, k, v = project_qkv(fwd.apply(x))
-    return back.apply(dense_attention(q, k, v, lengths))
+    # rows per block; a layout of no items or no channels is one empty block
+    step = max(1, SCORE_TILE_BYTES // max(1, 3 * 8 * fwd.out_seq * x.chan))
+    starts = range(0, max(1, fwd.out_batch), step)
+    out = np.empty((fwd.out_batch, fwd.out_seq, x.chan)) if len(starts) > 1 else None
+    for a in starts:
+        rows = slice(a, a + step)
+        y = dense_attention(*project_qkv(fwd.apply(x, rows)), lengths[rows]).data
+        if out is None:  # one block is the whole layout: no copy
+            out = y
+        else:
+            out[rows] = y
+    return back.apply(SequenceTensor(out))
 
 
 def skiparse_reference(x: SequenceTensor, g: GridShape, pattern: SparsePattern,

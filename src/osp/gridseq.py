@@ -4,7 +4,10 @@ Every sparse-pattern rearrangement in this package is realized as an
 IndexMap: a table mapping each output (batch, seq) address to the input
 address it reads from. Building the table separately from applying it
 keeps a single gather engine for both float64 tensors and uint8 HiF8 code
-tensors, and makes every rearrangement checkable for bijectivity.
+tensors, and makes every rearrangement checkable for bijectivity. A
+gather may take a range of output rows alone, read through the same table
+under the same rules below, so a caller can walk a layout block by block
+without ever holding all of it.
 
 A gather whose output holds at least `SPLIT_BYTES` splits its output rows
 into one contiguous run per core the process may run on, and gathers the
@@ -237,8 +240,12 @@ class IndexMap:
         seen[self.src.reshape(-1)] = True
         return bool(seen.all())
 
-    def apply(self, x: SequenceTensor) -> SequenceTensor:
+    def apply(self, x: SequenceTensor, rows: slice = slice(None)) -> SequenceTensor:
         """Gather x through the map; channel vectors are copied verbatim.
+
+        `rows` picks a range of output rows (default all of them): the
+        output is those rows of the full gather, read through the same
+        frozen table, so a caller can gather a layout block by block.
 
         An output of at least `SPLIT_BYTES` is gathered as one contiguous run
         of output rows per core: the calling thread takes the first run and
@@ -256,18 +263,19 @@ class IndexMap:
             raise ShapeError(
                 f"map expects input ({self.in_batch}, {self.in_seq}), got ({x.batch}, {x.seq})"
             )
-        shape, dtype = (self.out_batch, self.out_seq, x.chan), x.data.dtype
+        src = self.src[rows]
+        shape, dtype = (*src.shape, x.chan), x.data.dtype
         large = math.prod(shape) * dtype.itemsize >= SPLIT_BYTES
         out = _kept_output(shape, dtype) if large else np.empty(shape, dtype=dtype)
-        flat, src, dst = (x.data.reshape(self.total, x.chan), self.src.reshape(-1),
-                          out.reshape(self.total, x.chan))
+        flat, src, dst = (x.data.reshape(self.total, x.chan), src.reshape(-1),
+                          out.reshape(src.size, x.chan))
         # mode="clip" skips numpy's per-index bounds check; it cannot hide a
         # bad address, because __post_init__ range-checks src and freezes it.
         # Pool threads run _take_run, which calls numpy only: no public osp
         # call, so no traced span
-        runs, n = [], min(_CORES, self.total)
+        runs, n = [], min(_CORES, src.size)
         if n > 1 and large:
-            cuts = [self.total * i // n for i in range(n + 1)]
+            cuts = [src.size * i // n for i in range(n + 1)]
             runs = [_gather_pool().submit(_take_run, [flat, src[a:b], dst[a:b]])
                     for a, b in zip(cuts[1:-1], cuts[2:])]
             src, dst = src[:cuts[1]], dst[:cuts[1]]

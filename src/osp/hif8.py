@@ -36,8 +36,9 @@ Quantization uses current scaling at per-tensor granularity: every call
 recomputes amax = max |x|, read as max(max x, -min x) with no |x| array,
 and scale = target / (amax + eps), where eps is DEFAULT_EPS = 1e-12 and
 the target is 15.0 in forward mode and 224.0 in backward mode, then
-stores encode(x * scale) with the single scale. Dequantizing is one
-lookup into the 256 values divided by that scale. The module only
+stores encode(x * scale) with the single scale, scaling and encoding one
+bounded step of x at a time, so no scaled copy of x exists. Dequantizing
+is one lookup into the 256 values divided by that scale. The module only
 computes: `checks.quantized_attention_probe` measures the error the
 round trip adds to sparse attention.
 """
@@ -148,17 +149,26 @@ def encode_array(x: np.ndarray) -> np.ndarray:
     """Vectorized nearest-value encoding with ties-to-even and saturation,
     by the midpoint rule through the bucket code tables. Returns uint8 codes
     of x's shape."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise EncodeError("cannot encode non-finite values")
-    bits = x.ravel().view(np.int64)  # an int64 compare maps no new numpy code; uint64 does
-    codes = np.empty(bits.size, np.uint8)
-    for start in range(0, bits.size, _ENCODE_STEP):
-        step = bits[start:start + _ENCODE_STEP]
-        keys = (step.view(np.uint64) >> _KEY_SHIFT).view(np.int64)
-        out = np.take(_INNER_CODE, keys, out=codes[start:start + _ENCODE_STEP])
-        heads = np.flatnonzero(step << 16 == 0)  # low 48 bits zero
-        out[heads] = np.take(_HEAD_CODE, keys[heads])
+    return _encode_scaled(np.asarray(x, dtype=np.float64), 1.0)
+
+
+def _encode_scaled(x: np.ndarray, scale: float) -> np.ndarray:
+    """The codes of x * scale for a float64 x, bit for bit. Each step of x
+    is scaled into one step-sized buffer, which then takes the step's
+    bucket keys in place, so no scaled copy of x exists."""
+    flat = x.ravel()
+    codes = np.empty(flat.size, np.uint8)
+    buf = np.empty(min(flat.size, _ENCODE_STEP))
+    for start in range(0, flat.size, _ENCODE_STEP):
+        step = flat[start:start + _ENCODE_STEP]
+        step = np.multiply(step, scale, out=buf[:step.size])
+        if not np.isfinite(step).all():
+            raise EncodeError("cannot encode non-finite values")
+        bits = step.view(np.int64)  # an int64 compare maps no new numpy code; uint64 does
+        heads = np.flatnonzero(bits << 16 == 0)  # low 48 bits zero
+        np.right_shift(bits.view(np.uint64), _KEY_SHIFT, out=bits.view(np.uint64))
+        out = np.take(_INNER_CODE, bits, out=codes[start:start + _ENCODE_STEP])
+        out[heads] = np.take(_HEAD_CODE, bits[heads])
     return codes.reshape(x.shape)
 
 
@@ -218,7 +228,7 @@ def quantize_tensor(x: SequenceTensor, mode: str) -> QuantizedTensor:
     scale = _MODE_MAX[mode] / (amax + DEFAULT_EPS)
     # rounding is monotone, so amax * scale is exactly max |x * scale|
     assert amax * scale <= MAX_VALUE, "current scaling cannot overflow"
-    return QuantizedTensor(SequenceTensor(encode_array(x.data * scale)), scale, mode, amax)
+    return QuantizedTensor(SequenceTensor(_encode_scaled(x.data, scale)), scale, mode, amax)
 
 
 def dequantize(q: QuantizedTensor) -> SequenceTensor:

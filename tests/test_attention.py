@@ -1,11 +1,12 @@
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import gsa_subseq, iter_coords, naive_attention, pattern_allow, tsa_subseq
-from osp import attention
+from osp import attention, checks
 from osp.anyres import pad_grid, pad_tensor, subsequence_mask
 from osp.attention import (dense_attention, flop_report, project_qkv, skiparse_attention,
                            skiparse_reference)
@@ -268,6 +269,14 @@ def test_empty_sequence_returns_empty():
         assert out.data.shape == (2, 0, 4)
 
 
+@pytest.mark.parametrize("shape", [(0, 16, 4), (2, 16, 0)], ids=["no-items", "no-channels"])
+def test_empty_layout_is_one_empty_block(shape):
+    g, x = GridShape(1, 4, 4, 2), SequenceTensor(np.zeros(shape))
+    with np.errstate(divide="ignore"):  # the C = 0 projections scale by 1/√0
+        for pattern in SparsePattern:
+            assert skiparse_attention(x, g, pattern).data.shape == shape
+
+
 def _tiling_labels(mask_shape, rng):
     """Token labels whose (query, key) mask has mask_shape before it
     broadcasts over the items: labels of shape mask_shape[:-2] + (key,).
@@ -438,6 +447,68 @@ def test_sparse_path_is_one_kernel_call_on_the_layout(pattern, monkeypatch):
     skiparse_attention(pad_tensor(random_tensor(2, g.seq_len, 4, seed=40), pg), g, pattern, pg)
     real = subsequence_mask(pg, pattern).sum(axis=1)
     assert calls == [((8, 16, 4), np.repeat(real, 2).tolist())]
+
+
+@pytest.mark.parametrize("pattern", list(SparsePattern))
+@pytest.mark.parametrize("t,h,w", [(1, 60, 62), (2, 45, 80)])
+def test_streamed_layer_equals_one_gather_projection_and_kernel_call(t, h, w, pattern):
+    # each layout row's q, k and v (at least 960 tokens at C = 64) exceed
+    # SCORE_TILE_BYTES, so TSA and GSA walk one row per block; ORIGINAL is
+    # one row. Per row the blocks run the kernel's same tiles, so this host
+    # reads the whole-layout pipeline bit for bit
+    g = GridShape(t, h, w, 2)
+    pg = pad_grid(g)
+    x = pad_tensor(random_tensor(1, g.seq_len, 64, seed=t + h), pg)
+    fwd, back, lengths = attention._layout_rows(pg, pattern, 1)
+    whole = back.apply(dense_attention(*project_qkv(fwd.apply(x)), lengths)).data
+    out = skiparse_attention(x, g, pattern, pg).data
+    assert np.max(np.abs(out - whole)) <= 1e-15
+
+
+@pytest.mark.parametrize("pattern", [SparsePattern.TOKEN_WISE, SparsePattern.GROUP_WISE])
+def test_streamed_layer_memory_holds_one_block(pattern):
+    # clip-attn's layer: the 1x60x62 clip padded to 4 layout rows of 960
+    # tokens at C = 64. One row's q, k and v (1.4 MiB) stand beside the
+    # layout-order output and the gathered-back output (1.9 MiB each) and
+    # the kernel's tiles; it reads 5.80 MiB, and q, k and v of the whole
+    # clip at once (9.41) break the bound
+    g = GridShape(1, 60, 62, 2)
+    pg = pad_grid(g)
+    x = pad_tensor(random_tensor(1, g.seq_len, 64, seed=50), pg)
+    skiparse_attention(x, g, pattern, pg)  # the memoized layout and projections
+    tracemalloc.start()
+    try:
+        skiparse_attention(x, g, pattern, pg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.1 * 2 ** 20
+
+
+def test_report_all_layers_each_make_one_call_of_each_stage(monkeypatch):
+    # every layer report-all runs fits in one block, so each makes today's
+    # calls: one forward gather, one projection, one kernel call and one
+    # gather back, in that order, and the kernel's output goes back as it is
+    calls = []
+
+    def spy(fn, name):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if sys._getframe(1).f_code is attention.skiparse_attention.__code__:
+                calls.append((name, args, out))
+            return out
+        return wrapped
+
+    for name in ("_attention_grid", "project_qkv", "dense_attention"):
+        monkeypatch.setattr(attention, name, spy(getattr(attention, name), name))
+    monkeypatch.setattr(IndexMap, "apply", spy(IndexMap.apply, "apply"))
+    assert checks.build_full_report(7)["pass"]
+    per_layer = ["_attention_grid", "apply", "project_qkv", "dense_attention", "apply"]
+    layers = len(calls) // len(per_layer)
+    assert layers > 0 and [name for name, _, _ in calls] == per_layer * layers
+    for i in range(0, len(calls), len(per_layer)):
+        kernel_out, back_in = calls[i + 3][2], calls[i + 4][1][1]
+        assert np.shares_memory(back_in.data, kernel_out.data)
 
 
 def test_layout_rows_are_built_once_per_grid_and_mask(monkeypatch):

@@ -174,6 +174,38 @@ def test_split_gather_equals_one_take(monkeypatch, rows, row_bytes, dtype, cores
     assert x.data.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("row_tokens", [AT // 4, AT // 2], ids=["1-MiB-rows", "2-MiB-rows"])
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_row_range_gathers_those_rows_of_the_full_gather(monkeypatch, kept, row_tokens, dtype,
+                                                          cores):
+    # 4 output rows of 512-byte tokens, read from 2 input rows: the whole
+    # output fills SPLIT_BYTES or more, and a range of 1 to 3 rows falls
+    # below it, reaches it or passes it
+    rng = np.random.Generator(np.random.PCG64(row_tokens))
+    chan = 512 // np.dtype(dtype).itemsize
+    x = SequenceTensor(rng.integers(0, 256, size=(2, 2 * row_tokens, chan),
+                                    dtype=np.uint8).astype(dtype))
+    m = IndexMap(2, 2 * row_tokens, rng.permutation(4 * row_tokens).reshape(4, row_tokens))
+    full = np.take(x.data.reshape(-1, chan), m.src, axis=0)
+    take, runs = np.take, []
+
+    def counted_take(a, indices, *args, **kwargs):
+        runs.append(len(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(gridseq, "_CORES", cores)
+    monkeypatch.setattr(np, "take", counted_take)
+    for rows in [slice(0, 1), slice(1, 3), slice(2, None), slice(None), slice(3, 3)]:
+        runs.clear()
+        out = m.apply(x, rows)
+        want = full[rows]
+        assert out.data.dtype == dtype and out.data.shape == want.shape
+        assert out.data.tobytes() == want.tobytes() and not out.data.flags.writeable
+        n = cores if want.nbytes >= SPLIT_BYTES else 1
+        assert len(runs) == n and sum(runs) == want.shape[0] * want.shape[1]
+
+
 def _forked_child_finishes(fork: str) -> None:
     """Run `fork` in a fresh interpreter that has imported os, numpy as np
     and osp.gridseq. It forks, leaving the child's pid in `pid`, and the
@@ -278,6 +310,22 @@ def test_reuse_miss_drops_every_unviewed_buffer_first(kept):
     out = bigger.apply(x2)
     assert len(kept) == 2 and np.shares_memory(kept[0], busy.data)
     assert np.shares_memory(kept[1], out.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])
+def test_reuse_takes_a_row_range_outputs_buffer_again(kept, dtype):
+    # two output rows of SPLIT_BYTES each: either row alone is a large output
+    rng = np.random.Generator(np.random.PCG64(6))
+    chan = 512 // np.dtype(dtype).itemsize
+    x = SequenceTensor(rng.integers(0, 256, size=(1, 2 * AT, chan), dtype=np.uint8).astype(dtype))
+    m = IndexMap(1, 2 * AT, rng.permutation(2 * AT).reshape(2, AT))
+    first = m.apply(x, slice(1, 2))
+    address = first.data.ctypes.data
+    del first
+    second = m.apply(x, slice(0, 1))
+    assert second.data.ctypes.data == address and len(kept) == 1
+    assert second.data.tobytes() == np.take(x.data[0], m.src[:1], axis=0).tobytes()
+    assert not second.data.flags.writeable
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "hif8-codes"])

@@ -10,7 +10,7 @@ from osp.checks import hif8_format_check, quantized_attention_probe
 from osp.gridseq import GridShape, SequenceTensor, random_tensor
 from osp.hif8 import (MANTISSA_WIDTH, MAX_VALUE, MIDPOINTS, VALUES, ZERO_CODE, EncodeError,
                       QuantizedTensor, code_fields, decode, decode_array, dequantize, encode,
-                      encode_array, quantize_tensor, roundtrip)
+                      _ENCODE_STEP, encode_array, quantize_tensor, roundtrip)
 from osp.skiparse import SparsePattern
 
 
@@ -365,10 +365,9 @@ def test_quantize_tensor_rejects_non_finite(bad, at):
 
 
 def test_roundtrip_peak_memory_stays_below_one_and_a_half_inputs():
-    # clip-attn's 1.9 MiB padded clip: the output, the codes, the scaled
-    # input and the encoder's bounded steps; a decoded array before the
-    # division, or an |x * scale| array for the overflow check, would add a
-    # whole input
+    # clip-attn's 1.9 MiB padded clip: the output, the codes and the
+    # encoder's bounded steps; a decoded array before the division, or an
+    # |x * scale| array for the overflow check, would add a whole input
     x = random_tensor(1, 3840, 64, seed=9)
     tracemalloc.start()
     try:
@@ -377,6 +376,33 @@ def test_roundtrip_peak_memory_stays_below_one_and_a_half_inputs():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * x.data.nbytes
+
+
+@pytest.mark.parametrize("mode", ["forward", "backward"])
+def test_quantized_codes_equal_the_codes_of_the_scaled_tensor(mode):
+    # three whole encoder steps and a ragged fourth, with zeros of both signs
+    rng = np.random.Generator(np.random.PCG64(23))
+    data = rng.standard_normal((1, 3 * _ENCODE_STEP + 1001, 1))
+    data[0, ::97] = 0.0
+    data[0, 1::89] = -0.0
+    q = quantize_tensor(SequenceTensor(data), mode)
+    scaled = data * q.scale
+    assert np.array_equal(q.codes.data, encode_array(scaled))
+    oracle = hif8_nearest_codes(_default_widths(), scaled.ravel())
+    assert np.array_equal(q.codes.data.ravel(), oracle)
+
+
+def test_roundtrip_holds_the_codes_the_output_and_one_encoder_step():
+    # clip-attn's 245760-value clip: a scaled copy of the whole input
+    # (1.9 MiB) beside the codes would break the bound
+    x = random_tensor(1, 3840, 64, seed=9)
+    tracemalloc.start()
+    try:
+        roundtrip(x, "forward")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.size + x.data.nbytes + 8 * _ENCODE_STEP
 
 
 def test_hif8_codes_travel_through_rearranges():
